@@ -74,11 +74,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_replay(args) -> int:
     try:
-        records = read_log(args.log)
+        checked, diffs = replay_verdicts(read_log(args.log))
     except OSError as exc:
         print(f"cannot read log: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    checked, diffs = replay_verdicts(records)
+    except KeyError as exc:
+        print(f"invalid log: a record lacks field {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ValueError as exc:
+        print(f"invalid log: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if diffs:
         for diff in diffs:
             print(f"mismatch: {diff}")

@@ -46,8 +46,25 @@ def write_log(records: Iterable[Record], path) -> None:
 
 
 def read_log(path) -> list[Record]:
+    """Parse a log file; a malformed line raises ValueError naming its 1-based number."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [parse_record(line) for line in fh if line.strip()]
+        try:
+            return [parse_record(line) for line in fh if line.strip()]
+        except (KeyError, ValueError):
+            fh.seek(0)  # only a failed read pays for numbering the lines
+            _raise_first_bad_line(fh)
+            raise
+
+
+def _raise_first_bad_line(lines: Iterable[str]) -> None:
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                parse_record(line)
+            except KeyError as exc:
+                raise ValueError(f"line {number}: missing field {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
 
 
 def packet_records(records: Iterable[Record]) -> Iterator[Record]:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .acceptor import Acceptor
-from .eventlog import Record, format_record, parse_record
+from .eventlog import Record
 from .learner import Anomaly, Consensus, InstanceLedger, Learner, decide
 from .membership import EmptyGroup, MembershipService
 from .messages import (
@@ -24,6 +24,7 @@ from .messages import (
     Packet,
     Prepare,
     Promise,
+    format_value,
     packet_from_fields,
 )
 from .proposer import Proposer
@@ -237,6 +238,7 @@ class ClusterRun:
         self.seen: dict[int, ClientRequest] = {}
         self.handed: set[int] = set()
         self.faults_applied = 0
+        self.decided_prefix = 0  # requests[:decided_prefix] all have a verdict
         self.halted = False
 
     # -- callbacks ---------------------------------------------------------------
@@ -336,7 +338,12 @@ class ClusterRun:
             return False  # observation run: let it play to the horizon
         if self.faults_applied < len(self.scenario.faults):
             return False
-        return all(self._verdict_of(r.request_id) is not None for r in self.requests)
+        # Verdicts are never unset, so the decided prefix only grows.
+        requests = self.requests
+        while (self.decided_prefix < len(requests)
+               and self._verdict_of(requests[self.decided_prefix].request_id) is not None):
+            self.decided_prefix += 1
+        return self.decided_prefix == len(requests)
 
     def _build_report(self, horizon_reached: bool, livelock: bool) -> Report:
         counts = {"consensus": 0, "anomaly": 0, "inconclusive": 0,
@@ -414,9 +421,6 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
     the learner for the ledgers, and each Verdict's membership/deadline
     context fields.
     """
-    # Live records carry typed field values; push everything through the
-    # text codec so replay behaves identically for in-memory and file logs.
-    records = [parse_record(format_record(r)) for r in records]
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
         return 0, ["no Init record found"]
@@ -435,15 +439,16 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
         elif kind == "Rejoin":
             alive.add(int(record.fields["node"]))
         elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
-            packet = packet_from_fields("Accepted", record.fields,
-                                        sender=int(record.fields["from"]))
+            fields = _text_fields(record.fields)
+            packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
             ledger = ledgers.setdefault(packet.request_id,
                                         InstanceLedger(request_id=packet.request_id))
             ledger.record(packet)
         elif kind == "Verdict":
-            rid = int(record.fields["req"])
-            membership_size = int(record.fields["membership"])
-            deadline = record.fields["deadline"] == "1"
+            fields = _text_fields(record.fields)
+            rid = int(fields["req"])
+            membership_size = int(fields["membership"])
+            deadline = fields["deadline"] == "1"
             ledger = ledgers.setdefault(rid, InstanceLedger(request_id=rid))
             verdict = decide(ledger, max(1, membership_size), deadline, policy)
             ledger.verdict = verdict
@@ -452,10 +457,20 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
                 diffs.append(f"req {rid}: logged membership {membership_size} "
                              f"!= tracked {len(alive)}")
             expected = _verdict_fields(verdict)
-            actual = {k: record.fields[k] for k in expected if k in record.fields}
+            actual = {k: fields[k] for k in expected if k in fields}
             if expected != actual:
                 diffs.append(f"req {rid}: recomputed {expected} != logged {actual}")
     return checked, diffs
+
+
+def _text_fields(fields: dict) -> dict[str, str]:
+    """A record's fields in their log-text form, as read_log would return them.
+
+    Live records carry typed values (int, bool, ProposalNumber), which render
+    as bare, unquoted text; records read from a file already hold text, which
+    passes through unchanged.
+    """
+    return {k: v if isinstance(v, str) else format_value(v) for k, v in fields.items()}
 
 
 def _verdict_fields(verdict) -> dict[str, str]:

@@ -129,15 +129,10 @@ def format_value(value) -> str:
     return json.dumps(text, ensure_ascii=True)
 
 
-def parse_value(token: str) -> str:
-    if token.startswith('"'):
-        return json.loads(token)
-    return token
-
-
 def parse_fields(text: str) -> dict[str, str]:
     """Split a log line (or its tail) into an ordered field mapping."""
-    return {m.group(1): parse_value(m.group(2)) for m in _FIELD.finditer(text)}
+    return {key: json.loads(token) if token[0] == '"' else token
+            for key, token in _FIELD.findall(text)}
 
 
 def packet_fields(packet: Packet) -> dict[str, object]:

@@ -1,7 +1,11 @@
 """Whole-cluster runs: packet accounting, fault handling, replay, CLI."""
 
+import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from paxsim import cli, load_scenario, parse_scenario, run
 from paxsim.eventlog import dump_records, read_log, write_log
@@ -116,6 +120,40 @@ def test_replay_reproduces_verdicts_in_memory_and_from_file(tmp_path):
         res = run(load_scenario(SCENARIO_DIR / f"{name}.scenario"))
         checked, diffs = replay_verdicts(res.records)
         assert checked == len(res.report.verdicts) and diffs == [], name
+
+
+# Three replicas, leader crash at tick 4: slot 0 ends Inconclusive, slots 1-2 Consensus.
+MIXED_ROUND = """
+name: mixed_round
+acceptors: 3
+net: {seed: 1, base_delay: 1, jitter: 0, loss_rate: 0.0}
+timing: {horizon: 600}
+machine: {states: ["S"], start: "S", rules: []}
+app_model: {outputs: [], default_output: "OK"}
+requests:
+  - {at: 1, payload: "a"}
+  - {at: 3, payload: "b"}
+  - {at: 5, payload: "c"}
+faults:
+  - {at: 4, target: 0, kind: crash}
+"""
+
+
+@pytest.mark.parametrize("rid, key, forged", [
+    (0, "received", 2), (0, "needed", 3), (1, "output", "forged"), (2, "state", "T"),
+])
+def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
+    records = list(run(parse_scenario(MIXED_ROUND)).records)
+    assert replay_verdicts(records) == (3, [])
+    at = next(i for i, r in enumerate(records)
+              if r.kind == "Verdict" and r.fields["req"] == rid)
+    assert key in records[at].fields and records[at].fields[key] != forged
+    records[at] = replace(records[at], fields={**records[at].fields, key: forged})
+    checked, diffs = replay_verdicts(records)
+    assert checked == 3 and len(diffs) == 1 and diffs[0].startswith(f"req {rid}: recomputed")
+    log_path = tmp_path / "forged.log"
+    write_log(records, log_path)
+    assert replay_verdicts(read_log(log_path)) == (checked, diffs)
 
 
 def test_log_file_roundtrip_is_lossless(tmp_path):
@@ -359,3 +397,30 @@ def test_cli_determinism_byte_identical_logs(tmp_path):
     cli.main(["run", "--scenario", str(SCENARIO_DIR / "baseline.scenario"),
               "--seed", "777", "--log", str(seeded)])
     assert seeded.read_bytes() != paths[0].read_bytes()
+
+
+def test_cli_replay_names_a_malformed_line(tmp_path, capsys):
+    log_path = tmp_path / "bad.log"
+    write_log(baseline_result().records, log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1:1] = ["\n"]  # blank lines count toward the line number
+    lines[3:3] = ["hello world\n"]
+    log_path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^line 4: missing field 'time'$"):
+        read_log(log_path)
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == "invalid log: line 4: missing field 'time'\n"
+    assert captured.out == ""
+
+
+def test_cli_replay_rejects_a_record_lacking_a_field(tmp_path, capsys):
+    log_path = tmp_path / "bad.log"
+    write_log(baseline_result().records, log_path)
+    text = log_path.read_text(encoding="utf-8")
+    text = re.sub(r"(kind=Verdict) req=\d+", r"\1", text, count=1)
+    log_path.write_text(text, encoding="utf-8")
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == "invalid log: a record lacks field 'req'\n"
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 """Proposal ordering and packet log-form round trips."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,11 @@ from paxsim.messages import (
     Prepare,
     Promise,
     ProposalNumber,
+    _FIELD,
     compare_proposal,
     packet_fields,
     packet_from_fields,
+    parse_fields,
 )
 
 
@@ -102,3 +105,47 @@ def test_heartbeat_and_response_roundtrip():
 def test_awkward_payloads_survive(payload):
     packet = Prepare(n=ProposalNumber(0, 0), request=ClientRequest(0, payload), epoch=0)
     roundtrip(packet, src=0, dst=1)
+
+
+def reference_parse_fields(text):
+    """The expression parse_fields replaced: finditer plus a per-token decode."""
+    def parse_value(token):
+        if token.startswith('"'):
+            return json.loads(token)
+        return token
+    return {m.group(1): parse_value(m.group(2)) for m in _FIELD.finditer(text)}
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:  # a quoted token that is not valid JSON
+        return type(exc)
+
+
+awkward_text = st.text(alphabet=st.one_of(
+    st.sampled_from('"=\\ \t\n\'/:*,.-_éü€漢😀'),
+    st.characters(blacklist_categories=("Cs",))), max_size=30)
+field_keys = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda key: key not in ("time", "seq", "kind"))
+
+
+# Arbitrary text, spliced with bare and hand-quoted (possibly invalid JSON) fields.
+line_text = st.lists(st.one_of(
+    awkward_text,
+    st.builds("{}={} ".format, field_keys, awkward_text),
+    st.builds('{}="{}" '.format, field_keys, awkward_text)), max_size=6).map("".join)
+
+
+@given(line_text)
+def test_parse_fields_matches_reference_on_any_text(text):
+    assert outcome(parse_fields, text) == outcome(reference_parse_fields, text)
+
+
+@given(st.dictionaries(field_keys, st.one_of(awkward_text, st.integers(), proposals),
+                       max_size=6))
+def test_parse_fields_matches_reference_on_records(fields):
+    line = format_record(Record(time=1, seq=2, kind="Note", fields=fields))
+    assert parse_fields(line) == reference_parse_fields(line)
+    assert parse_record(line).fields == {k: v if isinstance(v, str) else str(v)
+                                         for k, v in fields.items()}
