@@ -10,7 +10,7 @@ loop, so identical inputs give byte-identical event logs.
 
 from .harness import ClusterRun, Report, RunResult, replay_verdicts, run
 from .learner import Anomaly, Consensus, Inconclusive, Verdict, decide
-from .messages import ClientRequest, ProposalNumber, compare_proposal
+from .messages import ClientRequest, ProposalNumber
 from .proposer import majority_threshold
 from .scenario import Scenario, load_scenario, parse_scenario
 from .statemachine import apply, compile_app_model, compile_machine, execute
@@ -29,7 +29,6 @@ __all__ = [
     "Scenario",
     "Verdict",
     "apply",
-    "compare_proposal",
     "compile_app_model",
     "compile_machine",
     "decide",

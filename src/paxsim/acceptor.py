@@ -27,7 +27,6 @@ class Acceptor:
     highest_promised: ProposalNumber | None = None
     last_served: ProposalNumber | None = None
     machine: RuntimeState = None  # type: ignore[assignment]
-    compromised: bool = False
     output_override: dict[str, str] = field(default_factory=dict)
     # Execution cursor and per-slot result cache (output, new state).
     next_slot: int = 0
@@ -71,11 +70,10 @@ class Acceptor:
         return Accepted(n=a.n, request_id=slot, output=output, new_state=new_state, sender=self.id)
 
     def _produce_output(self, a: AcceptRequest) -> str:
-        if self.compromised and a.request.payload in self.output_override:
+        if a.request.payload in self.output_override:
             return self.output_override[a.request.payload]
         return execute(self.model, a.request)
 
     def compromise(self, override: dict[str, str]) -> None:
         """Install an output override table; protocol behaviour stays honest."""
-        self.compromised = True
         self.output_override = dict(override)

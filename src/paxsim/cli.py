@@ -78,9 +78,6 @@ def _cmd_replay(args) -> int:
     except OSError as exc:
         print(f"cannot read log: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except KeyError as exc:
-        print(f"invalid log: a record lacks field {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"invalid log: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -9,9 +9,9 @@ The format is fixed so that two runs can be compared byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .messages import PACKET_KINDS, format_value, parse_fields
+from .messages import format_value, parse_fields
 
 
 @dataclass(slots=True)
@@ -46,29 +46,26 @@ def write_log(records: Iterable[Record], path) -> None:
 
 
 def read_log(path) -> list[Record]:
-    """Parse a log file; a malformed line raises ValueError naming its 1-based number."""
+    """Parse a UTF-8 log file; a malformed line raises ValueError naming its 1-based number."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return [parse_record(line) for line in fh if line.strip()]
-        except (KeyError, ValueError):
-            fh.seek(0)  # only a failed read pays for numbering the lines
-            _raise_first_bad_line(fh)
+        except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError too
+            _raise_first_bad_line(path)  # only a failed read pays for numbering the lines
             raise
 
 
-def _raise_first_bad_line(lines: Iterable[str]) -> None:
-    for number, line in enumerate(lines, 1):
-        if line.strip():
-            try:
+def _raise_first_bad_line(path) -> None:
+    # Decode line by line so that an undecodable byte is reported by line;
+    # bytes.splitlines breaks lines where text-mode reading does.
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for number, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8")
+            if line.strip():
                 parse_record(line)
-            except KeyError as exc:
-                raise ValueError(f"line {number}: missing field {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from exc
-
-
-def packet_records(records: Iterable[Record]) -> Iterator[Record]:
-    """Only the packet delivery records (Drop/DiscardCrashed excluded)."""
-    for record in records:
-        if record.kind in PACKET_KINDS:
-            yield record
+        except KeyError as exc:
+            raise ValueError(f"line {number}: missing field {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc

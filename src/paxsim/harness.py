@@ -9,11 +9,12 @@ itself, travels through the simulated network.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .acceptor import Acceptor
 from .eventlog import Record
-from .learner import Anomaly, Consensus, InstanceLedger, Learner, decide
+from .learner import Anomaly, Consensus, InstanceLedger, Learner, decide, verdict_fields
 from .membership import EmptyGroup, MembershipService
 from .messages import (
     Accepted,
@@ -36,70 +37,48 @@ class Replica:
     """A replica node: always an acceptor, plus the proposer role while leading."""
 
     def __init__(self, node_id: NodeId, scenario: Scenario, sim: Simulation,
-                 monitor_id: NodeId, learner_id: NodeId):
+                 learner_id: NodeId):
         self.id = node_id
-        self.sim = sim
-        self.monitor_id = monitor_id
+        self.bus = NodeBus(sim, node_id)
         self.learner_id = learner_id
         self.timing = scenario.timing
         self.acceptor = Acceptor(id=node_id, definition=scenario.machine,
                                  model=scenario.app_model)
         self.proposer: Proposer | None = None
         self.epoch = 0
-        self.leader: NodeId = 0
         self.heartbeat_seq = 0
         self.max_round_seen = -1
 
-    # Bus surface used by the proposer role.
-
-    def send(self, packet: Packet, dst: NodeId) -> None:
-        self.sim.send(packet, self.id, dst)
-
-    def set_timer(self, tag: tuple, delay: int) -> None:
-        self.sim.set_timer(self.id, tag, delay)
-
-    def log(self, kind: str, **fields) -> None:
-        self.sim.log(kind, **fields)
-
-    @property
-    def shutting_down(self) -> bool:
-        return self.sim.shutting_down
-
-    # Event handlers.
-
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
+        self.note_round(packet.n.round)  # every kind a replica receives is numbered
         if isinstance(packet, Prepare):
-            self.note_round(packet.n.round)
             if packet.epoch != self.epoch:
                 return  # fenced: a deposed leader's leftover
             reply = self.acceptor.on_prepare(packet)
             if reply is not None:
-                self.send(reply, src)
+                self.bus.send(reply, src)
         elif isinstance(packet, AcceptRequest):
-            self.note_round(packet.n.round)
             if packet.epoch != self.epoch:
                 return
             accepted = self.acceptor.on_accept_request(packet)
             if accepted is not None:
-                self.send(accepted, src)
-                self.send(accepted, self.learner_id)
+                self.bus.send(accepted, src)
+                self.bus.send(accepted, self.learner_id)
         elif isinstance(packet, Promise):
-            self.note_round(packet.n.round)
             if packet.last_served is not None:
                 self.note_round(packet.last_served.round)
             if self.proposer is not None:
                 self.proposer.on_promise(packet)
         elif isinstance(packet, Accepted):
-            self.note_round(packet.n.round)
             if self.proposer is not None:
                 self.proposer.on_accepted(packet)
 
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "hb":
-            self.send(Heartbeat(sender=self.id, seq=self.heartbeat_seq), self.monitor_id)
+            self.bus.send(Heartbeat(sender=self.id, seq=self.heartbeat_seq), self.learner_id)
             self.heartbeat_seq += 1
-            if not self.sim.shutting_down:
-                self.set_timer(("hb",), self.timing.heartbeat_interval)
+            if not self.bus.shutting_down:
+                self.bus.set_timer(("hb",), self.timing.heartbeat_interval)
         elif tag[0] == "phase" and self.proposer is not None:
             _, request_id, round_, phase = tag
             self.proposer.on_phase_timeout(request_id, round_, phase)
@@ -113,12 +92,11 @@ class Replica:
     def set_leadership(self, epoch: int, leader: NodeId, members) -> None:
         """Adopt the new epoch; take up or lay down the proposer role."""
         self.epoch = epoch
-        self.leader = leader
         if leader == self.id:
             if self.proposer is None:
                 self.proposer = Proposer(
                     node_id=self.id, epoch=epoch, members=members,
-                    next_round=self.max_round_seen + 1, bus=self,
+                    next_round=self.max_round_seen + 1, bus=self.bus,
                     timeout=self.timing.prepare_timeout,
                 )
         else:
@@ -219,11 +197,10 @@ class ClusterRun:
             on_election=self._on_election)
         self.learner = Learner(
             node_id=self.learner_id, client_id=self.client_id,
-            membership_view=self.membership.view, bus=_NodeBus(self.sim, self.learner_id),
+            membership_view=self.membership.view, bus=NodeBus(self.sim, self.learner_id),
             policy=scenario.anomaly_policy,
             instance_deadline=scenario.timing.instance_deadline)
-        self.replicas = [Replica(i, scenario, self.sim, self.learner_id, self.learner_id)
-                         for i in range(n)]
+        self.replicas = [Replica(i, scenario, self.sim, self.learner_id) for i in range(n)]
         infra = InfraNode(self.learner_id, self.sim, self.learner, self.membership,
                           scenario.timing.heartbeat_interval)
         self.sim.nodes = {i: r for i, r in enumerate(self.replicas)}
@@ -370,13 +347,10 @@ class ClusterRun:
                 entry["received"] = verdict.received
                 entry["needed"] = verdict.needed
             verdicts.append(entry)
-        for record in self.sim.records:
-            if record.kind == "Repropose":
-                counts["reproposals"] += 1
-            elif record.kind == "Election":
-                counts["elections"] += 1
-            elif record.kind == "Drop":
-                counts["drops"] += 1
+        kinds = Counter(record.kind for record in self.sim.records)
+        counts["reproposals"] = kinds["Repropose"]
+        counts["elections"] = kinds["Election"]
+        counts["drops"] = kinds["Drop"]
         view = self.membership.view
         return Report(
             scenario=self.scenario.name, seed=self.seed, final_time=self.sim.now,
@@ -386,8 +360,8 @@ class ClusterRun:
             livelock=livelock, halted=self.halted, anomalies=anomalies)
 
 
-class _NodeBus:
-    """Bus adapter for actors hosted on an infrastructure node."""
+class NodeBus:
+    """One node's view of the simulation: the bus every protocol role sends through."""
 
     def __init__(self, sim: Simulation, node_id: NodeId):
         self.sim = sim
@@ -419,47 +393,53 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
     The log itself carries everything needed: Init for the group size and
     policy, Failure/Rejoin for membership tracking, Accepted deliveries to
     the learner for the ledgers, and each Verdict's membership/deadline
-    context fields.
+    context fields. A record lacking a field replay reads, or holding a
+    malformed one, raises ValueError naming the record.
     """
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
         return 0, ["no Init record found"]
-    n = int(init.fields["acceptors"])
-    policy = init.fields["policy"]
-    learner_id = n
-    alive = set(range(n))
     ledgers: dict[int, InstanceLedger] = {}
     diffs: list[str] = []
     checked = 0
-
-    for record in records:
-        kind = record.kind
-        if kind == "Failure":
-            alive.discard(int(record.fields["node"]))
-        elif kind == "Rejoin":
-            alive.add(int(record.fields["node"]))
-        elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
-            fields = _text_fields(record.fields)
-            packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
-            ledger = ledgers.setdefault(packet.request_id,
-                                        InstanceLedger(request_id=packet.request_id))
-            ledger.record(packet)
-        elif kind == "Verdict":
-            fields = _text_fields(record.fields)
-            rid = int(fields["req"])
-            membership_size = int(fields["membership"])
-            deadline = fields["deadline"] == "1"
-            ledger = ledgers.setdefault(rid, InstanceLedger(request_id=rid))
-            verdict = decide(ledger, max(1, membership_size), deadline, policy)
-            ledger.verdict = verdict
-            checked += 1
-            if membership_size != len(alive):
-                diffs.append(f"req {rid}: logged membership {membership_size} "
-                             f"!= tracked {len(alive)}")
-            expected = _verdict_fields(verdict)
-            actual = {k: fields[k] for k in expected if k in fields}
-            if expected != actual:
-                diffs.append(f"req {rid}: recomputed {expected} != logged {actual}")
+    record = init
+    try:
+        n = int(init.fields["acceptors"])
+        policy = init.fields["policy"]
+        learner_id = n
+        alive = set(range(n))
+        for record in records:
+            kind = record.kind
+            if kind == "Failure":
+                alive.discard(int(record.fields["node"]))
+            elif kind == "Rejoin":
+                alive.add(int(record.fields["node"]))
+            elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
+                fields = _text_fields(record.fields)
+                packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
+                ledger = ledgers.setdefault(packet.request_id,
+                                            InstanceLedger(request_id=packet.request_id))
+                ledger.record(packet)
+            elif kind == "Verdict":
+                fields = _text_fields(record.fields)
+                rid = int(fields["req"])
+                membership_size = int(fields["membership"])
+                deadline = fields["deadline"] == "1"
+                ledger = ledgers.setdefault(rid, InstanceLedger(request_id=rid))
+                verdict = decide(ledger, max(1, membership_size), deadline, policy)
+                ledger.verdict = verdict
+                checked += 1
+                if membership_size != len(alive):
+                    diffs.append(f"req {rid}: logged membership {membership_size} "
+                                 f"!= tracked {len(alive)}")
+                expected = {"verdict": verdict.kind, **verdict_fields(verdict)}
+                actual = {k: fields[k] for k in expected if k in fields}
+                if expected != actual:
+                    diffs.append(f"req {rid}: recomputed {expected} != logged {actual}")
+    except (KeyError, ValueError) as exc:
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"time={record.time} seq={record.seq} kind={record.kind}: "
+                         f"{problem}") from exc
     return checked, diffs
 
 
@@ -472,18 +452,3 @@ def _text_fields(fields: dict) -> dict[str, str]:
     """
     return {k: v if isinstance(v, str) else format_value(v) for k, v in fields.items()}
 
-
-def _verdict_fields(verdict) -> dict[str, str]:
-    fields = {"verdict": verdict.kind}
-    if isinstance(verdict, Consensus):
-        fields["output"] = verdict.output
-        fields["state"] = verdict.state
-    elif isinstance(verdict, Anomaly):
-        fields["agreeing"] = ",".join(map(str, sorted(verdict.agreeing)))
-        fields["dissenting"] = ",".join(map(str, sorted(verdict.dissenting)))
-        fields["states"] = ";".join(f"{name}:{count}"
-                                    for name, count in sorted(verdict.states_seen))
-    else:
-        fields["received"] = str(verdict.received)
-        fields["needed"] = str(verdict.needed)
-    return fields

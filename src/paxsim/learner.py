@@ -174,29 +174,24 @@ class Learner:
                 self.bus.log("AnomalyReport", req=ledger.request_id,
                              dissenting=",".join(map(str, dissenting)),
                              states=_counts_text(states), outputs=_counts_text(outputs))
-        self._log_verdict(ledger, membership_size, deadline_reached)
+        self.bus.log("Verdict", req=ledger.request_id, verdict=verdict.kind,
+                     membership=membership_size, deadline=1 if deadline_reached else 0,
+                     **verdict_fields(verdict))
         if isinstance(verdict, Consensus):
             self.bus.send(ClientResponse(request_id=ledger.request_id, output=verdict.output),
                           self.client_id)
 
-    def _log_verdict(self, ledger: InstanceLedger, membership_size: int,
-                     deadline_reached: bool) -> None:
-        verdict = ledger.verdict
-        fields: dict[str, object] = {"req": ledger.request_id, "verdict": verdict.kind,
-                                     "membership": membership_size,
-                                     "deadline": 1 if deadline_reached else 0}
-        if isinstance(verdict, Consensus):
-            fields["output"] = verdict.output
-            fields["state"] = verdict.state
-        elif isinstance(verdict, Anomaly):
-            fields["agreeing"] = ",".join(map(str, sorted(verdict.agreeing)))
-            fields["dissenting"] = ",".join(map(str, sorted(verdict.dissenting)))
-            fields["states"] = _counts_text(Counter(dict(verdict.states_seen)))
-        else:
-            fields["received"] = verdict.received
-            fields["needed"] = verdict.needed
-        self.bus.log("Verdict", **fields)
+
+def verdict_fields(verdict: Verdict) -> dict[str, str]:
+    """The kind-specific fields of a Verdict log record, in log-text form."""
+    if isinstance(verdict, Consensus):
+        return {"output": verdict.output, "state": verdict.state}
+    if isinstance(verdict, Anomaly):
+        return {"agreeing": ",".join(map(str, sorted(verdict.agreeing))),
+                "dissenting": ",".join(map(str, sorted(verdict.dissenting))),
+                "states": _counts_text(dict(verdict.states_seen))}
+    return {"received": str(verdict.received), "needed": str(verdict.needed)}
 
 
-def _counts_text(counts: Counter) -> str:
+def _counts_text(counts: dict[str, int]) -> str:
     return ";".join(f"{name}:{count}" for name, count in sorted(counts.items()))

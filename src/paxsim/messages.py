@@ -33,13 +33,6 @@ class ProposalNumber:
         return cls(int(r), int(p))
 
 
-def compare_proposal(a: ProposalNumber, b: ProposalNumber) -> int:
-    """Return -1, 0 or 1 as a is less than, equal to or greater than b."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 @dataclass(frozen=True, slots=True)
 class ClientRequest:
     request_id: int
@@ -112,8 +105,6 @@ class ClientResponse:
 
 Packet = Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientResponse
 
-PACKET_KINDS = ("Prepare", "Promise", "AcceptRequest", "Accepted", "Heartbeat", "ClientResponse")
-
 
 def format_value(value) -> str:
     """Render a field value for a log line; free text is JSON-quoted."""
@@ -137,7 +128,7 @@ def parse_fields(text: str) -> dict[str, str]:
 
 def packet_fields(packet: Packet) -> dict[str, object]:
     """Ordered log fields for a packet, excluding transport addressing."""
-    if isinstance(packet, Prepare):
+    if isinstance(packet, (Prepare, AcceptRequest)):
         return {"epoch": packet.epoch, "n": packet.n, "req": packet.request.request_id,
                 "payload": packet.request.payload}
     if isinstance(packet, Promise):
@@ -145,9 +136,6 @@ def packet_fields(packet: Packet) -> dict[str, object]:
         if packet.last_served is not None:
             fields["last"] = packet.last_served
         return fields
-    if isinstance(packet, AcceptRequest):
-        return {"epoch": packet.epoch, "n": packet.n, "req": packet.request.request_id,
-                "payload": packet.request.payload}
     if isinstance(packet, Accepted):
         return {"n": packet.n, "req": packet.request_id, "output": packet.output,
                 "state": packet.new_state}
@@ -160,15 +148,13 @@ def packet_fields(packet: Packet) -> dict[str, object]:
 
 def packet_from_fields(kind: str, fields: dict[str, str], sender: NodeId) -> Packet:
     """Rebuild a packet value from parsed log fields. Inverse of packet_fields."""
-    if kind == "Prepare":
-        return Prepare(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),
-                       request=ClientRequest(int(fields["req"]), fields["payload"]))
+    if kind in ("Prepare", "AcceptRequest"):
+        cls = Prepare if kind == "Prepare" else AcceptRequest
+        return cls(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),
+                   request=ClientRequest(int(fields["req"]), fields["payload"]))
     if kind == "Promise":
         last = ProposalNumber.parse(fields["last"]) if "last" in fields else None
         return Promise(n=ProposalNumber.parse(fields["n"]), last_served=last, sender=sender)
-    if kind == "AcceptRequest":
-        return AcceptRequest(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),
-                             request=ClientRequest(int(fields["req"]), fields["payload"]))
     if kind == "Accepted":
         return Accepted(n=ProposalNumber.parse(fields["n"]), request_id=int(fields["req"]),
                         output=fields["output"], new_state=fields["state"], sender=sender)

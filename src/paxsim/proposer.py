@@ -115,7 +115,7 @@ class Proposer:
             return
         if flight.n.round != round_ or flight.phase != phase:
             return
-        if getattr(self.bus, "shutting_down", False):
+        if self.bus.shutting_down:
             return
         self._repropose()
 

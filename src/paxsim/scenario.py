@@ -18,7 +18,7 @@ A scenario is a YAML document with these sections::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -64,9 +64,8 @@ class Scenario:
 
 _TOP_KEYS = {"name", "acceptors", "anomaly_policy", "net", "timing",
              "machine", "app_model", "requests", "faults"}
-_NET_KEYS = {"seed", "base_delay", "jitter", "loss_rate"}
-_TIMING_KEYS = {"heartbeat_interval", "suspect_after", "prepare_timeout",
-                "instance_deadline", "horizon"}
+_NET_KEYS = {f.name for f in fields(NetConfig)}
+_TIMING_KEYS = {f.name for f in fields(TimingConfig)}
 
 
 def _require_int(value, field_name, minimum=None, maximum=None) -> int:
@@ -127,18 +126,9 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
     for key in timing_doc:
         if key not in _TIMING_KEYS:
             raise ValidationError(f"timing.{key}", "unknown key")
-    defaults = TimingConfig()
-    timing = TimingConfig(
-        heartbeat_interval=_require_int(timing_doc.get("heartbeat_interval", defaults.heartbeat_interval),
-                                        "timing.heartbeat_interval", minimum=1),
-        suspect_after=_require_int(timing_doc.get("suspect_after", defaults.suspect_after),
-                                   "timing.suspect_after", minimum=1),
-        prepare_timeout=_require_int(timing_doc.get("prepare_timeout", defaults.prepare_timeout),
-                                     "timing.prepare_timeout", minimum=1),
-        instance_deadline=_require_int(timing_doc.get("instance_deadline", defaults.instance_deadline),
-                                       "timing.instance_deadline", minimum=1),
-        horizon=_require_int(timing_doc.get("horizon", defaults.horizon), "timing.horizon", minimum=1),
-    )
+    timing = TimingConfig(**{
+        f.name: _require_int(timing_doc.get(f.name, f.default), f"timing.{f.name}", minimum=1)
+        for f in fields(TimingConfig)})
 
     try:
         machine = compile_machine(_require_mapping(doc.get("machine"), "machine"))

@@ -66,7 +66,7 @@ class StateMachineDef:
         return [(i, r) for i, r in enumerate(self.rules) if r.source == state]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RuntimeState:
     """Current state plus consecutive-match counters, keyed by rule index.
 
@@ -76,11 +76,6 @@ class RuntimeState:
 
     current: str
     counters: dict[int, int] = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, RuntimeState):
-            return NotImplemented
-        return self.current == other.current and self.counters == other.counters
 
 
 @dataclass(frozen=True)
@@ -99,6 +94,21 @@ def _compile_pattern(text: str, where: str) -> re.Pattern:
         raise BadRegex(f"{where}: cannot compile regex {text!r}: {exc}") from exc
 
 
+def _list(section: dict, key: str) -> list | tuple:
+    value = section.get(key)
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):
+        raise MachineError(f"{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MachineError(f"{where}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
 def compile_machine(section: dict) -> StateMachineDef:
     """Validate a machine definition section and compile its patterns.
 
@@ -106,7 +116,7 @@ def compile_machine(section: dict) -> StateMachineDef:
     mappings with from/to/output_regex, optional input_regex, threshold as a
     non-negative integer or "*").
     """
-    states = tuple(str(s) for s in section.get("states", ()))
+    states = tuple(str(s) for s in _list(section, "states"))
     if not states:
         raise NoStartState("machine declares no states")
     declared = set(states)
@@ -116,8 +126,9 @@ def compile_machine(section: dict) -> StateMachineDef:
     start = str(start)
 
     rules = []
-    for idx, raw in enumerate(section.get("rules", ())):
+    for idx, raw in enumerate(_list(section, "rules")):
         where = f"rules[{idx}]"
+        raw = _mapping(raw, where)
         source = str(raw.get("from"))
         target = str(raw.get("to"))
         if source not in declared:
@@ -127,7 +138,7 @@ def compile_machine(section: dict) -> StateMachineDef:
         threshold = raw.get("threshold", 0)
         if threshold == "*":
             threshold = STAR
-        elif not isinstance(threshold, int) or threshold < 0:
+        elif not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 0:
             raise MachineError(f"{where}.threshold: expected non-negative integer or '*', got {threshold!r}")
         if threshold is STAR and target != source:
             raise StarNotSelfLoop(f"{where}: '*' threshold requires to == from, got {source!r} -> {target!r}")
@@ -182,7 +193,8 @@ def compile_app_model(section: dict) -> AppModel:
     """Build the application table: list of {request, output} plus default_output."""
     entries = []
     patterns = []
-    for idx, raw in enumerate(section.get("outputs", ()) or ()):
+    for idx, raw in enumerate(_list(section, "outputs")):
+        raw = _mapping(raw, f"outputs[{idx}]")
         pattern = str(raw.get("request"))
         output = str(raw.get("output"))
         patterns.append(_compile_pattern(pattern, f"outputs[{idx}].request"))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from paxsim import cli, load_scenario, parse_scenario, run
-from paxsim.eventlog import dump_records, read_log, write_log
+from paxsim.eventlog import dump_records, parse_record, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 
@@ -414,13 +414,45 @@ def test_cli_replay_names_a_malformed_line(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_cli_replay_rejects_a_record_lacking_a_field(tmp_path, capsys):
+def test_cli_replay_names_an_undecodable_line(tmp_path, capsys):
     log_path = tmp_path / "bad.log"
-    write_log(baseline_result().records, log_path)
-    text = log_path.read_text(encoding="utf-8")
-    text = re.sub(r"(kind=Verdict) req=\d+", r"\1", text, count=1)
-    log_path.write_text(text, encoding="utf-8")
+    records = baseline_result().records
+    write_log(records, log_path)
+    with open(log_path, "ab") as fh:
+        fh.write(b"\xff")
+    expected = (f"line {len(records) + 1}: 'utf-8' codec can't decode byte 0xff "
+                "in position 0: invalid start byte")
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        read_log(log_path)
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.err == "invalid log: a record lacks field 'req'\n"
+    assert captured.err == f"invalid log: {expected}\n"
     assert captured.out == ""
+
+
+def replay_error_after_edit(tmp_path, capsys, pattern, replacement):
+    """Edit the first log line matching pattern; return that record and replay's error."""
+    log_path = tmp_path / "bad.log"
+    write_log(baseline_result().records, log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if re.search(pattern, line))
+    record = parse_record(lines[at])
+    lines[at] = re.sub(pattern, replacement, lines[at])
+    log_path.write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return record, captured.err
+
+
+def test_cli_replay_rejects_a_record_lacking_a_field(tmp_path, capsys):
+    record, err = replay_error_after_edit(tmp_path, capsys, r"(kind=Verdict) req=\d+", r"\1")
+    assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Verdict: "
+                   "missing field 'req'\n")
+
+
+def test_cli_replay_names_a_record_with_a_malformed_field(tmp_path, capsys):
+    record, err = replay_error_after_edit(tmp_path, capsys, r"(kind=Accepted from=\d+ to=5) n=\S+",
+                                          r"\1 n=x.y")
+    assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Accepted: "
+                   "invalid literal for int() with base 10: 'x'\n")

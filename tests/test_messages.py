@@ -17,11 +17,16 @@ from paxsim.messages import (
     Promise,
     ProposalNumber,
     _FIELD,
-    compare_proposal,
     packet_fields,
     packet_from_fields,
     parse_fields,
 )
+
+
+def compare(a, b):
+    # Three-way comparison through ProposalNumber's own ordering operators.
+    assert (a < b) + (a == b) + (a > b) == 1
+    return -1 if a < b else (1 if a > b else 0)
 
 
 def brute_force_compare(a, b):
@@ -34,18 +39,18 @@ def brute_force_compare(a, b):
 
 def test_compare_identity():
     n = ProposalNumber(3, 1)
-    assert compare_proposal(n, n) == 0
+    assert compare(n, n) == 0
 
 
 def test_compare_specific_cases():
-    assert compare_proposal(ProposalNumber(2, 5), ProposalNumber(3, 0)) == -1
-    assert compare_proposal(ProposalNumber(3, 2), ProposalNumber(3, 1)) == 1
+    assert compare(ProposalNumber(2, 5), ProposalNumber(3, 0)) == -1
+    assert compare(ProposalNumber(3, 2), ProposalNumber(3, 1)) == 1
 
 
 def test_compare_matches_brute_force_enumeration():
     space = [ProposalNumber(r, p) for r in range(4) for p in range(6)]
     for a, b in itertools.product(space, space):
-        assert compare_proposal(a, b) == brute_force_compare(a, b)
+        assert compare(a, b) == brute_force_compare(a, b)
 
 
 proposals = st.builds(ProposalNumber, st.integers(0, 1000), st.integers(0, 20))
@@ -54,11 +59,11 @@ proposals = st.builds(ProposalNumber, st.integers(0, 1000), st.integers(0, 20))
 @given(proposals, proposals, proposals)
 def test_compare_is_a_total_order(a, b, c):
     # Antisymmetric, transitive, total.
-    assert compare_proposal(a, b) == -compare_proposal(b, a)
-    if compare_proposal(a, b) <= 0 and compare_proposal(b, c) <= 0:
-        assert compare_proposal(a, c) <= 0
-    assert compare_proposal(a, b) in (-1, 0, 1)
-    if compare_proposal(a, b) == 0:
+    assert compare(a, b) == -compare(b, a)
+    if compare(a, b) <= 0 and compare(b, c) <= 0:
+        assert compare(a, c) <= 0
+    assert compare(a, b) in (-1, 0, 1)
+    if compare(a, b) == 0:
         assert a == b
 
 

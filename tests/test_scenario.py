@@ -117,3 +117,20 @@ requests: []
 """
     scenario = parse_scenario(text)
     assert scenario.machine.rules[0].threshold is None
+
+
+@pytest.mark.parametrize("section", [
+    'machine: {states: ["S"], start: "S", rules: [5]}',
+    'machine: {states: ["S"], start: "S", rules: 5}',
+    'machine: {states: 5, start: "S", rules: []}',
+    'machine: {states: ["S"], start: "S", rules: [{from: "S", to: "S", threshold: true}]}',
+    "app_model: {outputs: [7]}",
+    "app_model: {outputs: 5}",
+], ids=["rule-not-mapping", "rules-not-list", "states-not-list", "boolean-threshold",
+        "output-not-mapping", "outputs-not-list"])
+def test_malformed_machine_sections_are_validation_errors(section):
+    key = section.split(":")[0]
+    text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(key))
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text + "\n" + section + "\n")
+    assert err.value.field_name == key
