@@ -106,10 +106,9 @@ class Replica:
 class InfraNode:
     """Hosts the learner and the membership watch, outside the replica group."""
 
-    def __init__(self, node_id: NodeId, sim: Simulation, learner: Learner,
+    def __init__(self, bus: NodeBus, learner: Learner,
                  membership: MembershipService, heartbeat_interval: int):
-        self.id = node_id
-        self.sim = sim
+        self.bus = bus
         self.learner = learner
         self.membership = membership
         self.heartbeat_interval = heartbeat_interval
@@ -123,8 +122,8 @@ class InfraNode:
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "detect":
             self.membership.detect_failures(now)
-            if not self.sim.shutting_down:
-                self.sim.set_timer(self.id, ("detect",), self.heartbeat_interval)
+            if not self.bus.shutting_down:
+                self.bus.set_timer(("detect",), self.heartbeat_interval)
         elif tag[0] == "deadline":
             self.learner.on_deadline(tag[1])
 
@@ -195,13 +194,14 @@ class ClusterRun:
             members=range(n), suspect_after=scenario.timing.suspect_after,
             bus=self.sim, on_change=self._on_membership_change,
             on_election=self._on_election)
+        infra_bus = NodeBus(self.sim, self.learner_id)
         self.learner = Learner(
             node_id=self.learner_id, client_id=self.client_id,
-            membership_view=self.membership.view, bus=NodeBus(self.sim, self.learner_id),
+            membership_view=self.membership.view, bus=infra_bus,
             policy=scenario.anomaly_policy,
             instance_deadline=scenario.timing.instance_deadline)
         self.replicas = [Replica(i, scenario, self.sim, self.learner_id) for i in range(n)]
-        infra = InfraNode(self.learner_id, self.sim, self.learner, self.membership,
+        infra = InfraNode(infra_bus, self.learner, self.membership,
                           scenario.timing.heartbeat_interval)
         self.sim.nodes = {i: r for i, r in enumerate(self.replicas)}
         self.sim.nodes[self.learner_id] = infra

@@ -26,6 +26,11 @@ from .simnet import CompromiseFault, CrashFault, FaultSpec, NetConfig
 from .statemachine import AppModel, MachineError, StateMachineDef, compile_app_model, compile_machine
 
 
+# libyaml's scanner and parser when PyYAML was built with them, under the
+# same safe constructor and resolver as yaml.SafeLoader; about 8x faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ScenarioError(ValueError):
     pass
 
@@ -89,8 +94,8 @@ def _require_mapping(value, field_name) -> dict:
 def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
     """Parse and validate scenario YAML text."""
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes to UTF-8 first
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "unknown location"
         raise ParseError(f"{name_hint}: {where}: {exc}") from exc
@@ -195,4 +200,19 @@ def load_scenario(path) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable_line(path) from exc
     return parse_scenario(text, name_hint=str(path))
+
+
+def _undecodable_line(path) -> ParseError:
+    # Decode line by line so that the error names the line and the byte's
+    # position in it; bytes.splitlines breaks lines where text-mode reading does.
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for number, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"{path}: line {number}: {exc}")
+    return ParseError(f"{path}: not UTF-8")

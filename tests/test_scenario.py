@@ -1,9 +1,15 @@
 """Scenario parsing and validation."""
 
+import os
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from paxsim import cli, scenario as scenario_module
 from paxsim.scenario import ParseError, ValidationError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -65,6 +71,34 @@ def test_malformed_yaml_reports_line():
         parse_scenario("acceptors: 3\n  bogus indent: [", name_hint="bad.scenario")
     assert "bad.scenario" in str(err.value)
     assert "line" in str(err.value)
+
+
+@pytest.mark.parametrize("text, cause, where", [
+    # libyaml encodes the text to UTF-8 first; the pure reader rejects the character
+    ("acceptors: 3\nname: \ud800\n", (UnicodeEncodeError, yaml.reader.ReaderError), None),
+    ("acceptors: 3\nname: !!python/object:os.system {}\n", yaml.constructor.ConstructorError, "line 2"),
+    ("acceptors: 3\nname: !!python/object/apply:os.system [true]\n",
+     yaml.constructor.ConstructorError, "line 2"),
+    ("acceptors: 3\nname: \x07\n", yaml.reader.ReaderError, None),
+], ids=["lone-surrogate", "python-object-tag", "python-apply-tag", "control-character"])
+def test_unloadable_yaml_is_a_parse_error(text, cause, where):
+    with mock.patch.object(os, "system", side_effect=AssertionError("constructed a python object")):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text, name_hint="bad.scenario")
+    assert isinstance(err.value.__cause__, cause)
+    assert str(err.value).startswith("bad.scenario: ")
+    if where is not None:
+        assert where in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bad.scenario"
+    bad.write_bytes(b"acceptors: 3\r\nname: caf\xe9\n")
+    assert cli.main([command, "--scenario", str(bad)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {bad}: line 2: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err
 
 
 def test_unknown_top_level_key_rejected():
@@ -134,3 +168,67 @@ def test_malformed_machine_sections_are_validation_errors(section):
     with pytest.raises(ValidationError) as err:
         parse_scenario(text + "\n" + section + "\n")
     assert err.value.field_name == key
+
+
+def _parse_with_the_pure_loader(text):
+    with mock.patch.object(scenario_module, "_LOADER", yaml.SafeLoader):
+        return parse_scenario(text)
+
+
+labels = st.text(max_size=8)
+patterns = labels.map(re.escape)
+ticks = st.integers(0, 10**6)
+
+
+@st.composite
+def scenario_docs(draw):
+    acceptors = draw(st.integers(1, 7))
+    states = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    rule = st.fixed_dictionaries(
+        {"from": st.sampled_from(states), "to": st.sampled_from(states),
+         "output_regex": patterns, "threshold": st.integers(0, 5)},
+        optional={"input_regex": patterns})
+    target = st.integers(0, acceptors - 1)
+    fault = st.one_of(
+        st.fixed_dictionaries({"at": ticks, "target": target, "kind": st.just("crash")}),
+        st.fixed_dictionaries({"at": ticks, "target": target, "kind": st.just("compromise"),
+                               "override": st.dictionaries(labels, labels, min_size=1, max_size=2)}))
+    return {
+        "name": draw(labels),
+        "acceptors": acceptors,
+        "anomaly_policy": draw(st.sampled_from(["strict", "majority"])),
+        "net": {"seed": draw(st.integers(0, 2**64 - 1)), "base_delay": draw(st.integers(0, 9)),
+                "jitter": draw(st.integers(0, 9)), "loss_rate": draw(st.floats(0.0, 1.0))},
+        "timing": {"heartbeat_interval": draw(st.integers(1, 99)), "horizon": draw(st.integers(1, 10**6))},
+        "machine": {"states": states, "start": draw(st.sampled_from(states)),
+                    "rules": draw(st.lists(rule, max_size=3))},
+        "app_model": {"outputs": draw(st.lists(st.fixed_dictionaries(
+                          {"request": patterns, "output": labels}), max_size=3)),
+                      "default_output": draw(labels)},
+        "requests": [{"at": at, "payload": draw(labels)}
+                     for at in sorted(draw(st.lists(ticks, max_size=4)))],
+        "faults": draw(st.lists(fault, max_size=2)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario_docs(), st.booleans())
+def test_parse_matches_the_pure_loader_on_dumped_documents(doc, allow_unicode):
+    for flow_style in (False, True):
+        text = yaml.safe_dump(doc, default_flow_style=flow_style, allow_unicode=allow_unicode,
+                              sort_keys=False)
+        assert parse_scenario(text) == _parse_with_the_pure_loader(text)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scenario")), ids=lambda p: p.stem)
+def test_parse_matches_the_pure_loader_on_bundled_scenarios(path):
+    text = path.read_text(encoding="utf-8")
+    assert parse_scenario(text) == _parse_with_the_pure_loader(text)
+
+
+def test_parse_uses_libyaml_when_pyyaml_has_it():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    with mock.patch.object(expected, "__init__", autospec=True,
+                           side_effect=expected.__init__) as init:
+        parse_scenario(MINIMAL)
+    init.assert_called_once()
