@@ -36,19 +36,17 @@ def main(argv=None) -> int:
     p_replay.add_argument("--log", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_replay(args)
-
-
-def _cmd_run(args) -> int:
+    if args.command == "replay":
+        return _cmd_replay(args)
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return _cmd_run(args, scenario) if args.command == "run" else _cmd_validate(scenario)
+
+
+def _cmd_run(args, scenario) -> int:
     result = run(scenario, seed=args.seed)
     if args.log:
         write_log(result.records, args.log)
@@ -61,12 +59,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def _cmd_validate(scenario) -> int:
     print(f"ok: {scenario.name} ({scenario.acceptors} acceptors, "
           f"{len(scenario.requests)} requests, {len(scenario.faults)} faults)")
     return EXIT_OK

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .acceptor import Acceptor
 from .eventlog import Record
@@ -28,7 +28,7 @@ from .messages import (
     format_value,
     packet_from_fields,
 )
-from .proposer import Proposer
+from .proposer import Proposer, Rounds
 from .scenario import Scenario
 from .simnet import CompromiseFault, CrashFault, FaultSpec, NetConfig, Simulation
 
@@ -47,10 +47,10 @@ class Replica:
         self.proposer: Proposer | None = None
         self.epoch = 0
         self.heartbeat_seq = 0
-        self.max_round_seen = -1
+        self.rounds = Rounds()  # shared by every incumbency of this node
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
-        self.note_round(packet.n.round)  # every kind a replica receives is numbered
+        self.rounds.note(packet.n.round)  # every kind a replica receives is numbered
         if isinstance(packet, Prepare):
             if packet.epoch != self.epoch:
                 return  # fenced: a deposed leader's leftover
@@ -66,7 +66,7 @@ class Replica:
                 self.bus.send(accepted, self.learner_id)
         elif isinstance(packet, Promise):
             if packet.last_served is not None:
-                self.note_round(packet.last_served.round)
+                self.rounds.note(packet.last_served.round)
             if self.proposer is not None:
                 self.proposer.on_promise(packet)
         elif isinstance(packet, Accepted):
@@ -83,12 +83,6 @@ class Replica:
             _, request_id, round_, phase = tag
             self.proposer.on_phase_timeout(request_id, round_, phase)
 
-    def note_round(self, round_: int) -> None:
-        if round_ > self.max_round_seen:
-            self.max_round_seen = round_
-        if self.proposer is not None:
-            self.proposer.note_round(round_)
-
     def set_leadership(self, epoch: int, leader: NodeId, members) -> None:
         """Adopt the new epoch; take up or lay down the proposer role."""
         self.epoch = epoch
@@ -96,7 +90,7 @@ class Replica:
             if self.proposer is None:
                 self.proposer = Proposer(
                     node_id=self.id, epoch=epoch, members=members,
-                    next_round=self.max_round_seen + 1, bus=self.bus,
+                    rounds=self.rounds, bus=self.bus,
                     timeout=self.timing.prepare_timeout,
                 )
         else:
@@ -174,7 +168,6 @@ class Report:
 class RunResult:
     report: Report
     records: list[Record]
-    learner: Learner
 
 
 class ClusterRun:
@@ -213,7 +206,6 @@ class ClusterRun:
                          for i, (_, payload) in enumerate(scenario.requests)]
         self.arrival_times = [at for at, _ in scenario.requests]
         self.seen: dict[int, ClientRequest] = {}
-        self.handed: set[int] = set()
         self.faults_applied = 0
         self.decided_prefix = 0  # requests[:decided_prefix] all have a verdict
         self.halted = False
@@ -235,12 +227,9 @@ class ClusterRun:
         # The client retries every unanswered request against the new leader,
         # synchronously and in slot order, so nothing arriving later this tick
         # can jump the queue ahead of an older unfinished slot.
-        self.handed = set()
         for rid in sorted(self.seen):
-            ledger = self.learner.ledgers.get(rid)
-            if ledger is not None and isinstance(ledger.verdict, Consensus):
-                continue
-            self._on_arrival(self.seen[rid], redispatch=True)
+            if not isinstance(self._verdict_of(rid), Consensus):
+                self._on_arrival(self.seen[rid], redispatch=True)
 
     def _on_arrival(self, request: ClientRequest, redispatch: bool = False) -> None:
         leader = self.membership.view.leader
@@ -249,15 +238,11 @@ class ClusterRun:
             fields["redispatch"] = 1
         self.sim.log("ClientArrival", **fields)
         self.seen[request.request_id] = request
-        if request.request_id in self.handed:
-            return
-        ledger = self.learner.ledgers.get(request.request_id)
-        if ledger is not None and isinstance(ledger.verdict, Consensus):
+        if isinstance(self._verdict_of(request.request_id), Consensus):
             return
         replica = self.replicas[leader]
         if leader in self.sim.crashed or replica.proposer is None:
             return  # lost until the next election retries it
-        self.handed.add(request.request_id)
         replica.proposer.submit(request)
 
     def _on_fault(self, spec: FaultSpec) -> None:
@@ -304,7 +289,7 @@ class ClusterRun:
             self.learner.finalize(rid)
 
         report = self._build_report(horizon_reached, bool(undecided) and horizon_reached)
-        return RunResult(report=report, records=self.sim.records, learner=self.learner)
+        return RunResult(report=report, records=self.sim.records)
 
     def _verdict_of(self, request_id: int):
         ledger = self.learner.ledgers.get(request_id)
@@ -323,34 +308,18 @@ class ClusterRun:
         return self.decided_prefix == len(requests)
 
     def _build_report(self, horizon_reached: bool, livelock: bool) -> Report:
-        counts = {"consensus": 0, "anomaly": 0, "inconclusive": 0,
-                  "reproposals": 0, "elections": 0, "drops": 0}
         verdicts = []
-        anomalies = []
         for request in self.requests:
             verdict = self._verdict_of(request.request_id)
-            entry: dict = {"request_id": request.request_id, "verdict": verdict.kind}
-            if isinstance(verdict, Consensus):
-                counts["consensus"] += 1
-                entry["output"] = verdict.output
-                entry["state"] = verdict.state
-            elif isinstance(verdict, Anomaly):
-                counts["anomaly"] += 1
-                entry["agreeing"] = sorted(verdict.agreeing)
-                entry["dissenting"] = sorted(verdict.dissenting)
-                entry["states_seen"] = dict(verdict.states_seen)
-                anomalies.append({"request_id": request.request_id,
-                                  "dissenting": sorted(verdict.dissenting),
-                                  "states_seen": dict(verdict.states_seen)})
-            else:
-                counts["inconclusive"] += 1
-                entry["received"] = verdict.received
-                entry["needed"] = verdict.needed
-            verdicts.append(entry)
-        kinds = Counter(record.kind for record in self.sim.records)
-        counts["reproposals"] = kinds["Repropose"]
-        counts["elections"] = kinds["Election"]
-        counts["drops"] = kinds["Drop"]
+            verdicts.append({"request_id": request.request_id, "verdict": verdict.kind,
+                             **_report_fields(verdict)})
+        verdict_kinds = Counter(entry["verdict"].lower() for entry in verdicts)
+        record_kinds = Counter(record.kind for record in self.sim.records)
+        counts = {kind: verdict_kinds[kind] for kind in ("consensus", "anomaly", "inconclusive")}
+        counts.update(reproposals=record_kinds["Repropose"], elections=record_kinds["Election"],
+                      drops=record_kinds["Drop"])
+        anomalies = [{key: entry[key] for key in ("request_id", "dissenting", "states_seen")}
+                     for entry in verdicts if entry["verdict"] == "Anomaly"]
         view = self.membership.view
         return Report(
             scenario=self.scenario.name, seed=self.seed, final_time=self.sim.now,
@@ -358,6 +327,15 @@ class ClusterRun:
             final_membership=sorted(view.alive), final_leader=view.leader,
             final_epoch=view.epoch, horizon_reached=horizon_reached,
             livelock=livelock, halted=self.halted, anomalies=anomalies)
+
+
+def _report_fields(verdict) -> dict:
+    """The kind-specific fields of a report entry, as JSON-ready values."""
+    if isinstance(verdict, Anomaly):
+        return {"agreeing": sorted(verdict.agreeing),
+                "dissenting": sorted(verdict.dissenting),
+                "states_seen": dict(verdict.states_seen)}
+    return asdict(verdict)
 
 
 class NodeBus:

@@ -154,11 +154,7 @@ class Learner:
         if ledger.verdict is None:
             self._decide(ledger, deadline_reached=True)
 
-    def finalize(self, request_id: int) -> None:
-        """Force a verdict at the end of a run (time horizon reached)."""
-        ledger = self.ledger(request_id)
-        if ledger.verdict is None:
-            self._decide(ledger, deadline_reached=True)
+    finalize = on_deadline  # forces a verdict at the end of a run
 
     def _decide(self, ledger: InstanceLedger, deadline_reached: bool) -> None:
         membership_size = max(1, len(self.view.alive))  # group may have emptied before a halt

@@ -4,7 +4,8 @@ The proposer converts each client request into a numbered proposal,
 broadcasts Prepare to every believed member (itself included), issues
 AcceptRequest once a majority has promised, and retries with a strictly
 higher number when a phase times out without reaching majority. Requests
-are driven one slot at a time, in slot order.
+are driven one slot at a time, in slot order. Numbers come from the host
+node's Rounds, which outlives each incumbency, so none is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
 with the surface: send(packet, dst), set_timer(tag, delay),
@@ -42,6 +43,17 @@ def majority_threshold(membership_size: int) -> int:
     return membership_size // 2 + 1
 
 
+@dataclass
+class Rounds:
+    """The highest proposal round a node has proposed or seen."""
+
+    highest: int = -1
+
+    def note(self, round_: int) -> None:
+        if round_ > self.highest:
+            self.highest = round_
+
+
 PREPARING = "preparing"
 ACCEPTING = "accepting"
 
@@ -58,12 +70,11 @@ class InFlight:
 class Proposer:
     """One leadership incumbency of a node; discarded when the node is deposed."""
 
-    def __init__(self, node_id: NodeId, epoch: int, members, next_round: int, bus, timeout: int):
+    def __init__(self, node_id: NodeId, epoch: int, members, rounds: Rounds, bus, timeout: int):
         self.id = node_id
         self.epoch = epoch
         self.members: set[NodeId] = set(members)
-        self.next_round = next_round
-        self.highest_round_seen = next_round - 1
+        self.rounds = rounds
         self.bus = bus
         self.timeout = timeout
         self.in_flight: InFlight | None = None
@@ -86,9 +97,6 @@ class Proposer:
     # -- packet handlers ----------------------------------------------------
 
     def on_promise(self, p: Promise) -> None:
-        self.note_round(p.n.round)
-        if p.last_served is not None:
-            self.note_round(p.last_served.round)
         flight = self.in_flight
         if flight is None or flight.phase != PREPARING or p.n != flight.n:
             return  # stale or foreign promise
@@ -98,7 +106,6 @@ class Proposer:
         self._check_promise_majority()
 
     def on_accepted(self, a: Accepted) -> None:
-        self.note_round(a.n.round)
         flight = self.in_flight
         if flight is None or flight.phase != ACCEPTING or a.n != flight.n:
             return
@@ -137,17 +144,11 @@ class Proposer:
         elif flight.phase == ACCEPTING:
             self._check_accept_majority()
 
-    def note_round(self, round_: int) -> None:
-        if round_ > self.highest_round_seen:
-            self.highest_round_seen = round_
-
     # -- internals -----------------------------------------------------------
 
     def _allocate(self) -> ProposalNumber:
-        round_ = max(self.next_round, self.highest_round_seen + 1)
-        self.next_round = round_ + 1
-        self.note_round(round_)
-        return ProposalNumber(round_, self.id)
+        self.rounds.highest += 1
+        return ProposalNumber(self.rounds.highest, self.id)
 
     def _propose(self, request: ClientRequest) -> None:
         n = self._allocate()

@@ -91,13 +91,27 @@ def _require_mapping(value, field_name) -> dict:
     return value
 
 
+def _error_line(text: str, exc: Exception) -> int | None:
+    """The 1-based line a YAML load error points at, if it carries a position."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return mark.line + 1
+    if isinstance(exc, UnicodeEncodeError):
+        return text.count("\n", 0, exc.start) + 1
+    if isinstance(exc, yaml.reader.ReaderError):
+        if _LOADER is not yaml.SafeLoader:  # libyaml's offset counts UTF-8 bytes
+            return text.encode("utf-8").count(b"\n", 0, exc.position) + 1
+        return text.count("\n", 0, exc.position) + 1
+    return None
+
+
 def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
     """Parse and validate scenario YAML text."""
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes to UTF-8 first
-        mark = getattr(exc, "problem_mark", None)
-        where = f"line {mark.line + 1}" if mark is not None else "unknown location"
+        line = _error_line(text, exc)
+        where = f"line {line}" if line is not None else "unknown location"
         raise ParseError(f"{name_hint}: {where}: {exc}") from exc
     if doc is None:
         raise ParseError(f"{name_hint}: empty document")

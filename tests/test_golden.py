@@ -1,8 +1,9 @@
-"""Golden event logs: pinned sha256 digests of whole logs, held across commits.
+"""Golden event logs and reports: pinned sha256 digests, held across commits.
 
 The determinism tests elsewhere only compare two runs in one process; these
 digests were taken once and must never be edited to make a change pass. A
-change that alters any of them alters a log, which is a behaviour change.
+change that alters any of them alters a log or a report, which is a
+behaviour change.
 """
 
 import hashlib
@@ -75,6 +76,64 @@ GOLDEN = {
     ("LOSSY_MAJORITY", None): "ba91f92b79e303e5d24c9db0acbf1d8f9b16a1f83dfb4a7d71742d51587c981f",
 }
 
+# sha256 of (Report.to_json(), Report.to_text()) for the same runs.
+GOLDEN_REPORTS = {
+    ("baseline", 0): ("cca30432add137b892636251883650fecb44efa05d6a8a58e70d8cbbc5695ce3",
+                       "7fc58db46611cab62ca78d87d1e0421bc5a0fdd92238ebfd6b59ab6402aa20a5"),
+    ("baseline", 1): ("608486d71dd69c0b2bafa834aedc3a4962acf62d0c742292fe08d51ed06f0662",
+                       "b32380f075b86da69c9b33efdee1c285b33c33ac56e0d1d544836e412a265424"),
+    ("baseline", 2): ("4cdadfd782e1d252483c7f408c54559bb50189c26927f538195e21b5e2c3d9a4",
+                       "d81d78796cf0aab67bb89f90c6559afebc1e9b67cb4a8cd1d7724d4b777a6026"),
+    ("baseline", 3): ("6766c526273fd6e401f3cd8f02125f50d5fc7d549a3ee1ef281dbfef8b823274",
+                       "1e3135cf33c9612ffa69e0d2a3dd5246a79d584703113a42882f2eb42e9506aa"),
+    ("baseline", 4): ("c06fe6dad5e06d8c240db1b82507a37281647c07bb6b68e79ad72ecb86a6680e",
+                       "5e7159b9dddd2f345738d88b98a38e864e447af1a2dd07f8e24278e05939e962"),
+    ("baseline", 5): ("dd3c3b34c047e33e5d5a0e14e95043e6c5e2451d30f7eb3737536ae02263f8e4",
+                       "280ea7830469c29ddd4cae1f087d0f5ce86709a192fd7164b2c7f2521b34dc8b"),
+    ("baseline", 6): ("88de71233418878d8f4723cbd1e9ce9fcd8a2fb044d912d2f09dffbe739f4ac2",
+                       "e9df7773469919b94934a1b8892dd77862d97871b561a00719dd8e3cb925ec5c"),
+    ("baseline", 7): ("653d05b002a7c9dbf3fa542e640c906f02517d2fe178b9ff19f12f6c1df13ddc",
+                       "6dc04a9f618bae220a403977d51bd238b4807825a3c96fd3986ba5a14992fd55"),
+    ("error_streak", 0): ("71755ad1f2ae310f4e3cac2e66fe74ae9150747a0b7987e6403c798d58c5db6a",
+                           "45fb244c0c013780bceda2da792537451beb72e6c2369ae8550dd76e1aaecd76"),
+    ("error_streak", 1): ("2f9a5132f6f7fb6a4be6caf568a25790a8f89c6776bdc7bd9d817932d252bf73",
+                           "6ad38df657137c3cbf1e2109cd5f0a56237d82057850fb827540fa7041b9c86c"),
+    ("error_streak", 2): ("6c03d66135f54f693badc8eb5f3729e4b6557b1ebf1c5da1d833e42da38a6057",
+                           "ee6b48a5a443720a52b8e7c0755a4e7e6887a3081e1ce4f9cf722e67d4c0e8c4"),
+    ("error_streak", 3): ("0070ec80d47be61ce34c28f51813dcc76a5113ba469a072760d48ecefec5cec4",
+                           "99488f173ddd005a1a685aadb8592615318c0bfd05960e7431695285a78a59d4"),
+    ("error_streak", 4): ("13bda5d99d0ec8006faff03fefc40c987945ac8be970f6a8ddc60f7e8d9f5d55",
+                           "dd3d2b205cb6f6413eda42baebd68f2f8e629921e0a40aefb8017f17fd9c5f8b"),
+    ("error_streak", 5): ("a7e35bf4de388737ebbddffa5514456ab38b59aecc6dd70a91ae59ebe3c004b8",
+                           "4468e0a87be0581f7b2c4a6ef879cfc51010bd0834d31c9435515c762438e1ff"),
+    ("error_streak", 6): ("30596f0ad11d2a103d4f2d6ca05ee7b5c24fa562e3a7834acbaf1078cb97913c",
+                           "ffc256004b6a6b0d399fe4ad1e2dd6d7b1abbdc7e153be920ca14f3be678d693"),
+    ("error_streak", 7): ("126fe1ebf1d653b089b7dd255222b24a9a48ef28e6f855436e480e32fd60b747",
+                           "828f23c6e52ea145cc8d2838e89283d0f0699597fb6b492468f86eb0984e91a3"),
+    ("stale_count", 0): ("dd32409b01e6d786e474f41b7a1fe26a357b76b9d155fb29b1d19433371f1c37",
+                          "b82a9aa95073f4ace6b1a44533171f30ea03cb3211983a43b2f981a0ec93018a"),
+    ("stale_count", 1): ("a2071e121199a035358a39968ffc56606b644ec21d5e7716c55151d455401adc",
+                          "385b873d62e5537e0ef127ca5e647bf62cf15622bb6ee3098be2778dd91df738"),
+    ("stale_count", 2): ("680a22106db495b3aa0200e69ccdb392e370e0a75e79a5e412095f8f66e3854d",
+                          "7b139b4440c8b8673eb7d995ad91aaa01139fdcef76216dd844611e847df2f22"),
+    ("stale_count", 3): ("c73d8f968cf02ad4b2c5a391f0b25ae51779086117916b0b74d57d0a074cd730",
+                          "5fdaad56c88ff093f12a87df2d8d13ab4c0d113792efe09d5785d918a6c13a1c"),
+    ("stale_count", 4): ("0d83c6f1b7c8191b10b4cd70682f8218ba26849cc6de0b963ed9106faa734a6a",
+                          "f59d16eb572903d3648c28a0b241380a833603bdec0ea1ec22c51be6ffe0d07e"),
+    ("stale_count", 5): ("c37636d904532ecaab98d00ebaeddcf92e7e4ea7da0f4e71ec7d01fef3cad6c0",
+                          "c449f3997981756f7cce307b8a6106742b95b2fad69900f3e2cea323ea9a9234"),
+    ("stale_count", 6): ("5c80835b571c6e1cac60af3dda7651bb47df03b1f75b0b8a3b41d0358c629baa",
+                          "e6c8437d0cf9eb94399f451dd8c205d103eb54f7065b7fe15d471b695bcf2950"),
+    ("stale_count", 7): ("4972b1491dc3247d24ca12ad2b94fba7480171e004c518c52531dba5a2f1be9a",
+                          "df8ecca5432ceee582c63a8ce9dd210b76066e8937bfecdbeb951f36b348a4c6"),
+    ("COMPROMISE", None): ("057bba6febb17f3075e013c7cf6e36adb02e629fd5c9d99b5e264b21abd90391",
+                            "b4e90d3ef62b1c900c1e69151c609717b12bc8fed59723b36ad4391863aafa38"),
+    ("MIXED_ROUND", None): ("6214e3f7c3f18329202f752df7d11821204a4944879140f03440d1771ed28b49",
+                             "38e7697c7552981973473e204b2280f9cfe212ee6e5f3057d579053585d7e8c0"),
+    ("LOSSY_MAJORITY", None): ("ea6dae417ea61a355584f5541eb162fdcaa5842caa4e376c1d210ba8149142e9",
+                                "46ead8fd08b28956ff361667b6ad4cf4189cddae17484313cae9ab5c18aa0e08"),
+}
+
 
 def golden_run(name, seed):
     if name in INLINE:
@@ -86,6 +145,14 @@ def golden_run(name, seed):
 def test_log_matches_its_golden_digest(name, seed):
     log = dump_records(golden_run(name, seed).records)
     assert hashlib.sha256(log.encode("utf-8")).hexdigest() == GOLDEN[name, seed]
+
+
+@pytest.mark.parametrize("name, seed", list(GOLDEN_REPORTS))
+def test_report_matches_its_golden_digests(name, seed):
+    report = golden_run(name, seed).report
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    for text in (report.to_json(), report.to_text()))
+    assert digests == GOLDEN_REPORTS[name, seed]
 
 
 def test_golden_runs_cover_every_verdict_and_fault_record():

@@ -2,15 +2,26 @@
 
 import pytest
 
+from paxsim import parse_scenario
+from paxsim.harness import Replica
 from paxsim.messages import Accepted, ClientRequest, Promise, ProposalNumber
 from paxsim.proposer import (
     ACCEPTING,
     DuplicateRequest,
     PREPARING,
     Proposer,
+    Rounds,
     ZeroMembership,
     majority_threshold,
 )
+from paxsim.simnet import NetConfig, Simulation
+
+FIVE_REPLICAS = """
+acceptors: 5
+machine: {states: ["S"], start: "S", rules: []}
+app_model: {outputs: [], default_output: "OK"}
+requests: []
+"""
 
 
 class FakeBus:
@@ -30,10 +41,20 @@ class FakeBus:
         self.logs.append((kind, fields))
 
 
-def make_proposer(members=range(5), node_id=0, next_round=0):
+def make_proposer(members=range(5), node_id=0):
     bus = FakeBus()
     return Proposer(node_id=node_id, epoch=0, members=members,
-                    next_round=next_round, bus=bus, timeout=10), bus
+                    rounds=Rounds(), bus=bus, timeout=10), bus
+
+
+def make_replica(node_id=0):
+    """A lone replica of a five-node group; its sends queue up undelivered."""
+    sim = Simulation(NetConfig(seed=0))
+    return Replica(node_id, parse_scenario(FIVE_REPLICAS), sim, learner_id=5), sim
+
+
+def proposed_rounds(sim):
+    return [r.fields["n"].round for r in sim.records if r.kind in ("Propose", "Repropose")]
 
 
 def promise(n, sender, last=None):
@@ -120,12 +141,22 @@ def test_timeout_with_no_promises_bumps_round_by_one():
 
 
 def test_repropose_exceeds_every_observed_round():
-    p, bus = make_proposer(next_round=4)
-    p.submit(ClientRequest(0, "q"))
-    assert p.in_flight.n.round == 4
-    p.on_promise(promise(ProposalNumber(4, 0), 1, last=ProposalNumber(7, 1)))
-    p.on_phase_timeout(0, 4, PREPARING)
-    assert p.in_flight.n.round >= 8
+    replica, sim = make_replica()
+    replica.set_leadership(0, 0, range(5))
+    replica.proposer.submit(ClientRequest(0, "q"))
+    replica.on_packet(promise(ProposalNumber(0, 0), 1, last=ProposalNumber(7, 1)), 1, 0)
+    replica.on_timer(("phase", 0, 0, PREPARING), 10)
+    assert proposed_rounds(sim) == [0, 8]
+
+
+def test_reelected_leader_never_reuses_a_round():
+    replica, sim = make_replica()
+    replica.set_leadership(0, 0, range(5))
+    replica.proposer.submit(ClientRequest(0, "q"))
+    replica.set_leadership(1, 1, range(5))  # deposed before any packet came back
+    replica.set_leadership(2, 0, range(5))
+    replica.proposer.submit(ClientRequest(0, "q"))
+    assert proposed_rounds(sim) == [0, 1]
 
 
 def test_stale_timer_is_ignored():
