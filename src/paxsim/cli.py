@@ -49,7 +49,11 @@ def main(argv=None) -> int:
 def _cmd_run(args, scenario) -> int:
     result = run(scenario, seed=args.seed)
     if args.log:
-        write_log(result.records, args.log)
+        try:
+            write_log(result.records, args.log)
+        except OSError as exc:
+            print(f"cannot write log: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     report = result.report
     print(report.to_json() if args.format == "json" else report.to_text())
     if report.counts["anomaly"] > 0:

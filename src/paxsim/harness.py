@@ -2,15 +2,16 @@
 
 Node ids in a run with n replicas: replicas are 0..n-1 (node 0 starts as
 leader), the learner lives at id n (and hosts the membership watch), and
-the client sink at id n+1. Every packet, including a leader's messages to
-itself, travels through the simulated network.
+the ClusterRun itself is the client at id n+1, whose timers deliver the
+scenario's arrivals and faults. Every packet, including a leader's messages
+to itself, travels through the simulated network.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .acceptor import Acceptor
 from .eventlog import Record
@@ -29,8 +30,8 @@ from .messages import (
     packet_from_fields,
 )
 from .proposer import Proposer, Rounds
-from .scenario import Scenario
-from .simnet import CompromiseFault, CrashFault, FaultSpec, NetConfig, Simulation
+from .scenario import CrashFault, FaultSpec, Scenario
+from .simnet import Simulation
 
 
 class Replica:
@@ -122,16 +123,6 @@ class InfraNode:
             self.learner.on_deadline(tag[1])
 
 
-class ClientSink:
-    """Terminal for ClientResponse packets; delivery is already logged."""
-
-    def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
-        pass
-
-    def on_timer(self, tag: tuple, now: int) -> None:
-        pass
-
-
 @dataclass
 class Report:
     scenario: str
@@ -171,13 +162,15 @@ class RunResult:
 
 
 class ClusterRun:
-    """One scenario execution: builds the nodes, drives the loop, reports."""
+    """One scenario execution: builds the nodes, drives the loop, reports.
+
+    It is also the client node: it receives the ClientResponses, and its own
+    timers deliver each scheduled arrival and fault.
+    """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
-        net = scenario.net if seed is None else NetConfig(
-            seed=seed, base_delay=scenario.net.base_delay,
-            jitter=scenario.net.jitter, loss_rate=scenario.net.loss_rate)
+        net = scenario.net if seed is None else replace(scenario.net, seed=seed)
         self.seed = net.seed
         self.sim = Simulation(net)
         n = scenario.acceptors
@@ -198,17 +191,24 @@ class ClusterRun:
                           scenario.timing.heartbeat_interval)
         self.sim.nodes = {i: r for i, r in enumerate(self.replicas)}
         self.sim.nodes[self.learner_id] = infra
-        self.sim.nodes[self.client_id] = ClientSink()
-        self.sim.fault_targets = set(range(n))
-        self.sim.arrival_handler = self._on_arrival
-        self.sim.fault_handler = self._on_fault
+        self.sim.nodes[self.client_id] = self
         self.requests = [ClientRequest(request_id=i, payload=payload)
                          for i, (_, payload) in enumerate(scenario.requests)]
-        self.arrival_times = [at for at, _ in scenario.requests]
         self.seen: dict[int, ClientRequest] = {}
         self.faults_applied = 0
         self.decided_prefix = 0  # requests[:decided_prefix] all have a verdict
         self.halted = False
+
+    # -- the client node ----------------------------------------------------------
+
+    def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
+        pass  # a ClientResponse, whose delivery is already logged
+
+    def on_timer(self, tag: tuple, now: int) -> None:
+        if tag[0] == "arrival":
+            self._on_arrival(tag[1])
+        elif tag[0] == "fault":
+            self._on_fault(tag[1])
 
     # -- callbacks ---------------------------------------------------------------
 
@@ -246,10 +246,12 @@ class ClusterRun:
         replica.proposer.submit(request)
 
     def _on_fault(self, spec: FaultSpec) -> None:
+        self.sim.log(spec.kind, node=spec.target)
         self.faults_applied += 1
         if isinstance(spec, CrashFault):
+            self.sim.crashed.add(spec.target)
             self.membership.mark_crashed(spec.target)
-        elif isinstance(spec, CompromiseFault):
+        else:
             self.replicas[spec.target].acceptor.compromise(spec.override)
 
     # -- the run loop -------------------------------------------------------------
@@ -259,13 +261,14 @@ class ClusterRun:
         self.sim.log("Init", acceptors=scenario.acceptors, leader=0, epoch=0,
                      policy=scenario.anomaly_policy, seed=self.seed)
         self.replicas[0].set_leadership(0, 0, frozenset(range(scenario.acceptors)))
+        # Same-tick events run in push order, so this order is part of the log.
         for fault in scenario.faults:
-            self.sim.inject(fault)
+            self.sim.set_timer(self.client_id, ("fault", fault), fault.at)
         for replica in self.replicas:
             self.sim.set_timer(replica.id, ("hb",), 0)
         self.sim.set_timer(self.learner_id, ("detect",), scenario.timing.heartbeat_interval)
-        for request, at in zip(self.requests, self.arrival_times):
-            self.sim.schedule_arrival(at, request)
+        for request, (at, _) in zip(self.requests, scenario.requests):
+            self.sim.set_timer(self.client_id, ("arrival", request), at)
 
         horizon = scenario.timing.horizon
         horizon_reached = False
@@ -402,9 +405,8 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
                 fields = _text_fields(record.fields)
                 rid = int(fields["req"])
                 membership_size = int(fields["membership"])
-                deadline = fields["deadline"] == "1"
                 ledger = ledgers.setdefault(rid, InstanceLedger(request_id=rid))
-                verdict = decide(ledger, max(1, membership_size), deadline, policy)
+                verdict = decide(ledger, max(1, membership_size), policy)
                 ledger.verdict = verdict
                 checked += 1
                 if membership_size != len(alive):

@@ -93,13 +93,8 @@ def _groups(top: dict[NodeId, ReplicaReport]) -> list[tuple[tuple[str, str], lis
     return sorted(by_pair.items(), key=lambda kv: (-len(kv[1]), kv[0][1], kv[0][0]))
 
 
-def decide(ledger: InstanceLedger, membership_size: int, deadline_reached: bool,
-           policy: str = STRICT) -> Verdict:
-    """Pure decision function over the reports recorded so far.
-
-    deadline_reached only marks why the decision point was reached; the
-    decision table itself depends on the reports and the membership size.
-    """
+def decide(ledger: InstanceLedger, membership_size: int, policy: str = STRICT) -> Verdict:
+    """Pure decision function over the reports recorded so far and the membership size."""
     needed = majority_threshold(membership_size)
     if not ledger.reports:
         return Inconclusive(received=0, needed=needed)
@@ -128,7 +123,7 @@ class Learner:
     """
 
     def __init__(self, node_id: NodeId, client_id: NodeId, membership_view, bus,
-                 policy: str = STRICT, instance_deadline: int = 50):
+                 policy: str, instance_deadline: int):
         self.id = node_id
         self.client_id = client_id
         self.view = membership_view
@@ -158,7 +153,7 @@ class Learner:
 
     def _decide(self, ledger: InstanceLedger, deadline_reached: bool) -> None:
         membership_size = max(1, len(self.view.alive))  # group may have emptied before a halt
-        verdict = decide(ledger, membership_size, deadline_reached, self.policy)
+        verdict = decide(ledger, membership_size, self.policy)
         ledger.verdict = verdict
         if ledger.reports:
             top = _highest_round_reports(ledger.reports)

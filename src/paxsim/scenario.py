@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 
 import yaml
 
-from .simnet import CompromiseFault, CrashFault, FaultSpec, NetConfig
+from .messages import NodeId
+from .simnet import NetConfig
 from .statemachine import AppModel, MachineError, StateMachineDef, compile_app_model, compile_machine
 
 
@@ -52,6 +53,26 @@ class TimingConfig:
     prepare_timeout: int = 10
     instance_deadline: int = 50
     horizon: int = 1000
+
+
+@dataclass(frozen=True, slots=True)
+class CrashFault:
+    at: int
+    target: NodeId
+
+    kind = "Crash"
+
+
+@dataclass(frozen=True, slots=True)
+class CompromiseFault:
+    at: int
+    target: NodeId
+    override: dict  # request payload -> forced output
+
+    kind = "Compromise"
+
+
+FaultSpec = CrashFault | CompromiseFault
 
 
 @dataclass(frozen=True)

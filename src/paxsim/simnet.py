@@ -1,5 +1,6 @@
-"""Deterministic discrete-event network and fault injector.
+"""Deterministic discrete-event network: packets and timers, nothing else.
 
+The queue holds two kinds of action, a packet delivery and a node's timer.
 Simulated time is integer-valued and all randomness flows from one seeded
 generator with a fixed draw order: draws happen only inside send(), first
 the loss draw, then (for surviving packets, when jitter > 0) the extra-delay
@@ -15,18 +16,10 @@ import random
 from dataclasses import dataclass
 
 from .eventlog import Record
-from .messages import ClientRequest, NodeId, Packet, packet_fields
+from .messages import NodeId, Packet, packet_fields
 
 
 class QueueEmpty(RuntimeError):
-    pass
-
-
-class UnknownNode(ValueError):
-    pass
-
-
-class FaultInThePast(ValueError):
     pass
 
 
@@ -36,26 +29,6 @@ class NetConfig:
     base_delay: int = 1
     jitter: int = 0
     loss_rate: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class CrashFault:
-    at: int
-    target: NodeId
-
-    kind = "Crash"
-
-
-@dataclass(frozen=True, slots=True)
-class CompromiseFault:
-    at: int
-    target: NodeId
-    override: dict  # request payload -> forced output
-
-    kind = "Compromise"
-
-
-FaultSpec = CrashFault | CompromiseFault
 
 
 @dataclass(slots=True)
@@ -71,27 +44,15 @@ class Timer:
     tag: tuple
 
 
-@dataclass(slots=True)
-class Fault:
-    spec: FaultSpec
-
-
-@dataclass(slots=True)
-class ClientArrival:
-    request: ClientRequest
-
-
-Action = Deliver | Timer | Fault | ClientArrival
+Action = Deliver | Timer
 
 
 class Simulation:
     """Single-threaded event loop over a registry of node objects.
 
     Nodes implement on_packet(packet, src, now) and on_timer(tag, now).
-    Crashed nodes silently lose their timers; deliveries to them are logged
-    as DiscardCrashed. The optional callbacks wire the loop to the harness:
-    arrival_handler(request) routes client arrivals, and fault_handler(spec)
-    applies scenario faults beyond the crash bookkeeping done here.
+    Nodes listed in crashed (the caller fills it) send nothing and silently
+    lose their timers; deliveries to them are logged as DiscardCrashed.
     """
 
     def __init__(self, config: NetConfig):
@@ -103,11 +64,8 @@ class Simulation:
         self._queue: list[tuple[int, int, Action]] = []
         self.nodes: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
-        self.fault_targets: set[NodeId] = set()
         self.records: list[Record] = []
         self.shutting_down = False
-        self.arrival_handler = None
-        self.fault_handler = None
 
     # -- logging -------------------------------------------------------------
 
@@ -135,16 +93,6 @@ class Simulation:
 
     def set_timer(self, owner: NodeId, tag: tuple, delay: int) -> None:
         self._push(self.now + delay, Timer(owner=owner, tag=tag))
-
-    def schedule_arrival(self, at: int, request: ClientRequest) -> None:
-        self._push(at, ClientArrival(request=request))
-
-    def inject(self, spec: FaultSpec) -> None:
-        if spec.target not in self.fault_targets:
-            raise UnknownNode(f"fault target {spec.target} is not a replica")
-        if spec.at < self.now:
-            raise FaultInThePast(f"fault at t={spec.at} is before current time {self.now}")
-        self._push(spec.at, Fault(spec=spec))
 
     def request_shutdown(self) -> None:
         """Stop periodic activity; already queued events still run."""
@@ -188,19 +136,5 @@ class Simulation:
             self.log(action.packet.kind, **{"from": action.src, "to": action.dst},
                      **packet_fields(action.packet))
             self.nodes[action.dst].on_packet(action.packet, action.src, self.now)
-        elif isinstance(action, Timer):
-            if action.owner in self.crashed:
-                return
+        elif action.owner not in self.crashed:
             self.nodes[action.owner].on_timer(action.tag, self.now)
-        elif isinstance(action, Fault):
-            spec = action.spec
-            self.log(spec.kind, node=spec.target)
-            if isinstance(spec, CrashFault):
-                self.crashed.add(spec.target)
-            if self.fault_handler is not None:
-                self.fault_handler(spec)
-        elif isinstance(action, ClientArrival):
-            if self.arrival_handler is not None:
-                self.arrival_handler(action.request)
-        else:  # pragma: no cover - exhaustive union
-            raise TypeError(f"unknown action: {action!r}")

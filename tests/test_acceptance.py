@@ -16,8 +16,8 @@ from paxsim.learner import Anomaly, Consensus, Inconclusive, InstanceLedger, dec
 from paxsim.logcheck import check_proposal_numbers
 from paxsim.messages import Accepted, ProposalNumber
 from paxsim.proposer import majority_threshold
-from paxsim.scenario import Scenario, TimingConfig
-from paxsim.simnet import CompromiseFault, CrashFault, NetConfig
+from paxsim.scenario import CompromiseFault, CrashFault, Scenario, TimingConfig
+from paxsim.simnet import NetConfig
 from paxsim.statemachine import apply, compile_app_model, compile_machine, execute, initial_state
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -308,7 +308,7 @@ def test_criterion_8_learner_oracle_equivalence():
                 pairs[node] = pair
                 ledger.record(Accepted(n=ProposalNumber(0, 0), request_id=0,
                                        output=pair[0], new_state=pair[1], sender=node))
-            got = decide(ledger, membership_size=n_nodes, deadline_reached=True)
+            got = decide(ledger, membership_size=n_nodes)
             want = _brute_force_verdict(pairs, n_nodes)
             checked += 1
             if got != want:

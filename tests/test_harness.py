@@ -201,6 +201,49 @@ timing: {horizon: 400}
                 assert record.time <= crash_time + 2
 
 
+FAULTS = """
+name: faults_at_the_client
+acceptors: 3
+net: {seed: 4, base_delay: 1, jitter: 0, loss_rate: 0.0}
+machine: {states: ["S"], start: "S", rules: []}
+app_model: {outputs: [], default_output: "OK"}
+requests:
+  - {at: 3, payload: "a"}
+faults:
+  - {at: 0, target: 1, kind: crash}
+timing: {horizon: 200}
+"""
+
+
+def test_crash_at_time_zero_precedes_every_delivery_to_the_node():
+    records = run(parse_scenario(FAULTS)).records
+    crash = next(i for i, r in enumerate(records) if r.kind == "Crash")
+    assert (records[crash].time, records[crash].fields) == (0, {"node": 1})
+    to_node = [(i, r.kind) for i, r in enumerate(records) if r.fields.get("to") == 1]
+    assert to_node and all(i > crash and kind == "DiscardCrashed" for i, kind in to_node)
+
+
+def test_compromise_is_logged_at_its_tick_and_installs_the_override():
+    from paxsim.harness import ClusterRun
+    text = FAULTS.replace("{at: 0, target: 1, kind: crash}",
+                          '{at: 2, target: 1, kind: compromise, override: {"a": "Error"}}')
+    cluster = ClusterRun(parse_scenario(text))
+    records = cluster.run().records
+    faults = [(r.time, r.kind, r.fields) for r in records if r.kind in ("Crash", "Compromise")]
+    assert faults == [(2, "Compromise", {"node": 1})]
+    assert cluster.replicas[1].acceptor.output_override == {"a": "Error"}
+    assert all(replica.acceptor.output_override == {} for replica in cluster.replicas[::2])
+
+
+def test_crash_and_arrival_in_one_tick_log_the_crash_first():
+    text = FAULTS.replace("{at: 0, target: 1, kind: crash}", "{at: 3, target: 0, kind: crash}")
+    records = run(parse_scenario(text)).records
+    tick = [r.kind for r in records if r.time == 3 and r.kind in ("Crash", "ClientArrival")]
+    assert tick == ["Crash", "ClientArrival"]
+    # The arrival already sees its leader crashed, so node 0 never proposes it.
+    assert all(r.fields["from"] != 0 for r in records if r.kind == "Propose")
+
+
 def test_proposal_number_discipline_on_bundled_scenarios():
     for name in ("baseline", "error_streak", "stale_count"):
         result = run(load_scenario(SCENARIO_DIR / f"{name}.scenario"))
@@ -304,8 +347,8 @@ def test_mixed_fault_soak():
     import random
 
     from paxsim import ClientRequest
-    from paxsim.scenario import Scenario, TimingConfig
-    from paxsim.simnet import CompromiseFault, CrashFault, NetConfig
+    from paxsim.scenario import CompromiseFault, CrashFault, Scenario, TimingConfig
+    from paxsim.simnet import NetConfig
     from paxsim.statemachine import compile_app_model, compile_machine
 
     rng = random.Random(0x50AC)
@@ -357,6 +400,17 @@ def test_cli_run_ok_and_log(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert '"consensus": 3' in capsys.readouterr().out
     assert log_path.exists()
+
+
+def test_cli_run_reports_an_unwritable_log_path(tmp_path, capsys):
+    log_path = tmp_path / "no" / "such" / "dir" / "x.log"
+    code = cli.main(["run", "--scenario", str(SCENARIO_DIR / "baseline.scenario"),
+                     "--log", str(log_path)])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write log: ")
+    assert str(log_path) in captured.err
+    assert captured.out == ""
 
 
 def test_cli_exit_code_signals_anomaly(tmp_path, capsys):

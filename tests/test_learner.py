@@ -52,14 +52,14 @@ def test_higher_number_replaces_entry():
 
 def test_unanimous_majority_is_consensus():
     ledger = filled_ledger({i: ("OK", "S1", 0) for i in range(5)})
-    verdict = decide(ledger, membership_size=5, deadline_reached=False)
+    verdict = decide(ledger, membership_size=5)
     assert verdict == Consensus(output="OK", state="S1")
 
 
 def test_single_divergent_replica_is_anomaly():
     reports = {i: ("OK", "S1", 0) for i in range(4)}
     reports[4] = ("OK", "S7", 0)
-    verdict = decide(filled_ledger(reports), membership_size=5, deadline_reached=False)
+    verdict = decide(filled_ledger(reports), membership_size=5)
     assert isinstance(verdict, Anomaly)
     assert verdict.dissenting == frozenset({4})
     assert verdict.agreeing == frozenset({0, 1, 2, 3})
@@ -68,18 +68,18 @@ def test_single_divergent_replica_is_anomaly():
 
 def test_too_few_tuples_is_inconclusive():
     ledger = filled_ledger({i: ("OK", "S1", 0) for i in range(2)})
-    verdict = decide(ledger, membership_size=5, deadline_reached=True)
+    verdict = decide(ledger, membership_size=5)
     assert verdict == Inconclusive(received=2, needed=3)
 
 
 def test_empty_ledger_is_inconclusive_zero():
-    verdict = decide(InstanceLedger(request_id=0), membership_size=5, deadline_reached=True)
+    verdict = decide(InstanceLedger(request_id=0), membership_size=5)
     assert verdict == Inconclusive(received=0, needed=3)
 
 
 def test_only_highest_number_tuples_count():
     reports = {0: ("old", "S0", 0), 1: ("new", "S1", 3), 2: ("new", "S1", 3)}
-    verdict = decide(filled_ledger(reports), membership_size=3, deadline_reached=True)
+    verdict = decide(filled_ledger(reports), membership_size=3)
     # Node 0's stale tuple is outside the decision set: two fresh agreeing
     # tuples of three members make a consensus.
     assert verdict == Consensus(output="new", state="S1")
@@ -107,7 +107,7 @@ def brute_force_decision(pairs_by_node, membership_size):
 
 def assert_matches_oracle(pairs_by_node, membership_size):
     ledger = filled_ledger({n: (p[0], p[1], 0) for n, p in pairs_by_node.items()})
-    verdict = decide(ledger, membership_size=membership_size, deadline_reached=True)
+    verdict = decide(ledger, membership_size=membership_size)
     expected = brute_force_decision(pairs_by_node, membership_size)
     if expected[0] == "Consensus":
         assert verdict == Consensus(output=expected[1], state=expected[2])
@@ -138,7 +138,7 @@ def test_any_divergence_beats_any_count_under_strict_policy():
         if len(set(pairs.values())) < 2:
             pairs[0] = ("zzz", "Z")
         ledger = filled_ledger({n: (p[0], p[1], 0) for n, p in pairs.items()})
-        verdict = decide(ledger, membership_size=size, deadline_reached=True, policy=STRICT)
+        verdict = decide(ledger, membership_size=size, policy=STRICT)
         assert isinstance(verdict, Anomaly)
 
 
@@ -146,24 +146,24 @@ def test_majority_policy_sides_with_majority_group():
     reports = {i: ("OK", "S1", 0) for i in range(4)}
     reports[4] = ("Error", "S7", 0)
     ledger = filled_ledger(reports)
-    assert decide(ledger, 5, False, policy=MAJORITY) == Consensus(output="OK", state="S1")
+    assert decide(ledger, 5, policy=MAJORITY) == Consensus(output="OK", state="S1")
     # Without a majority group the anomaly stands even in majority mode.
     split = filled_ledger({0: ("a", "X", 0), 1: ("b", "Y", 0), 2: ("c", "Z", 0),
                            3: ("a", "X", 0), 4: ("b", "Y", 0)})
-    assert isinstance(decide(split, 5, False, policy=MAJORITY), Anomaly)
+    assert isinstance(decide(split, 5, policy=MAJORITY), Anomaly)
 
 
 def test_anomaly_tie_breaks_toward_smallest_state_name():
     ledger = filled_ledger({0: ("x", "S2", 0), 1: ("x", "S1", 0)})
-    verdict = decide(ledger, membership_size=2, deadline_reached=True)
+    verdict = decide(ledger, membership_size=2)
     assert verdict.agreeing == frozenset({1})  # S1 sorts before S2
     assert verdict.dissenting == frozenset({0})
 
 
 def test_decide_is_pure():
     ledger = filled_ledger({i: ("OK", "S1", 0) for i in range(3)})
-    first = decide(ledger, 5, True)
-    second = decide(ledger, 5, True)
+    first = decide(ledger, 5)
+    second = decide(ledger, 5)
     assert first == second
     assert set(ledger.reports) == {0, 1, 2}
 
@@ -171,7 +171,7 @@ def test_decide_is_pure():
 def test_needed_tracks_membership_size():
     ledger = filled_ledger({0: ("OK", "S1", 0)})
     for size in range(1, 8):
-        verdict = decide(ledger, membership_size=size, deadline_reached=True)
+        verdict = decide(ledger, membership_size=size)
         if size <= 1:
             assert verdict == Consensus(output="OK", state="S1")
         else:

@@ -1,18 +1,10 @@
-"""Event loop ordering, seeded loss/delay, and fault injection."""
+"""Event loop ordering, seeded loss/delay, and crashed-node handling."""
 
 import pytest
 
 from paxsim.eventlog import dump_records
 from paxsim.messages import Heartbeat
-from paxsim.simnet import (
-    CompromiseFault,
-    CrashFault,
-    FaultInThePast,
-    NetConfig,
-    QueueEmpty,
-    Simulation,
-    UnknownNode,
-)
+from paxsim.simnet import NetConfig, QueueEmpty, Simulation
 
 
 class Sink:
@@ -31,7 +23,6 @@ def make_sim(**net):
     sim = Simulation(NetConfig(seed=net.pop("seed", 1), **net))
     nodes = {i: Sink() for i in range(3)}
     sim.nodes = dict(nodes)
-    sim.fault_targets = set(nodes)
     return sim, nodes
 
 
@@ -115,36 +106,6 @@ def test_different_seed_changes_delivery_pattern():
         return dump_records(sim.records)
 
     assert one_run(1) != one_run(2)
-
-
-def test_fault_injection_validations():
-    sim, _ = make_sim()
-    with pytest.raises(UnknownNode):
-        sim.inject(CrashFault(at=5, target=9))
-    sim.run_until(10)
-    with pytest.raises(FaultInThePast):
-        sim.inject(CrashFault(at=5, target=1))
-
-
-def test_crash_at_current_time_precedes_later_events():
-    sim, nodes = make_sim()
-    sim.send(Heartbeat(sender=0, seq=0), 0, 1)  # delivery at t=1
-    sim.inject(CrashFault(at=0, target=1))
-    sim.run_to_quiescence()
-    assert nodes[1].packets == []
-    kinds = [r.kind for r in sim.records]
-    assert kinds.index("Crash") < kinds.index("DiscardCrashed")
-
-
-def test_fault_handler_receives_compromise():
-    sim, _ = make_sim()
-    seen = []
-    sim.fault_handler = seen.append
-    fault = CompromiseFault(at=2, target=1, override={"q": "Error"})
-    sim.inject(fault)
-    sim.run_to_quiescence()
-    assert seen == [fault]
-    assert [r.kind for r in sim.records] == ["Compromise"]
 
 
 def test_monotone_watermark_over_records():
