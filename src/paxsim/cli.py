@@ -1,6 +1,6 @@
 """Command line entry points.
 
-Exit codes: 0 success, 1 validation/parse error, 2 anomaly detected,
+Exit codes: 0 success, 1 usage/validation/parse error, 2 anomaly detected,
 3 livelock (time horizon reached with undecided requests).
 """
 
@@ -11,7 +11,7 @@ import sys
 
 from .eventlog import read_log, write_log
 from .harness import replay_verdicts, run
-from .scenario import ScenarioError, load_scenario
+from .scenario import MAX_SEED, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -19,13 +19,29 @@ EXIT_ANOMALY = 2
 EXIT_LIVELOCK = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_INVALID on a usage error, where argparse's 2 would read as EXIT_ANOMALY."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def u64(text: str) -> int:
+    """The type of --seed: an integer in net.seed's range (argparse names it in errors)."""
+    seed = int(text)
+    if not 0 <= seed <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be in [0, {MAX_SEED}], got {seed}")
+    return seed
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="paxsim", description=__doc__)
+    parser = _Parser(prog="paxsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and print its report")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=u64, default=None, help="override the scenario seed")
     p_run.add_argument("--log", default=None, help="write the event log to this path")
     p_run.add_argument("--format", choices=("json", "text"), default="text")
 

@@ -52,20 +52,7 @@ class Replica:
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
         self.rounds.note(packet.n.round)  # every kind a replica receives is numbered
-        if isinstance(packet, Prepare):
-            if packet.epoch != self.epoch:
-                return  # fenced: a deposed leader's leftover
-            reply = self.acceptor.on_prepare(packet)
-            if reply is not None:
-                self.bus.send(reply, src)
-        elif isinstance(packet, AcceptRequest):
-            if packet.epoch != self.epoch:
-                return
-            accepted = self.acceptor.on_accept_request(packet)
-            if accepted is not None:
-                self.bus.send(accepted, src)
-                self.bus.send(accepted, self.learner_id)
-        elif isinstance(packet, Promise):
+        if isinstance(packet, Promise):
             if packet.last_served is not None:
                 self.rounds.note(packet.last_served.round)
             if self.proposer is not None:
@@ -73,6 +60,17 @@ class Replica:
         elif isinstance(packet, Accepted):
             if self.proposer is not None:
                 self.proposer.on_accepted(packet)
+        elif packet.epoch != self.epoch:
+            return  # fenced: a deposed leader's leftover Prepare or AcceptRequest
+        elif isinstance(packet, Prepare):
+            reply = self.acceptor.on_prepare(packet)
+            if reply is not None:
+                self.bus.send(reply, src)
+        else:  # AcceptRequest
+            accepted = self.acceptor.on_accept_request(packet)
+            if accepted is not None:
+                self.bus.send(accepted, src)
+                self.bus.send(accepted, self.learner_id)
 
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "hb":
@@ -195,6 +193,8 @@ class ClusterRun:
         self.requests = [ClientRequest(request_id=i, payload=payload)
                          for i, (_, payload) in enumerate(scenario.requests)]
         self.seen: dict[int, ClientRequest] = {}
+        # A fault past the horizon never fires: neither schedule it nor wait for it.
+        self.faults = [f for f in scenario.faults if f.at <= scenario.timing.horizon]
         self.faults_applied = 0
         self.decided_prefix = 0  # requests[:decided_prefix] all have a verdict
         self.halted = False
@@ -262,7 +262,7 @@ class ClusterRun:
                      policy=scenario.anomaly_policy, seed=self.seed)
         self.replicas[0].set_leadership(0, 0, frozenset(range(scenario.acceptors)))
         # Same-tick events run in push order, so this order is part of the log.
-        for fault in scenario.faults:
+        for fault in self.faults:
             self.sim.set_timer(self.client_id, ("fault", fault), fault.at)
         for replica in self.replicas:
             self.sim.set_timer(replica.id, ("hb",), 0)
@@ -301,7 +301,7 @@ class ClusterRun:
     def _work_complete(self) -> bool:
         if not self.requests:
             return False  # observation run: let it play to the horizon
-        if self.faults_applied < len(self.scenario.faults):
+        if self.faults_applied < len(self.faults):
             return False
         # Verdicts are never unset, so the decided prefix only grows.
         requests = self.requests

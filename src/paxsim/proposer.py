@@ -1,11 +1,14 @@
-"""Leader-side protocol logic: numbering, promise counting, retry.
+"""Leader-side protocol logic: numbering, quorum counting, retry.
 
 The proposer converts each client request into a numbered proposal,
 broadcasts Prepare to every believed member (itself included), issues
 AcceptRequest once a majority has promised, and retries with a strictly
-higher number when a phase times out without reaching majority. Requests
-are driven one slot at a time, in slot order. Numbers come from the host
-node's Rounds, which outlives each incumbency, so none is ever reused.
+higher number when a phase times out without reaching majority. Each
+in-flight proposal keeps one vote set, its promises while preparing and
+its acceptances once accepting, and one majority check drives both phase
+changes. Requests are driven one slot at a time, in slot order. Numbers
+come from the host node's Rounds, which outlives each incumbency, so none
+is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
 with the surface: send(packet, dst), set_timer(tag, delay),
@@ -63,8 +66,7 @@ class InFlight:
     request: ClientRequest
     n: ProposalNumber
     phase: str = PREPARING
-    promises: dict[NodeId, ProposalNumber | None] = field(default_factory=dict)
-    accepted: set[NodeId] = field(default_factory=set)
+    votes: set[NodeId] = field(default_factory=set)  # promises, then acceptances
 
 
 class Proposer:
@@ -92,27 +94,15 @@ class Proposer:
         if self.in_flight is not None:
             self.pending.append(request)
         else:
-            self._propose(request)
+            self._propose(request, "Propose")
 
     # -- packet handlers ----------------------------------------------------
 
     def on_promise(self, p: Promise) -> None:
-        flight = self.in_flight
-        if flight is None or flight.phase != PREPARING or p.n != flight.n:
-            return  # stale or foreign promise
-        if p.sender not in self.members:
-            return
-        flight.promises[p.sender] = p.last_served
-        self._check_promise_majority()
+        self._vote(p, PREPARING)
 
     def on_accepted(self, a: Accepted) -> None:
-        flight = self.in_flight
-        if flight is None or flight.phase != ACCEPTING or a.n != flight.n:
-            return
-        if a.sender not in self.members:
-            return
-        flight.accepted.add(a.sender)
-        self._check_accept_majority()
+        self._vote(a, ACCEPTING)
 
     # -- timers and membership ----------------------------------------------
 
@@ -124,77 +114,60 @@ class Proposer:
             return
         if self.bus.shutting_down:
             return
-        self._repropose()
+        self._propose(flight.request, "Repropose")
 
     def on_membership_change(self, alive) -> None:
-        """Adopt the new membership and re-evaluate majorities immediately.
+        """Adopt the new membership and re-evaluate the majority immediately.
 
-        Promises and acceptances from departed nodes are discarded before
-        the thresholds are recomputed, so a stalled 3-of-6 can become a
-        satisfied 3-of-5 without waiting for a timeout.
+        Votes from departed nodes are discarded before the threshold is
+        recomputed, so a stalled 3-of-6 can become a satisfied 3-of-5
+        without waiting for a timeout.
         """
         self.members = set(alive)
         flight = self.in_flight
-        if flight is None:
-            return
-        flight.promises = {k: v for k, v in flight.promises.items() if k in self.members}
-        flight.accepted = {k for k in flight.accepted if k in self.members}
-        if flight.phase == PREPARING:
-            self._check_promise_majority()
-        elif flight.phase == ACCEPTING:
-            self._check_accept_majority()
+        if flight is not None:
+            flight.votes &= self.members
+            self._check_majority()
 
     # -- internals -----------------------------------------------------------
 
-    def _allocate(self) -> ProposalNumber:
+    def _propose(self, request: ClientRequest, kind: str) -> None:
+        """Start (kind Propose) or restart (kind Repropose) a request's Prepare phase."""
         self.rounds.highest += 1
-        return ProposalNumber(self.rounds.highest, self.id)
-
-    def _propose(self, request: ClientRequest) -> None:
-        n = self._allocate()
+        n = ProposalNumber(self.rounds.highest, self.id)
         self.in_flight = InFlight(request=request, n=n)
-        self.bus.log("Propose", **{"from": self.id, "req": request.request_id,
-                                   "n": n, "epoch": self.epoch})
-        self._broadcast_prepare()
+        self.bus.log(kind, **{"from": self.id, "req": request.request_id,
+                              "n": n, "epoch": self.epoch})
+        self._broadcast(Prepare(n=n, request=request, epoch=self.epoch))
 
-    def _repropose(self) -> None:
+    def _broadcast(self, packet: Prepare | AcceptRequest) -> None:
+        """Send to every member, then arm the in-flight phase's timeout."""
         flight = self.in_flight
-        n = self._allocate()
-        flight.n = n
-        flight.phase = PREPARING
-        flight.promises = {}
-        flight.accepted = set()
-        self.bus.log("Repropose", **{"from": self.id, "req": flight.request.request_id,
-                                     "n": n, "epoch": self.epoch})
-        self._broadcast_prepare()
-
-    def _broadcast_prepare(self) -> None:
-        flight = self.in_flight
-        packet = Prepare(n=flight.n, request=flight.request, epoch=self.epoch)
         for member in sorted(self.members):
             self.bus.send(packet, member)
-        self.bus.set_timer(("phase", flight.request.request_id, flight.n.round, PREPARING),
+        self.bus.set_timer(("phase", flight.request.request_id, flight.n.round, flight.phase),
                            self.timeout)
 
-    def _check_promise_majority(self) -> None:
+    def _vote(self, reply: Promise | Accepted, phase: str) -> None:
         flight = self.in_flight
-        if len(flight.promises) < majority_threshold(len(self.members)):
-            return
-        flight.phase = ACCEPTING
-        self.bus.log("MajorityReached", **{"from": self.id, "req": flight.request.request_id,
-                                           "n": flight.n, "promises": len(flight.promises),
-                                           "membership": len(self.members)})
-        packet = AcceptRequest(n=flight.n, request=flight.request, epoch=self.epoch)
-        for member in sorted(self.members):
-            self.bus.send(packet, member)
-        self.bus.set_timer(("phase", flight.request.request_id, flight.n.round, ACCEPTING),
-                           self.timeout)
+        if (flight is None or flight.phase != phase or reply.n != flight.n
+                or reply.sender not in self.members):
+            return  # stale, foreign or from a non-member
+        flight.votes.add(reply.sender)
+        self._check_majority()
 
-    def _check_accept_majority(self) -> None:
+    def _check_majority(self) -> None:
         flight = self.in_flight
-        if len(flight.accepted) < majority_threshold(len(self.members)):
+        if len(flight.votes) < majority_threshold(len(self.members)):
             return
-        self.done.add(flight.request.request_id)
-        self.in_flight = None
-        if self.pending:
-            self._propose(self.pending.popleft())
+        if flight.phase == PREPARING:
+            self.bus.log("MajorityReached", **{"from": self.id, "req": flight.request.request_id,
+                                               "n": flight.n, "promises": len(flight.votes),
+                                               "membership": len(self.members)})
+            flight.phase, flight.votes = ACCEPTING, set()
+            self._broadcast(AcceptRequest(n=flight.n, request=flight.request, epoch=self.epoch))
+        else:
+            self.done.add(flight.request.request_id)
+            self.in_flight = None
+            if self.pending:
+                self._propose(self.pending.popleft(), "Propose")

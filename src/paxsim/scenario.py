@@ -88,6 +88,7 @@ class Scenario:
     anomaly_policy: str = "strict"
 
 
+MAX_SEED = 2**64 - 1  # net.seed is a u64
 _TOP_KEYS = {"name", "acceptors", "anomaly_policy", "net", "timing",
              "machine", "app_model", "requests", "faults"}
 _NET_KEYS = {f.name for f in fields(NetConfig)}
@@ -153,7 +154,7 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
     for key in net_doc:
         if key not in _NET_KEYS:
             raise ValidationError(f"net.{key}", "unknown key")
-    seed = _require_int(net_doc.get("seed", 0), "net.seed", minimum=0, maximum=2**64 - 1)
+    seed = _require_int(net_doc.get("seed", 0), "net.seed", minimum=0, maximum=MAX_SEED)
     base_delay = _require_int(net_doc.get("base_delay", 1), "net.base_delay", minimum=0)
     jitter = _require_int(net_doc.get("jitter", 0), "net.jitter", minimum=0)
     loss_rate = net_doc.get("loss_rate", 0.0)

@@ -195,8 +195,10 @@ def compile_app_model(section: dict) -> AppModel:
     patterns = []
     for idx, raw in enumerate(_list(section, "outputs")):
         raw = _mapping(raw, f"outputs[{idx}]")
-        pattern = str(raw.get("request"))
-        output = str(raw.get("output"))
+        for key in ("request", "output"):
+            if raw.get(key) is None:
+                raise MachineError(f"outputs[{idx}].{key}: missing")
+        pattern, output = str(raw["request"]), str(raw["output"])
         patterns.append(_compile_pattern(pattern, f"outputs[{idx}].request"))
         entries.append((pattern, output))
     return AppModel(

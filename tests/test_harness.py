@@ -244,6 +244,14 @@ def test_crash_and_arrival_in_one_tick_log_the_crash_first():
     assert all(r.fields["from"] != 0 for r in records if r.kind == "Propose")
 
 
+def test_a_fault_past_the_horizon_never_fires():
+    text = (SCENARIO_DIR / "baseline.scenario").read_text(encoding="utf-8")
+    late = text.replace("faults: []", "faults: [{at: 100000, target: 3, kind: crash}]")
+    assert late != text
+    records = run(parse_scenario(late)).records
+    assert dump_records(records) == dump_records(baseline_result().records)
+
+
 def test_proposal_number_discipline_on_bundled_scenarios():
     for name in ("baseline", "error_streak", "stale_count"):
         result = run(load_scenario(SCENARIO_DIR / f"{name}.scenario"))
@@ -418,6 +426,46 @@ def test_cli_exit_code_signals_anomaly(tmp_path, capsys):
     scenario_path.write_text(COMPROMISE, encoding="utf-8")
     code = cli.main(["run", "--scenario", str(scenario_path)])
     assert code == cli.EXIT_ANOMALY
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["run"],
+    ["validate"],
+    ["run", "--scenario", str(SCENARIO_DIR / "baseline.scenario"), "--seed", "abc"],
+    ["run", "--scenario", str(SCENARIO_DIR / "baseline.scenario"), "--colour"],
+], ids=["no-command", "run-without-scenario", "validate-without-scenario", "seed-not-int",
+        "unknown-option"])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_INVALID
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5", str(2**64)])
+def test_cli_rejects_a_seed_outside_the_net_seed_range(seed, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--scenario", str(SCENARIO_DIR / "baseline.scenario"), "--seed", seed])
+    assert exit_.value.code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "argument --seed" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_cli_accepts_the_net_seed_range_bounds(seed, capsys):
+    code = cli.main(["run", "--scenario", str(SCENARIO_DIR / "baseline.scenario"),
+                     "--seed", seed, "--format", "json"])
+    assert code == cli.EXIT_OK
+    assert f'"seed": {seed},' in capsys.readouterr().out
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--help"])
+    assert exit_.value.code == cli.EXIT_OK
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_cli_validate(tmp_path, capsys):

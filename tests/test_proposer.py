@@ -122,12 +122,12 @@ def test_promise_for_decided_or_foreign_proposal_ignored():
     p.submit(ClientRequest(0, "q"))
     bus.sent.clear()
     p.on_promise(promise(ProposalNumber(9, 9), 1))  # foreign number
-    assert p.in_flight.promises == {}
+    assert p.in_flight.votes == set()
     for node in (1, 2, 3):
         p.on_promise(promise(ProposalNumber(0, 0), node))
     assert p.in_flight.phase == ACCEPTING
     p.on_promise(promise(ProposalNumber(0, 0), 4))  # late: phase guard
-    assert 4 not in p.in_flight.promises
+    assert 4 not in p.in_flight.votes
 
 
 def test_timeout_with_no_promises_bumps_round_by_one():
@@ -137,7 +137,7 @@ def test_timeout_with_no_promises_bumps_round_by_one():
     reproposals = [f for k, f in bus.logs if k == "Repropose"]
     assert len(reproposals) == 1
     assert reproposals[0]["n"] == ProposalNumber(1, 0)
-    assert p.in_flight.promises == {}
+    assert p.in_flight.votes == set()
 
 
 def test_repropose_exceeds_every_observed_round():
@@ -185,22 +185,32 @@ def test_membership_noop_keeps_state():
     p, _ = make_proposer()
     p.submit(ClientRequest(0, "q"))
     p.on_promise(promise(ProposalNumber(0, 0), 1))
-    before = dict(p.in_flight.promises)
+    before = set(p.in_flight.votes)
     p.on_membership_change({0, 1, 2, 3, 4})
-    assert p.in_flight.promises == before
+    assert p.in_flight.votes == before
 
 
 def test_departed_promises_discarded_before_threshold_check():
-    p, _ = make_proposer(members=range(7))
+    p, bus = make_proposer(members=range(7))
     p.submit(ClientRequest(0, "q"))
-    for node in range(5):
-        if node == 3:
-            continue
+    for node in (0, 1, 4):
         p.on_promise(promise(ProposalNumber(0, 0), node))
+    assert p.in_flight.phase == PREPARING  # 3 of 7 is not a majority
     # Membership collapses to three nodes, two of which promised.
     p.on_membership_change({0, 1, 3})
-    assert set(p.in_flight.promises) == {0, 1}
-    assert p.in_flight.phase == ACCEPTING  # 2 of 3 is a majority
+    majority = [f for k, f in bus.logs if k == "MajorityReached"]
+    assert [(f["promises"], f["membership"]) for f in majority] == [(2, 3)]
+
+
+def test_promises_never_count_as_acceptances():
+    p, _ = make_proposer()
+    p.submit(ClientRequest(0, "q"))
+    for node in (0, 1, 2):
+        p.on_promise(promise(ProposalNumber(0, 0), node))
+    for node in (3, 4):
+        p.on_accepted(Accepted(n=ProposalNumber(0, 0), request_id=0, output="o",
+                               new_state="s", sender=node))
+    assert p.in_flight.phase == ACCEPTING  # 2 of 5 acceptances is not a majority
 
 
 def test_exactly_one_accept_broadcast_per_round():
