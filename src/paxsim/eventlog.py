@@ -4,6 +4,11 @@ Format: ``time=<t> seq=<s> kind=<Kind> key=value ...`` with free-text values
 JSON-quoted. Packet deliveries are logged with the packet's own fields plus
 from/to addressing; every other record kind carries its own small field set.
 The format is fixed so that two runs can be compared byte for byte.
+
+A live delivery is held as a ``Delivery``, the packet itself plus addressing,
+and is rendered only when the log is written, with one format per packet
+kind. Every other record, and every record read back from a file, is a
+``Record`` with a field mapping.
 """
 
 from __future__ import annotations
@@ -11,7 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .messages import format_value, parse_fields
+from .messages import (
+    Accepted,
+    AcceptRequest,
+    ClientResponse,
+    Heartbeat,
+    NodeId,
+    Packet,
+    Prepare,
+    Promise,
+    format_value,
+    packet_fields,
+    parse_fields,
+    quote_text,
+)
 
 
 @dataclass(slots=True)
@@ -22,10 +40,54 @@ class Record:
     fields: dict
 
 
-def format_record(record: Record) -> str:
+@dataclass(slots=True)
+class Delivery:
+    """A packet delivered to dst: the packet itself, rendered when the log is written."""
+
+    time: int
+    seq: int
+    packet: Packet
+    src: NodeId
+    dst: NodeId
+
+    @property
+    def kind(self) -> str:
+        return self.packet.kind
+
+    @property
+    def fields(self) -> dict:
+        """The typed field mapping a Record of this delivery would hold, built on each read."""
+        return {"from": self.src, "to": self.dst, **packet_fields(self.packet)}
+
+
+def format_record(record: Record | Delivery) -> str:
+    if type(record) is Delivery:
+        return _delivery_line(record)
     parts = [f"time={record.time}", f"seq={record.seq}", f"kind={record.kind}"]
     parts.extend(f"{key}={format_value(value)}" for key, value in record.fields.items())
     return " ".join(parts)
+
+
+def _delivery_line(d: Delivery) -> str:
+    """The same text format_value renders from d.fields, with one format per packet kind."""
+    p = d.packet
+    head = f"time={d.time} seq={d.seq} kind={p.kind} from={d.src} to={d.dst}"
+    cls = type(p)
+    if cls is Accepted:
+        return (f"{head} n={p.n} req={p.request_id} output={quote_text(p.output)} "
+                f"state={quote_text(p.new_state)}")
+    if cls is AcceptRequest or cls is Prepare:
+        return (f"{head} epoch={p.epoch} n={p.n} req={p.request.request_id} "
+                f"payload={quote_text(p.request.payload)}")
+    if cls is Promise:
+        if p.last_served is None:
+            return f"{head} n={p.n}"
+        return f"{head} n={p.n} last={p.last_served}"
+    if cls is Heartbeat:
+        return f"{head} hb_seq={p.seq}"
+    if cls is ClientResponse:
+        return f"{head} req={p.request_id} output={quote_text(p.output)}"
+    raise TypeError(f"not a packet: {p!r}")
 
 
 def parse_record(line: str) -> Record:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 from .acceptor import Acceptor
-from .eventlog import Record
+from .eventlog import Delivery, Record
 from .learner import Anomaly, Consensus, InstanceLedger, Learner, decide, verdict_fields
 from .membership import EmptyGroup, MembershipService
 from .messages import (
@@ -156,7 +156,7 @@ class Report:
 @dataclass
 class RunResult:
     report: Report
-    records: list[Record]
+    records: list[Record | Delivery]
 
 
 class ClusterRun:
@@ -367,7 +367,7 @@ def run(scenario: Scenario, seed: int | None = None) -> RunResult:
     return ClusterRun(scenario, seed=seed).run()
 
 
-def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
+def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
     """Re-derive every Verdict record from the log and diff against it.
 
     Returns (number of verdicts checked, list of mismatch descriptions).
@@ -395,12 +395,12 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
                 alive.discard(int(record.fields["node"]))
             elif kind == "Rejoin":
                 alive.add(int(record.fields["node"]))
-            elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
-                fields = _text_fields(record.fields)
-                packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
-                ledger = ledgers.setdefault(packet.request_id,
-                                            InstanceLedger(request_id=packet.request_id))
-                ledger.record(packet)
+            elif kind == "Accepted":
+                packet = _report_to(record, learner_id)
+                if packet is not None:
+                    ledger = ledgers.setdefault(packet.request_id,
+                                                InstanceLedger(request_id=packet.request_id))
+                    ledger.record(packet)
             elif kind == "Verdict":
                 fields = _text_fields(record.fields)
                 rid = int(fields["req"])
@@ -423,12 +423,25 @@ def replay_verdicts(records: list[Record]) -> tuple[int, list[str]]:
     return checked, diffs
 
 
-def _text_fields(fields: dict) -> dict[str, str]:
-    """A record's fields in their log-text form, as read_log would return them.
+def _report_to(record: Record | Delivery, learner_id: NodeId) -> Accepted | None:
+    """The Accepted packet an Accepted record delivers to the learner, else None.
 
-    Live records carry typed values (int, bool, ProposalNumber), which render
-    as bare, unquoted text; records read from a file already hold text, which
-    passes through unchanged.
+    A live delivery holds the packet; a record read from a file is rebuilt from its text.
+    """
+    if isinstance(record, Delivery):
+        return record.packet if record.dst == learner_id else None
+    fields = record.fields
+    if int(fields["to"]) != learner_id:
+        return None
+    return packet_from_fields("Accepted", fields, sender=int(fields["from"]))
+
+
+def _text_fields(fields: dict) -> dict[str, str]:
+    """A Verdict's fields in their log-text form, as read_log would return them.
+
+    Live Verdict records carry typed values (int, bool), which render as bare,
+    unquoted text; records read from a file already hold text, which passes
+    through unchanged.
     """
     return {k: v if isinstance(v, str) else format_value(v) for k, v in fields.items()}
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-from .eventlog import Record
+from .eventlog import Delivery, Record
 from .messages import ProposalNumber
 
 
-def check_proposal_numbers(records: Iterable[Record]) -> list[str]:
+def check_proposal_numbers(records: Iterable[Record | Delivery]) -> list[str]:
     """Return a list of violations; empty means the log is clean."""
     problems: list[str] = []
     last_round: dict[int, int] = {}
@@ -38,8 +38,9 @@ def check_proposal_numbers(records: Iterable[Record]) -> list[str]:
             last_round[proposer] = round_
             observed[proposer].add(round_)
         elif record.kind == "Promise":
-            to = int(record.fields["to"])
-            observed[to].add(ProposalNumber.parse(str(record.fields["n"])).round)
-            if "last" in record.fields:
-                observed[to].add(ProposalNumber.parse(str(record.fields["last"])).round)
+            fields = record.fields  # built on each read for a live Delivery
+            to = int(fields["to"])
+            observed[to].add(ProposalNumber.parse(str(fields["n"])).round)
+            if "last" in fields:
+                observed[to].add(ProposalNumber.parse(str(fields["last"])).round)
     return problems

@@ -106,18 +106,22 @@ class ClientResponse:
 Packet = Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientResponse
 
 
+def quote_text(text: str) -> str:
+    """Free text as a log field value: bare when safe, JSON-quoted otherwise."""
+    if _BARE_VALUE.match(text):
+        return text
+    return json.dumps(text, ensure_ascii=True)
+
+
 def format_value(value) -> str:
-    """Render a field value for a log line; free text is JSON-quoted."""
+    """Render a field value for a log line; free text goes through quote_text."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, ProposalNumber):
         return str(value)
-    text = str(value)
-    if _BARE_VALUE.match(text):
-        return text
-    return json.dumps(text, ensure_ascii=True)
+    return quote_text(str(value))
 
 
 def parse_fields(text: str) -> dict[str, str]:

@@ -15,8 +15,8 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .eventlog import Record
-from .messages import NodeId, Packet, packet_fields
+from .eventlog import Delivery, Record
+from .messages import NodeId, Packet
 
 
 class QueueEmpty(RuntimeError):
@@ -64,7 +64,7 @@ class Simulation:
         self._queue: list[tuple[int, int, Action]] = []
         self.nodes: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
-        self.records: list[Record] = []
+        self.records: list[Record | Delivery] = []
         self.shutting_down = False
 
     # -- logging -------------------------------------------------------------
@@ -133,8 +133,9 @@ class Simulation:
                 self.log("DiscardCrashed", pkt=action.packet.kind,
                          **{"from": action.src, "to": action.dst})
                 return
-            self.log(action.packet.kind, **{"from": action.src, "to": action.dst},
-                     **packet_fields(action.packet))
+            self.records.append(Delivery(self.now, self._record_seq, action.packet,
+                                         action.src, action.dst))
+            self._record_seq += 1
             self.nodes[action.dst].on_packet(action.packet, action.src, self.now)
         elif action.owner not in self.crashed:
             self.nodes[action.owner].on_timer(action.tag, self.now)

@@ -142,7 +142,10 @@ def compile_machine(section: dict) -> StateMachineDef:
             raise MachineError(f"{where}.threshold: expected non-negative integer or '*', got {threshold!r}")
         if threshold is STAR and target != source:
             raise StarNotSelfLoop(f"{where}: '*' threshold requires to == from, got {source!r} -> {target!r}")
-        output_regex = str(raw.get("output_regex", ""))
+        output_regex = raw.get("output_regex", "")
+        if output_regex is None:
+            raise MachineError(f"{where}.output_regex: expected text, got null")
+        output_regex = str(output_regex)
         input_regex = raw.get("input_regex")
         rule = TransitionRule(
             source=source,
@@ -201,9 +204,12 @@ def compile_app_model(section: dict) -> AppModel:
         pattern, output = str(raw["request"]), str(raw["output"])
         patterns.append(_compile_pattern(pattern, f"outputs[{idx}].request"))
         entries.append((pattern, output))
+    default_output = section.get("default_output", "")
+    if default_output is None:
+        raise MachineError("default_output: expected text, got null")
     return AppModel(
         entries=tuple(entries),
-        default_output=str(section.get("default_output", "")),
+        default_output=str(default_output),
         _patterns=tuple(patterns),
     )
 

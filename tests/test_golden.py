@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from paxsim import load_scenario, parse_scenario, run
-from paxsim.eventlog import dump_records
+from paxsim.eventlog import dump_records, read_log, write_log
+from paxsim.harness import replay_verdicts
+from paxsim.logcheck import check_proposal_numbers
 from test_harness import COMPROMISE, MIXED_ROUND
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -145,6 +147,18 @@ def golden_run(name, seed):
 def test_log_matches_its_golden_digest(name, seed):
     log = dump_records(golden_run(name, seed).records)
     assert hashlib.sha256(log.encode("utf-8")).hexdigest() == GOLDEN[name, seed]
+
+
+@pytest.mark.parametrize("name, seed", list(GOLDEN))
+def test_live_records_and_their_log_file_agree(tmp_path, name, seed):
+    # Live deliveries hold packets; records read back hold text fields.
+    live = golden_run(name, seed).records
+    path = tmp_path / "run.log"
+    write_log(live, path)
+    from_file = read_log(path)
+    assert replay_verdicts(live) == replay_verdicts(from_file)
+    assert check_proposal_numbers(live) == check_proposal_numbers(from_file)
+    assert dump_records(from_file) == dump_records(live)
 
 
 @pytest.mark.parametrize("name, seed", list(GOLDEN_REPORTS))

@@ -1,4 +1,4 @@
-"""Proposal ordering and packet log-form round trips."""
+"""Proposal ordering, packet log-form round trips and the per-kind delivery renderer."""
 
 import itertools
 import json
@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from paxsim.eventlog import Record, format_record, parse_record
+from paxsim.eventlog import Delivery, Record, format_record, parse_record
 from paxsim.messages import (
     Accepted,
     AcceptRequest,
@@ -17,7 +17,6 @@ from paxsim.messages import (
     Promise,
     ProposalNumber,
     _FIELD,
-    packet_fields,
     packet_from_fields,
     parse_fields,
 )
@@ -72,9 +71,7 @@ payload_text = st.text(
 
 
 def roundtrip(packet, src, dst):
-    record = Record(time=7, seq=3, kind=packet.kind,
-                    fields={"from": src, "to": dst, **packet_fields(packet)})
-    parsed = parse_record(format_record(record))
+    parsed = parse_record(format_record(Delivery(time=7, seq=3, packet=packet, src=src, dst=dst)))
     assert parsed.time == 7 and parsed.seq == 3 and parsed.kind == packet.kind
     rebuilt = packet_from_fields(parsed.kind, parsed.fields, sender=int(parsed.fields["from"]))
     assert rebuilt == packet
@@ -110,6 +107,29 @@ def test_heartbeat_and_response_roundtrip():
 def test_awkward_payloads_survive(payload):
     packet = Prepare(n=ProposalNumber(0, 0), request=ClientRequest(0, payload), epoch=0)
     roundtrip(packet, src=0, dst=1)
+
+
+any_ints = st.integers()
+any_proposals = st.builds(ProposalNumber, any_ints, any_ints)
+free_text = st.one_of(st.sampled_from(["", '"', 'say "hi"', "\t", "a\tb", "naïve", "漢😀"]),
+                      payload_text)
+requests = st.builds(ClientRequest, any_ints, free_text)
+packets = st.one_of(
+    st.builds(Prepare, n=any_proposals, request=requests, epoch=any_ints),
+    st.builds(Promise, n=any_proposals, last_served=st.one_of(st.none(), any_proposals),
+              sender=any_ints),
+    st.builds(AcceptRequest, n=any_proposals, request=requests, epoch=any_ints),
+    st.builds(Accepted, n=any_proposals, request_id=any_ints, output=free_text,
+              new_state=free_text, sender=any_ints),
+    st.builds(Heartbeat, sender=any_ints, seq=any_ints),
+    st.builds(ClientResponse, request_id=any_ints, output=free_text))
+
+
+@given(any_ints, any_ints, packets, any_ints, any_ints)
+def test_delivery_renders_as_its_fields_do(time, seq, packet, src, dst):
+    delivery = Delivery(time=time, seq=seq, packet=packet, src=src, dst=dst)
+    generic = Record(time=time, seq=seq, kind=delivery.kind, fields=delivery.fields)
+    assert format_record(delivery) == format_record(generic)
 
 
 def reference_parse_fields(text):

@@ -164,9 +164,11 @@ requests: []
     'app_model: {outputs: [{request: "GET /x"}]}',
     'app_model: {outputs: [{output: "OK"}]}',
     'app_model: {outputs: [{request: "GET /x", output: null}]}',
+    'machine: {states: ["S"], start: "S", rules: [{from: "S", to: "S", output_regex: null}]}',
+    "app_model: {outputs: [], default_output: null}",
 ], ids=["rule-not-mapping", "rules-not-list", "states-not-list", "boolean-threshold",
         "output-not-mapping", "outputs-not-list", "output-without-output",
-        "output-without-request", "output-null"])
+        "output-without-request", "output-null", "output-regex-null", "default-output-null"])
 def test_malformed_machine_sections_are_validation_errors(section):
     key = section.split(":")[0]
     text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(key))
