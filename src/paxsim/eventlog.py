@@ -16,20 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .messages import (
-    Accepted,
-    AcceptRequest,
-    ClientResponse,
-    Heartbeat,
-    NodeId,
-    Packet,
-    Prepare,
-    Promise,
-    format_value,
-    packet_fields,
-    parse_fields,
-    quote_text,
-)
+from .messages import NodeId, Packet, format_value, packet_fields, packet_text, parse_fields
 
 
 @dataclass(slots=True)
@@ -62,32 +49,11 @@ class Delivery:
 
 def format_record(record: Record | Delivery) -> str:
     if type(record) is Delivery:
-        return _delivery_line(record)
+        return (f"time={record.time} seq={record.seq} kind={record.packet.kind} "
+                f"from={record.src} to={record.dst} {packet_text(record.packet)}")
     parts = [f"time={record.time}", f"seq={record.seq}", f"kind={record.kind}"]
     parts.extend(f"{key}={format_value(value)}" for key, value in record.fields.items())
     return " ".join(parts)
-
-
-def _delivery_line(d: Delivery) -> str:
-    """The same text format_value renders from d.fields, with one format per packet kind."""
-    p = d.packet
-    head = f"time={d.time} seq={d.seq} kind={p.kind} from={d.src} to={d.dst}"
-    cls = type(p)
-    if cls is Accepted:
-        return (f"{head} n={p.n} req={p.request_id} output={quote_text(p.output)} "
-                f"state={quote_text(p.new_state)}")
-    if cls is AcceptRequest or cls is Prepare:
-        return (f"{head} epoch={p.epoch} n={p.n} req={p.request.request_id} "
-                f"payload={quote_text(p.request.payload)}")
-    if cls is Promise:
-        if p.last_served is None:
-            return f"{head} n={p.n}"
-        return f"{head} n={p.n} last={p.last_served}"
-    if cls is Heartbeat:
-        return f"{head} hb_seq={p.seq}"
-    if cls is ClientResponse:
-        return f"{head} req={p.request_id} output={quote_text(p.output)}"
-    raise TypeError(f"not a packet: {p!r}")
 
 
 def parse_record(line: str) -> Record:

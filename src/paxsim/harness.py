@@ -395,12 +395,12 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
                 alive.discard(int(record.fields["node"]))
             elif kind == "Rejoin":
                 alive.add(int(record.fields["node"]))
-            elif kind == "Accepted":
-                packet = _report_to(record, learner_id)
-                if packet is not None:
-                    ledger = ledgers.setdefault(packet.request_id,
-                                                InstanceLedger(request_id=packet.request_id))
-                    ledger.record(packet)
+            elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
+                fields = _text_fields(record.fields)
+                packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
+                ledger = ledgers.setdefault(packet.request_id,
+                                            InstanceLedger(request_id=packet.request_id))
+                ledger.record(packet)
             elif kind == "Verdict":
                 fields = _text_fields(record.fields)
                 rid = int(fields["req"])
@@ -423,25 +423,12 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
     return checked, diffs
 
 
-def _report_to(record: Record | Delivery, learner_id: NodeId) -> Accepted | None:
-    """The Accepted packet an Accepted record delivers to the learner, else None.
-
-    A live delivery holds the packet; a record read from a file is rebuilt from its text.
-    """
-    if isinstance(record, Delivery):
-        return record.packet if record.dst == learner_id else None
-    fields = record.fields
-    if int(fields["to"]) != learner_id:
-        return None
-    return packet_from_fields("Accepted", fields, sender=int(fields["from"]))
-
-
 def _text_fields(fields: dict) -> dict[str, str]:
-    """A Verdict's fields in their log-text form, as read_log would return them.
+    """A record's fields in their log-text form, as read_log would return them.
 
-    Live Verdict records carry typed values (int, bool), which render as bare,
-    unquoted text; records read from a file already hold text, which passes
-    through unchanged.
+    Live records carry typed values (int, bool, ProposalNumber), which render
+    as bare, unquoted text; records read from a file already hold text, which
+    passes through unchanged.
     """
     return {k: v if isinstance(v, str) else format_value(v) for k, v in fields.items()}
 

@@ -106,7 +106,7 @@ class ClientResponse:
 Packet = Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientResponse
 
 
-def quote_text(text: str) -> str:
+def _quote_text(text: str) -> str:
     """Free text as a log field value: bare when safe, JSON-quoted otherwise."""
     if _BARE_VALUE.match(text):
         return text
@@ -114,14 +114,14 @@ def quote_text(text: str) -> str:
 
 
 def format_value(value) -> str:
-    """Render a field value for a log line; free text goes through quote_text."""
+    """Render a field value for a log line; free text goes through _quote_text."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, ProposalNumber):
         return str(value)
-    return quote_text(str(value))
+    return _quote_text(str(value))
 
 
 def parse_fields(text: str) -> dict[str, str]:
@@ -147,6 +147,26 @@ def packet_fields(packet: Packet) -> dict[str, object]:
         return {"hb_seq": packet.seq}
     if isinstance(packet, ClientResponse):
         return {"req": packet.request_id, "output": packet.output}
+    raise TypeError(f"not a packet: {packet!r}")
+
+
+def packet_text(packet: Packet) -> str:
+    """The log text of packet_fields(packet), rendered with one format per packet kind."""
+    cls = type(packet)
+    if cls is Accepted:
+        return (f"n={packet.n} req={packet.request_id} output={_quote_text(packet.output)} "
+                f"state={_quote_text(packet.new_state)}")
+    if cls is AcceptRequest or cls is Prepare:
+        return (f"epoch={packet.epoch} n={packet.n} req={packet.request.request_id} "
+                f"payload={_quote_text(packet.request.payload)}")
+    if cls is Promise:
+        if packet.last_served is None:
+            return f"n={packet.n}"
+        return f"n={packet.n} last={packet.last_served}"
+    if cls is Heartbeat:
+        return f"hb_seq={packet.seq}"
+    if cls is ClientResponse:
+        return f"req={packet.request_id} output={_quote_text(packet.output)}"
     raise TypeError(f"not a packet: {packet!r}")
 
 
