@@ -14,6 +14,7 @@ kind. Every other record, and every record read back from a file, is a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .messages import NodeId, Packet, format_value, packet_fields, packet_text, parse_fields
@@ -68,9 +69,14 @@ def dump_records(records: Iterable[Record]) -> str:
     return "".join(format_record(r) + "\n" for r in records)
 
 
+WRITE_CHUNK = 4096  # records formatted per write: the whole log's text is never held
+
+
 def write_log(records: Iterable[Record], path) -> None:
+    records = iter(records)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_records(records))
+        while text := dump_records(islice(records, WRITE_CHUNK)):
+            fh.write(text)
 
 
 def read_log(path) -> list[Record]:

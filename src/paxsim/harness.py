@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .acceptor import Acceptor
 from .eventlog import Delivery, Record
-from .learner import Anomaly, Consensus, InstanceLedger, Learner, decide, verdict_fields
+from .learner import (MAJORITY, STRICT, Anomaly, Consensus, InstanceLedger, Learner, decide,
+                      verdict_fields)
 from .membership import EmptyGroup, MembershipService
 from .messages import (
     Accepted,
@@ -183,7 +184,7 @@ class ClusterRun:
             node_id=self.learner_id, client_id=self.client_id,
             membership_view=self.membership.view, bus=infra_bus,
             policy=scenario.anomaly_policy,
-            instance_deadline=scenario.timing.instance_deadline)
+            instance_deadline=scenario.timing.instance_deadline, on_verdict=self._on_verdict)
         self.replicas = [Replica(i, scenario, self.sim, self.learner_id) for i in range(n)]
         infra = InfraNode(infra_bus, self.learner, self.membership,
                           scenario.timing.heartbeat_interval)
@@ -196,7 +197,7 @@ class ClusterRun:
         # A fault past the horizon never fires: neither schedule it nor wait for it.
         self.faults = [f for f in scenario.faults if f.at <= scenario.timing.horizon]
         self.faults_applied = 0
-        self.decided_prefix = 0  # requests[:decided_prefix] all have a verdict
+        self.verdicts = 0  # each request's verdict is sealed once, never unset
         self.halted = False
 
     # -- the client node ----------------------------------------------------------
@@ -253,6 +254,20 @@ class ClusterRun:
             self.membership.mark_crashed(spec.target)
         else:
             self.replicas[spec.target].acceptor.compromise(spec.override)
+        self._shut_down_when_done()
+
+    def _on_verdict(self) -> None:
+        self.verdicts += 1
+        self._shut_down_when_done()
+
+    def _shut_down_when_done(self) -> None:
+        """Stop periodic activity once every request has a verdict and every fault fired.
+
+        A run without requests observes heartbeats and plays to the horizon.
+        """
+        if (self.requests and self.verdicts == len(self.requests)
+                and self.faults_applied == len(self.faults)):
+            self.sim.request_shutdown()
 
     # -- the run loop -------------------------------------------------------------
 
@@ -272,17 +287,10 @@ class ClusterRun:
 
         horizon = scenario.timing.horizon
         horizon_reached = False
-        while self.sim.pending():
-            if self.sim.peek_time() > horizon:
-                horizon_reached = True
-                break
-            try:
-                self.sim.step()
-            except EmptyGroup:
-                self.halted = True
-                break
-            if not self.sim.shutting_down and self._work_complete():
-                self.sim.request_shutdown()
+        try:
+            horizon_reached = self.sim.run(horizon)
+        except EmptyGroup:
+            self.halted = True
 
         undecided = [r.request_id for r in self.requests
                      if self._verdict_of(r.request_id) is None]
@@ -297,18 +305,6 @@ class ClusterRun:
     def _verdict_of(self, request_id: int):
         ledger = self.learner.ledgers.get(request_id)
         return None if ledger is None else ledger.verdict
-
-    def _work_complete(self) -> bool:
-        if not self.requests:
-            return False  # observation run: let it play to the horizon
-        if self.faults_applied < len(self.faults):
-            return False
-        # Verdicts are never unset, so the decided prefix only grows.
-        requests = self.requests
-        while (self.decided_prefix < len(requests)
-               and self._verdict_of(requests[self.decided_prefix].request_id) is not None):
-            self.decided_prefix += 1
-        return self.decided_prefix == len(requests)
 
     def _build_report(self, horizon_reached: bool, livelock: bool) -> Report:
         verdicts = []
@@ -375,7 +371,8 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
     policy, Failure/Rejoin for membership tracking, Accepted deliveries to
     the learner for the ledgers, and each Verdict's membership/deadline
     context fields. A record lacking a field replay reads, or holding a
-    malformed one, raises ValueError naming the record.
+    malformed one (an Init whose group size or policy no scenario can
+    have, too), raises ValueError naming the record.
     """
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
@@ -387,6 +384,10 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
     try:
         n = int(init.fields["acceptors"])
         policy = init.fields["policy"]
+        if n < 1:
+            raise ValueError(f"acceptors: expected at least 1, got {n}")
+        if policy not in (STRICT, MAJORITY):
+            raise ValueError(f"policy: expected strict or majority, got {policy!r}")
         learner_id = n
         alive = set(range(n))
         for record in records:

@@ -119,17 +119,19 @@ class Learner:
     """Event-driven wrapper around the pure verdict logic.
 
     membership_view exposes the believed-alive set; bus provides send /
-    set_timer / log as for the other roles.
+    set_timer / log as for the other roles. on_verdict() is invoked once
+    per slot, after its verdict is sealed.
     """
 
     def __init__(self, node_id: NodeId, client_id: NodeId, membership_view, bus,
-                 policy: str, instance_deadline: int):
+                 policy: str, instance_deadline: int, on_verdict):
         self.id = node_id
         self.client_id = client_id
         self.view = membership_view
         self.bus = bus
         self.policy = policy
         self.instance_deadline = instance_deadline
+        self.on_verdict = on_verdict
         self.ledgers: dict[int, InstanceLedger] = {}
 
     def ledger(self, request_id: int) -> InstanceLedger:
@@ -141,7 +143,7 @@ class Learner:
         if ledger.reports and ledger.first_report_time is None:
             ledger.first_report_time = now
             self.bus.set_timer(("deadline", a.request_id), self.instance_deadline)
-        if ledger.verdict is None and set(ledger.reports) >= set(self.view.alive):
+        if ledger.verdict is None and ledger.reports.keys() >= self.view.alive:
             self._decide(ledger, deadline_reached=False)
 
     def on_deadline(self, request_id: int) -> None:
@@ -171,6 +173,7 @@ class Learner:
         if isinstance(verdict, Consensus):
             self.bus.send(ClientResponse(request_id=ledger.request_id, output=verdict.output),
                           self.client_id)
+        self.on_verdict()
 
 
 def verdict_fields(verdict: Verdict) -> dict[str, str]:

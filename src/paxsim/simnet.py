@@ -1,19 +1,24 @@
 """Deterministic discrete-event network: packets and timers, nothing else.
 
-The queue holds two kinds of action, a packet delivery and a node's timer.
+The queue is a heap of plain tuples ordered by (time, seq): a packet
+delivery is (time, seq, dst, packet, src) and a node's timer is
+(time, seq, owner, None, tag). seq is assigned at scheduling time and is
+unique, so the comparison never reaches the third field. The simulation
+owns the event loop: run(horizon) steps through the queue until it drains
+or its next event lies past the horizon.
+
 Simulated time is integer-valued and all randomness flows from one seeded
 generator with a fixed draw order: draws happen only inside send(), first
 the loss draw, then (for surviving packets, when jitter > 0) the extra-delay
-draw. Events are processed in strict (time, seq) order, seq being assigned
-at scheduling time. Identical (scenario, seed) pairs therefore produce
-byte-identical event logs.
+draw. Identical (scenario, seed) pairs therefore produce byte-identical
+event logs.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .eventlog import Delivery, Record
 from .messages import NodeId, Packet
@@ -31,22 +36,6 @@ class NetConfig:
     loss_rate: float = 0.0
 
 
-@dataclass(slots=True)
-class Deliver:
-    packet: Packet
-    src: NodeId
-    dst: NodeId
-
-
-@dataclass(slots=True)
-class Timer:
-    owner: NodeId
-    tag: tuple
-
-
-Action = Deliver | Timer
-
-
 class Simulation:
     """Single-threaded event loop over a registry of node objects.
 
@@ -56,12 +45,14 @@ class Simulation:
     """
 
     def __init__(self, config: NetConfig):
-        self.config = config
+        self.base_delay = config.base_delay
+        self.jitter = config.jitter
+        self.loss_rate = config.loss_rate
         self.rng = random.Random(config.seed)
         self.now = 0
         self._seq = 0
         self._record_seq = 0
-        self._queue: list[tuple[int, int, Action]] = []
+        self._queue: list[tuple] = []
         self.nodes: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
         self.records: list[Record | Delivery] = []
@@ -75,24 +66,22 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _push(self, time: int, action: Action) -> None:
-        heapq.heappush(self._queue, (time, self._seq, action))
-        self._seq += 1
-
     def send(self, packet: Packet, src: NodeId, dst: NodeId) -> None:
         """Schedule delivery with seeded loss and delay; crashed senders emit nothing."""
         if src in self.crashed:
             return
-        if self.rng.random() < self.config.loss_rate:
+        if self.rng.random() < self.loss_rate:
             self.log("Drop", pkt=packet.kind, **{"from": src, "to": dst})
             return
-        delay = self.config.base_delay
-        if self.config.jitter > 0:
-            delay += self.rng.randint(0, self.config.jitter)
-        self._push(self.now + delay, Deliver(packet=packet, src=src, dst=dst))
+        delay = self.base_delay
+        if self.jitter > 0:
+            delay += self.rng.randint(0, self.jitter)
+        heappush(self._queue, (self.now + delay, self._seq, dst, packet, src))
+        self._seq += 1
 
     def set_timer(self, owner: NodeId, tag: tuple, delay: int) -> None:
-        self._push(self.now + delay, Timer(owner=owner, tag=tag))
+        heappush(self._queue, (self.now + delay, self._seq, owner, None, tag))
+        self._seq += 1
 
     def request_shutdown(self) -> None:
         """Stop periodic activity; already queued events still run."""
@@ -103,39 +92,38 @@ class Simulation:
     def pending(self) -> int:
         return len(self._queue)
 
-    def peek_time(self) -> int | None:
-        return self._queue[0][0] if self._queue else None
-
     def step(self) -> None:
         """Process exactly the earliest (time, seq) event."""
-        if not self._queue:
-            raise QueueEmpty("step on an empty event queue")
-        time, _, action = heapq.heappop(self._queue)
+        try:
+            time, _, node, packet, info = heappop(self._queue)
+        except IndexError:
+            raise QueueEmpty("step on an empty event queue") from None
         self.now = time
-        self._dispatch(action)
+        if packet is None:  # a timer; info is its tag
+            if node not in self.crashed:
+                self.nodes[node].on_timer(info, time)
+        elif node in self.crashed:  # info is the sender
+            self.log("DiscardCrashed", pkt=packet.kind, **{"from": info, "to": node})
+        else:
+            self.records.append(Delivery(time, self._record_seq, packet, info, node))
+            self._record_seq += 1
+            self.nodes[node].on_packet(packet, info, time)
+
+    def run(self, horizon: float) -> bool:
+        """Step event by event; True when stopped at an event past horizon, False when drained."""
+        queue = self._queue
+        step = self.step
+        while queue:
+            if queue[0][0] > horizon:
+                return True
+            step()
+        return False
 
     def run_until(self, t: int) -> None:
-        while self._queue and self._queue[0][0] <= t:
-            self.step()
+        self.run(t)
         self.now = max(self.now, t)
 
     def run_to_quiescence(self) -> int:
         """Drain the queue completely; returns the final simulated time."""
-        while self._queue:
-            self.step()
+        self.run(float("inf"))
         return self.now
-
-    # -- dispatch ---------------------------------------------------------------
-
-    def _dispatch(self, action: Action) -> None:
-        if isinstance(action, Deliver):
-            if action.dst in self.crashed:
-                self.log("DiscardCrashed", pkt=action.packet.kind,
-                         **{"from": action.src, "to": action.dst})
-                return
-            self.records.append(Delivery(self.now, self._record_seq, action.packet,
-                                         action.src, action.dst))
-            self._record_seq += 1
-            self.nodes[action.dst].on_packet(action.packet, action.src, self.now)
-        elif action.owner not in self.crashed:
-            self.nodes[action.owner].on_timer(action.tag, self.now)

@@ -163,6 +163,15 @@ def test_log_file_roundtrip_is_lossless(tmp_path):
     assert dump_records(read_log(log_path)) == dump_records(result.records)
 
 
+def test_write_log_in_small_chunks_writes_the_same_bytes(tmp_path, monkeypatch):
+    from paxsim import eventlog
+    monkeypatch.setattr(eventlog, "WRITE_CHUNK", 7)
+    records = baseline_result().records
+    log_path = tmp_path / "chunked.log"
+    write_log(records, log_path)
+    assert log_path.read_text(encoding="utf-8") == dump_records(records)
+
+
 def test_report_counts_agree_with_log():
     result = run(parse_scenario(COMPROMISE))
     kinds = Counter(r.kind for r in result.records)
@@ -272,6 +281,19 @@ timing: {horizon: 60}
     assert result.report.verdicts == []
     assert result.report.final_time >= 55
     assert not result.report.livelock
+
+
+def test_a_run_decided_before_its_last_fault_heartbeats_until_that_fault():
+    text = FAULTS.replace("{at: 0, target: 1, kind: crash}", "{at: 150, target: 1, kind: crash}")
+    records = run(parse_scenario(text)).records
+    verdict = next(r.time for r in records if r.kind == "Verdict")
+    crash = next(r.time for r in records if r.kind == "Crash")
+    assert verdict < 20 and crash == 150
+    # Heartbeats keep flowing until the crash, the last outstanding work ...
+    beats = [r.time for r in records if r.kind == "Heartbeat"]
+    assert max(beats) > crash - 10
+    # ... and once it fires, the run shuts down instead of playing to the horizon.
+    assert records[-1].time < crash + 10 and all(r.kind != "Horizon" for r in records)
 
 
 def test_quiescence_empties_the_queue_on_lossless_runs():
@@ -558,3 +580,15 @@ def test_cli_replay_names_a_record_with_a_malformed_field(tmp_path, capsys):
                                           r"\1 n=x.y")
     assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Accepted: "
                    "invalid literal for int() with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize("pattern, replacement, problem", [
+    (r"(kind=Init acceptors=)\d+", r"\g<1>0", "acceptors: expected at least 1, got 0"),
+    (r"(kind=Init .*policy=)\S+", r"\1bogus",
+     "policy: expected strict or majority, got 'bogus'"),
+])
+def test_cli_replay_names_an_init_no_scenario_can_have(tmp_path, capsys, pattern, replacement,
+                                                         problem):
+    record, err = replay_error_after_edit(tmp_path, capsys, pattern, replacement)
+    assert (record.time, record.seq) == (0, 0)
+    assert err == f"invalid log: time=0 seq=0 kind=Init: {problem}\n"

@@ -3,6 +3,7 @@
 import pytest
 
 from paxsim.eventlog import dump_records
+from paxsim.membership import EmptyGroup
 from paxsim.messages import Heartbeat
 from paxsim.simnet import NetConfig, QueueEmpty, Simulation
 
@@ -83,6 +84,39 @@ def test_step_on_empty_queue_raises():
     sim, _ = make_sim()
     with pytest.raises(QueueEmpty):
         sim.step()
+
+
+def test_run_stops_at_the_first_event_past_the_horizon_and_keeps_it():
+    sim, nodes = make_sim()
+    for delay in (3, 5, 6, 9):
+        sim.set_timer(0, (delay,), delay)
+    assert sim.run(5) is True
+    assert nodes[0].timers == [(3, (3,)), (5, (5,))]
+    assert sim.pending() == 2 and sim.now == 5
+    assert sim.run(100) is False
+    assert [tag for _, tag in nodes[0].timers] == [(3,), (5,), (6,), (9,)]
+
+
+def test_run_returns_false_when_the_queue_drains():
+    sim, nodes = make_sim()
+    sim.send(Heartbeat(sender=0, seq=0), 0, 1)
+    assert sim.run(10) is False
+    assert sim.pending() == 0 and len(nodes[1].packets) == 1
+    assert sim.run(10) is False  # an empty queue is already drained
+
+
+def test_run_lets_a_handler_exception_propagate():
+    class Halting(Sink):
+        def on_timer(self, tag, now):
+            raise EmptyGroup("no members left")
+
+    sim, nodes = make_sim()
+    sim.nodes[2] = Halting()
+    sim.set_timer(2, ("halt",), 1)
+    sim.set_timer(0, ("later",), 2)
+    with pytest.raises(EmptyGroup):
+        sim.run(10)
+    assert sim.now == 1 and sim.pending() == 1 and nodes[0].timers == []
 
 
 def test_identical_seed_identical_records():
