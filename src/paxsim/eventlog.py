@@ -5,10 +5,10 @@ JSON-quoted. Packet deliveries are logged with the packet's own fields plus
 from/to addressing; every other record kind carries its own small field set.
 The format is fixed so that two runs can be compared byte for byte.
 
-A live delivery is held as a ``Delivery``, the packet itself plus addressing,
-and is rendered only when the log is written, with one format per packet
-kind. Every other record, and every record read back from a file, is a
-``Record`` with a field mapping.
+A live delivery is a ``Delivery``, its packet plus addressing, rendered only
+when the log is written; its fields are that text parsed, as ``read_log``
+returns them. Every other record, and every record read back from a file,
+is a ``Record`` with a field mapping.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class Delivery:
 
     @property
     def fields(self) -> dict:
-        """The typed field mapping a Record of this delivery would hold, built on each read."""
-        return {"from": self.src, "to": self.dst, **packet_fields(self.packet)}
+        """The text fields read_log returns for this delivery's line, parsed on each read."""
+        return {"from": str(self.src), "to": str(self.dst), **packet_fields(self.packet)}
 
 
 def format_record(record: Record | Delivery) -> str:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .acceptor import Acceptor
 from .eventlog import Delivery, Record
 from .learner import (MAJORITY, STRICT, Anomaly, Consensus, InstanceLedger, Learner, decide,
-                      verdict_fields)
+                      ledger_of, verdict_fields)
 from .membership import EmptyGroup, MembershipService
 from .messages import (
     Accepted,
@@ -27,7 +27,6 @@ from .messages import (
     Packet,
     Prepare,
     Promise,
-    format_value,
     packet_from_fields,
 )
 from .proposer import Proposer, Rounds
@@ -370,9 +369,11 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
     The log itself carries everything needed: Init for the group size and
     policy, Failure/Rejoin for membership tracking, Accepted deliveries to
     the learner for the ledgers, and each Verdict's membership/deadline
-    context fields. A record lacking a field replay reads, or holding a
-    malformed one (an Init whose group size or policy no scenario can
-    have, too), raises ValueError naming the record.
+    context fields. A live Delivery's fields are its parsed log text, and
+    logged verdict values are compared as str(), so live records and those
+    read back with read_log replay alike. A record lacking a field replay
+    reads, or holding a malformed one (an Init whose group size or policy no
+    scenario can have, too), raises ValueError naming the record.
     """
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
@@ -397,16 +398,14 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
             elif kind == "Rejoin":
                 alive.add(int(record.fields["node"]))
             elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
-                fields = _text_fields(record.fields)
+                fields = record.fields
                 packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
-                ledger = ledgers.setdefault(packet.request_id,
-                                            InstanceLedger(request_id=packet.request_id))
-                ledger.record(packet)
+                ledger_of(ledgers, packet.request_id).record(packet)
             elif kind == "Verdict":
-                fields = _text_fields(record.fields)
+                fields = record.fields
                 rid = int(fields["req"])
                 membership_size = int(fields["membership"])
-                ledger = ledgers.setdefault(rid, InstanceLedger(request_id=rid))
+                ledger = ledger_of(ledgers, rid)
                 verdict = decide(ledger, max(1, membership_size), policy)
                 ledger.verdict = verdict
                 checked += 1
@@ -414,7 +413,7 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
                     diffs.append(f"req {rid}: logged membership {membership_size} "
                                  f"!= tracked {len(alive)}")
                 expected = {"verdict": verdict.kind, **verdict_fields(verdict)}
-                actual = {k: fields[k] for k in expected if k in fields}
+                actual = {k: str(fields[k]) for k in expected if k in fields}
                 if expected != actual:
                     diffs.append(f"req {rid}: recomputed {expected} != logged {actual}")
     except (KeyError, ValueError) as exc:
@@ -422,14 +421,4 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
         raise ValueError(f"time={record.time} seq={record.seq} kind={record.kind}: "
                          f"{problem}") from exc
     return checked, diffs
-
-
-def _text_fields(fields: dict) -> dict[str, str]:
-    """A record's fields in their log-text form, as read_log would return them.
-
-    Live records carry typed values (int, bool, ProposalNumber), which render
-    as bare, unquoted text; records read from a file already hold text, which
-    passes through unchanged.
-    """
-    return {k: v if isinstance(v, str) else format_value(v) for k, v in fields.items()}
 

@@ -78,6 +78,14 @@ class InstanceLedger:
         return True
 
 
+def ledger_of(ledgers: dict[int, InstanceLedger], request_id: int) -> InstanceLedger:
+    """The slot's ledger in ledgers, built on the slot's first lookup."""
+    ledger = ledgers.get(request_id)
+    if ledger is None:
+        ledger = ledgers[request_id] = InstanceLedger(request_id)
+    return ledger
+
+
 def _highest_round_reports(reports: dict[NodeId, ReplicaReport]) -> dict[NodeId, ReplicaReport]:
     top = max(r.n for r in reports.values())
     return {node: r for node, r in reports.items() if r.n == top}
@@ -134,11 +142,8 @@ class Learner:
         self.on_verdict = on_verdict
         self.ledgers: dict[int, InstanceLedger] = {}
 
-    def ledger(self, request_id: int) -> InstanceLedger:
-        return self.ledgers.setdefault(request_id, InstanceLedger(request_id=request_id))
-
     def on_accepted(self, a: Accepted, now: int) -> None:
-        ledger = self.ledger(a.request_id)
+        ledger = ledger_of(self.ledgers, a.request_id)
         ledger.record(a)
         if ledger.reports and ledger.first_report_time is None:
             ledger.first_report_time = now
@@ -147,7 +152,7 @@ class Learner:
             self._decide(ledger, deadline_reached=False)
 
     def on_deadline(self, request_id: int) -> None:
-        ledger = self.ledger(request_id)
+        ledger = ledger_of(self.ledgers, request_id)
         if ledger.verdict is None:
             self._decide(ledger, deadline_reached=True)
 

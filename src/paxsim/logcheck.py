@@ -40,7 +40,7 @@ def check_proposal_numbers(records: Iterable[Record | Delivery]) -> list[str]:
         elif record.kind == "Promise":
             fields = record.fields  # built on each read for a live Delivery
             to = int(fields["to"])
-            observed[to].add(ProposalNumber.parse(str(fields["n"])).round)
+            observed[to].add(ProposalNumber.parse(fields["n"]).round)
             if "last" in fields:
-                observed[to].add(ProposalNumber.parse(str(fields["last"])).round)
+                observed[to].add(ProposalNumber.parse(fields["last"]).round)
     return problems

@@ -130,28 +130,13 @@ def parse_fields(text: str) -> dict[str, str]:
             for key, token in _FIELD.findall(text)}
 
 
-def packet_fields(packet: Packet) -> dict[str, object]:
-    """Ordered log fields for a packet, excluding transport addressing."""
-    if isinstance(packet, (Prepare, AcceptRequest)):
-        return {"epoch": packet.epoch, "n": packet.n, "req": packet.request.request_id,
-                "payload": packet.request.payload}
-    if isinstance(packet, Promise):
-        fields: dict[str, object] = {"n": packet.n}
-        if packet.last_served is not None:
-            fields["last"] = packet.last_served
-        return fields
-    if isinstance(packet, Accepted):
-        return {"n": packet.n, "req": packet.request_id, "output": packet.output,
-                "state": packet.new_state}
-    if isinstance(packet, Heartbeat):
-        return {"hb_seq": packet.seq}
-    if isinstance(packet, ClientResponse):
-        return {"req": packet.request_id, "output": packet.output}
-    raise TypeError(f"not a packet: {packet!r}")
+def packet_fields(packet: Packet) -> dict[str, str]:
+    """Ordered log fields for a packet, excluding transport addressing: its parsed log text."""
+    return parse_fields(packet_text(packet))
 
 
 def packet_text(packet: Packet) -> str:
-    """The log text of packet_fields(packet), rendered with one format per packet kind."""
+    """A packet's log text, excluding transport addressing, with one format per packet kind."""
     cls = type(packet)
     if cls is Accepted:
         return (f"n={packet.n} req={packet.request_id} output={_quote_text(packet.output)} "
@@ -171,7 +156,7 @@ def packet_text(packet: Packet) -> str:
 
 
 def packet_from_fields(kind: str, fields: dict[str, str], sender: NodeId) -> Packet:
-    """Rebuild a packet value from parsed log fields. Inverse of packet_fields."""
+    """Rebuild a packet value from parsed log fields. Inverse of packet_text."""
     if kind in ("Prepare", "AcceptRequest"):
         cls = Prepare if kind == "Prepare" else AcceptRequest
         return cls(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from paxsim import load_scenario, parse_scenario, run
-from paxsim.eventlog import dump_records, read_log, write_log
+from paxsim.eventlog import Delivery, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 from test_harness import COMPROMISE, MIXED_ROUND
@@ -151,7 +151,7 @@ def test_log_matches_its_golden_digest(name, seed):
 
 @pytest.mark.parametrize("name, seed", list(GOLDEN))
 def test_live_records_and_their_log_file_agree(tmp_path, name, seed):
-    # Live deliveries hold packets; records read back hold text fields.
+    # Live deliveries hold packets, records read back hold text; both read as the same fields.
     live = golden_run(name, seed).records
     path = tmp_path / "run.log"
     write_log(live, path)
@@ -159,6 +159,8 @@ def test_live_records_and_their_log_file_agree(tmp_path, name, seed):
     assert replay_verdicts(live) == replay_verdicts(from_file)
     assert check_proposal_numbers(live) == check_proposal_numbers(from_file)
     assert dump_records(from_file) == dump_records(live)
+    deliveries = [i for i, record in enumerate(live) if type(record) is Delivery]
+    assert deliveries and all(live[i].fields == from_file[i].fields for i in deliveries)
 
 
 @pytest.mark.parametrize("name, seed", list(GOLDEN_REPORTS))

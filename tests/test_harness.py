@@ -11,6 +11,7 @@ from paxsim import cli, load_scenario, parse_scenario, run
 from paxsim.eventlog import dump_records, parse_record, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
+from paxsim.messages import ProposalNumber
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -56,7 +57,7 @@ def test_baseline_packet_accounting():
         if record.kind in ("Prepare", "AcceptRequest", "Accepted"):
             per_request[int(record.fields["req"])][record.kind] += 1
         elif record.kind == "Promise":
-            promise_counts[record.fields["n"].round] += 1
+            promise_counts[ProposalNumber.parse(record.fields["n"]).round] += 1
     for rid, counts in per_request.items():
         assert counts["Prepare"] == 5, (rid, counts)
         assert counts["AcceptRequest"] == 5
@@ -228,7 +229,7 @@ def test_crash_at_time_zero_precedes_every_delivery_to_the_node():
     records = run(parse_scenario(FAULTS)).records
     crash = next(i for i, r in enumerate(records) if r.kind == "Crash")
     assert (records[crash].time, records[crash].fields) == (0, {"node": 1})
-    to_node = [(i, r.kind) for i, r in enumerate(records) if r.fields.get("to") == 1]
+    to_node = [(i, r.kind) for i, r in enumerate(records) if str(r.fields.get("to")) == "1"]
     assert to_node and all(i > crash and kind == "DiscardCrashed" for i, kind in to_node)
 
 

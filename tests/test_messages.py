@@ -130,6 +130,7 @@ def test_delivery_renders_as_its_fields_do(time, seq, packet, src, dst):
     delivery = Delivery(time=time, seq=seq, packet=packet, src=src, dst=dst)
     generic = Record(time=time, seq=seq, kind=delivery.kind, fields=delivery.fields)
     assert format_record(delivery) == format_record(generic)
+    assert delivery.fields == parse_record(format_record(delivery)).fields
 
 
 def reference_parse_fields(text):
