@@ -7,17 +7,30 @@ The format is fixed so that two runs can be compared byte for byte.
 
 A live delivery is a ``Delivery``, its packet plus addressing, rendered only
 when the log is written; its fields are that text parsed, as ``read_log``
-returns them. Every other record, and every record read back from a file,
-is a ``Record`` with a field mapping.
+returns them. Every other live record is a ``Record`` with a field mapping.
+A record read back from a file is a ``LineRecord``: its time, seq and kind
+are parsed at read, and its other fields are kept as text and parsed on
+each read of ``fields``; a line that ``write_log`` would not have written
+that way is parsed whole into a ``Record``. Reading checks every line's
+head and quoted values either way, so a malformed line fails at read even
+if no reader opens its fields.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from .messages import NodeId, Packet, format_value, packet_fields, packet_text, parse_fields
+from .messages import (_FIELD, NodeId, Packet, format_value, packet_fields, packet_text,
+                       parse_fields)
+
+# A line's head as write_log renders it. A head that differs, or a tail that
+# may hold a head key again (the later one wins), takes the full-line parse.
+_HEAD = re.compile(r"time=([0-9]+) seq=([0-9]+) kind=(\w+)(?=\s|\Z)")
+_HEAD_KEY = re.compile(r"(?<!\w)(?:time|seq|kind)=")
 
 
 @dataclass(slots=True)
@@ -48,7 +61,22 @@ class Delivery:
         return {"from": str(self.src), "to": str(self.dst), **packet_fields(self.packet)}
 
 
-def format_record(record: Record | Delivery) -> str:
+@dataclass(slots=True)
+class LineRecord:
+    """A record read back from a log line: its head parsed, its other fields kept as text."""
+
+    time: int
+    seq: int
+    kind: str
+    tail: str
+
+    @property
+    def fields(self) -> dict:
+        """The line's fields after kind, parsed on each read."""
+        return parse_fields(self.tail)
+
+
+def format_record(record: Record | Delivery | LineRecord) -> str:
     if type(record) is Delivery:
         return (f"time={record.time} seq={record.seq} kind={record.packet.kind} "
                 f"from={record.src} to={record.dst} {packet_text(record.packet)}")
@@ -57,7 +85,23 @@ def format_record(record: Record | Delivery) -> str:
     return " ".join(parts)
 
 
-def parse_record(line: str) -> Record:
+def parse_record(line: str) -> Record | LineRecord:
+    """Parse one log line, as a LineRecord when its head is as write_log renders it.
+
+    A missing time, seq or kind raises KeyError; a head value that is not an
+    integer, or a quoted value that is not valid JSON, raises ValueError.
+    """
+    head = _HEAD.match(line)
+    if head:
+        tail = line[head.end():]
+        # The substring tests keep the key regex off most lines.
+        if not (("time=" in tail or "seq=" in tail or "kind=" in tail)
+                and _HEAD_KEY.search(tail)):
+            if '"' in tail:  # check each quoted value as parse_fields would decode it
+                for _, token in _FIELD.findall(tail):
+                    if token[0] == '"':
+                        json.loads(token)
+            return LineRecord(int(head[1]), int(head[2]), head[3], tail)
     fields = parse_fields(line)
     time = int(fields.pop("time"))
     seq = int(fields.pop("seq"))
@@ -65,7 +109,7 @@ def parse_record(line: str) -> Record:
     return Record(time=time, seq=seq, kind=kind, fields=fields)
 
 
-def dump_records(records: Iterable[Record]) -> str:
+def dump_records(records: Iterable[Record | Delivery | LineRecord]) -> str:
     return "".join(format_record(r) + "\n" for r in records)
 
 
@@ -79,7 +123,7 @@ def write_log(records: Iterable[Record], path) -> None:
             fh.write(text)
 
 
-def read_log(path) -> list[Record]:
+def read_log(path) -> list[Record | LineRecord]:
     """Parse a UTF-8 log file; a malformed line raises ValueError naming its 1-based number."""
     with open(path, "r", encoding="utf-8") as fh:
         try:

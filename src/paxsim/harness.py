@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 from .acceptor import Acceptor
-from .eventlog import Delivery, Record
+from .eventlog import Delivery, LineRecord, Record
 from .learner import (MAJORITY, STRICT, Anomaly, Consensus, InstanceLedger, Learner, decide,
                       ledger_of, verdict_fields)
 from .membership import EmptyGroup, MembershipService
@@ -362,7 +362,7 @@ def run(scenario: Scenario, seed: int | None = None) -> RunResult:
     return ClusterRun(scenario, seed=seed).run()
 
 
-def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
+def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int, list[str]]:
     """Re-derive every Verdict record from the log and diff against it.
 
     Returns (number of verdicts checked, list of mismatch descriptions).
@@ -397,10 +397,11 @@ def replay_verdicts(records: list[Record | Delivery]) -> tuple[int, list[str]]:
                 alive.discard(int(record.fields["node"]))
             elif kind == "Rejoin":
                 alive.add(int(record.fields["node"]))
-            elif kind == "Accepted" and int(record.fields["to"]) == learner_id:
+            elif kind == "Accepted":
                 fields = record.fields
-                packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
-                ledger_of(ledgers, packet.request_id).record(packet)
+                if int(fields["to"]) == learner_id:
+                    packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
+                    ledger_of(ledgers, packet.request_id).record(packet)
             elif kind == "Verdict":
                 fields = record.fields
                 rid = int(fields["req"])

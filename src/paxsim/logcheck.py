@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-from .eventlog import Delivery, Record
+from .eventlog import Delivery, LineRecord, Record
 from .messages import ProposalNumber
 
 
-def check_proposal_numbers(records: Iterable[Record | Delivery]) -> list[str]:
+def check_proposal_numbers(records: Iterable[Record | Delivery | LineRecord]) -> list[str]:
     """Return a list of violations; empty means the log is clean."""
     problems: list[str] = []
     last_round: dict[int, int] = {}
@@ -23,8 +23,9 @@ def check_proposal_numbers(records: Iterable[Record | Delivery]) -> list[str]:
 
     for record in records:
         if record.kind in ("Propose", "Repropose"):
-            proposer = int(record.fields["from"])
-            round_ = ProposalNumber.parse(str(record.fields["n"])).round
+            fields = record.fields  # parsed on each read for a LineRecord
+            proposer = int(fields["from"])
+            round_ = ProposalNumber.parse(str(fields["n"])).round
             if proposer in last_round and round_ <= last_round[proposer]:
                 problems.append(
                     f"t={record.time}: proposer {proposer} round {round_} "
@@ -38,7 +39,7 @@ def check_proposal_numbers(records: Iterable[Record | Delivery]) -> list[str]:
             last_round[proposer] = round_
             observed[proposer].add(round_)
         elif record.kind == "Promise":
-            fields = record.fields  # built on each read for a live Delivery
+            fields = record.fields  # built on each read for a Delivery or a LineRecord
             to = int(fields["to"])
             observed[to].add(ProposalNumber.parse(fields["n"]).round)
             if "last" in fields:

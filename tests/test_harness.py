@@ -539,6 +539,19 @@ def test_cli_replay_names_a_malformed_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_replay_names_a_bad_quoted_value_in_a_record_replay_never_reads(tmp_path, capsys):
+    log_path = tmp_path / "bad.log"
+    write_log(baseline_result().records, log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if "kind=Prepare" in line)
+    lines[at] = re.sub(r'payload="[^"]*"', r'payload="GET \\q"', lines[at])
+    log_path.write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert re.match(rf"invalid log: line {at + 1}: Invalid \\escape: ", captured.err)
+    assert captured.out == ""
+
+
 def test_cli_replay_names_an_undecodable_line(tmp_path, capsys):
     log_path = tmp_path / "bad.log"
     records = baseline_result().records

@@ -1,10 +1,10 @@
-"""Proposal ordering, packet log-form round trips and the per-kind delivery renderer."""
+"""Proposal ordering, packet log-form round trips, delivery rendering and lazy record parsing."""
 
 import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from paxsim.eventlog import Delivery, Record, format_record, parse_record
 from paxsim.messages import (
@@ -175,3 +175,52 @@ def test_parse_fields_matches_reference_on_records(fields):
     assert parse_fields(line) == reference_parse_fields(line)
     assert parse_record(line).fields == {k: v if isinstance(v, str) else str(v)
                                          for k, v in fields.items()}
+
+
+def reference_parse_record(line):
+    """The full-line parse that parse_record replaced: every field parsed at read."""
+    fields = parse_fields(line)
+    return Record(time=int(fields.pop("time")), seq=int(fields.pop("seq")),
+                  kind=fields.pop("kind"), fields=fields)
+
+
+def record_outcome(parse, line):
+    try:
+        record = parse(line)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return record.time, record.seq, record.kind, record.fields
+
+
+head_values = st.one_of(st.integers(0, 10**6).map(str), awkward_text,
+                        st.sampled_from(["-1", "+2", "007", "1_0", "١٢", '"3"', "", "x"]))
+odd_values = st.sampled_from(['"bad \\q"', '"\\u12"', '"open', '"tab\there"', '"nul\x00"',
+                              '"ok"', '"\\n\\"x\\""', 'a"b"', '"x time=1"'])
+head_fields = st.builds("{}={}".format, st.sampled_from(["time", "seq", "kind"]),
+                        st.one_of(head_values, odd_values))
+written_heads = st.builds("time={} seq={} kind={}".format, st.integers(0, 10**6),
+                          st.integers(0, 10**6),
+                          st.sampled_from(["Accepted", "Prepare", "Horizon", "K_2", "漢"]))
+record_heads = st.one_of(written_heads, st.builds(
+    "{}{}".format, st.sampled_from(["", " ", "\t"]),
+    st.one_of(st.builds("time={} seq={} kind={}".format, head_values, head_values, head_values),
+              line_text)))
+tail_fields = st.builds("{}={}".format, field_keys, st.one_of(head_values, odd_values))
+record_tails = st.lists(st.one_of(
+    tail_fields,
+    st.builds("{}{}".format, st.sampled_from(["", "\t", ",", '"']), head_fields),
+    line_text), max_size=5).map(lambda parts: "".join(" " + part for part in parts))
+
+
+@given(record_heads, record_tails, st.sampled_from(["", "\n", " \n"]))
+@example("time=1 seq=2 kind=Prepare", ' from=0 payload="bad \\q"', "\n")
+@example("time=1 seq=2 kind=Verdict", " req=0 time=9 seq=8 kind=Other", "\n")
+@example("time=1 seq=2 kind=Heartbeat", " hb_seq=3 x=a,seq=4", "")
+@example(" time=1 seq=2 kind=Accepted", " to=5", "\n")
+@example("time=1 seq=2 kind=Accepted,", " to=5", "\n")
+@example('time="3" seq=2 kind=Init', "", "\n")
+@example("time=1 seq=2 kind=Prepare\x1cpayload=\"\\q\"", "", "\n")
+def test_parse_record_matches_the_full_line_parse(head, tail, end):
+    # Lazy fields parse only the head at read; the outcome must not tell the difference.
+    line = head + tail + end
+    assert record_outcome(parse_record, line) == record_outcome(reference_parse_record, line)
