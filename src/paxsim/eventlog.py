@@ -8,29 +8,29 @@ The format is fixed so that two runs can be compared byte for byte.
 A live delivery is a ``Delivery``, its packet plus addressing, rendered only
 when the log is written; its fields are that text parsed, as ``read_log``
 returns them. Every other live record is a ``Record`` with a field mapping.
-A record read back from a file is a ``LineRecord``: its time, seq and kind
-are parsed at read, and its other fields are kept as text and parsed on
-each read of ``fields``; a line that ``write_log`` would not have written
-that way is parsed whole into a ``Record``. Reading checks every line's
-head and quoted values either way, so a malformed line fails at read even
-if no reader opens its fields.
+Reading a line takes one of two routes. A line in the grammar ``write_log``
+writes (``_LINE``) becomes a ``LineRecord``: its time, seq and kind are
+parsed at read, and its other fields are kept as text and parsed on each
+read of ``fields``. Any other line is parsed whole into a ``Record``, which
+checks its head and every quoted value, so a malformed line fails at read
+even if no reader opens its fields.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from .messages import (_FIELD, NodeId, Packet, format_value, packet_fields, packet_text,
-                       parse_fields)
+from .messages import NodeId, Packet, format_value, packet_fields, packet_text, parse_fields
 
-# A line's head as write_log renders it. A head that differs, or a tail that
-# may hold a head key again (the later one wins), takes the full-line parse.
-_HEAD = re.compile(r"time=([0-9]+) seq=([0-9]+) kind=(\w+)(?=\s|\Z)")
-_HEAD_KEY = re.compile(r"(?<!\w)(?:time|seq|kind)=")
+# The grammar of a line as write_log writes it: the head, then fields whose
+# key is no head key again (the later one would win), each value bare or
+# quoted without escapes or control characters, which is always valid JSON.
+# Such a line tokenizes as the full-line parse does and passes all its checks.
+_LINE = re.compile(r'time=([0-9]+) seq=([0-9]+) kind=(\w+)'
+                   r'((?: (?!(?:time|seq|kind)=)\w+=(?:"[^"\\\x00-\x1f]*"|[^\s"]+))*)\n?')
 
 
 @dataclass(slots=True)
@@ -86,22 +86,13 @@ def format_record(record: Record | Delivery | LineRecord) -> str:
 
 
 def parse_record(line: str) -> Record | LineRecord:
-    """Parse one log line, as a LineRecord when its head is as write_log renders it.
+    """Parse one log line: a LineRecord if it is in _LINE's grammar, else a Record.
 
     A missing time, seq or kind raises KeyError; a head value that is not an
     integer, or a quoted value that is not valid JSON, raises ValueError.
     """
-    head = _HEAD.match(line)
-    if head:
-        tail = line[head.end():]
-        # The substring tests keep the key regex off most lines.
-        if not (("time=" in tail or "seq=" in tail or "kind=" in tail)
-                and _HEAD_KEY.search(tail)):
-            if '"' in tail:  # check each quoted value as parse_fields would decode it
-                for _, token in _FIELD.findall(tail):
-                    if token[0] == '"':
-                        json.loads(token)
-            return LineRecord(int(head[1]), int(head[2]), head[3], tail)
+    if written := _LINE.fullmatch(line):
+        return LineRecord(int(written[1]), int(written[2]), written[3], written[4])
     fields = parse_fields(line)
     time = int(fields.pop("time"))
     seq = int(fields.pop("seq"))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from paxsim import load_scenario, parse_scenario, run
-from paxsim.eventlog import Delivery, dump_records, read_log, write_log
+from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 from test_harness import COMPROMISE, MIXED_ROUND
@@ -156,6 +156,8 @@ def test_live_records_and_their_log_file_agree(tmp_path, name, seed):
     path = tmp_path / "run.log"
     write_log(live, path)
     from_file = read_log(path)
+    # Every line write_log writes here is in the fast-path grammar.
+    assert all(type(record) is LineRecord for record in from_file)
     assert replay_verdicts(live) == replay_verdicts(from_file)
     assert check_proposal_numbers(live) == check_proposal_numbers(from_file)
     assert dump_records(from_file) == dump_records(live)

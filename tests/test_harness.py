@@ -1,5 +1,6 @@
 """Whole-cluster runs: packet accounting, fault handling, replay, CLI."""
 
+import json
 import re
 from collections import Counter
 from dataclasses import replace
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from paxsim import cli, load_scenario, parse_scenario, run
-from paxsim.eventlog import dump_records, parse_record, read_log, write_log
+from paxsim.eventlog import LineRecord, Record, dump_records, parse_record, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 from paxsim.messages import ProposalNumber
@@ -162,6 +163,20 @@ def test_log_file_roundtrip_is_lossless(tmp_path):
     log_path = tmp_path / "run.log"
     write_log(result.records, log_path)
     assert dump_records(read_log(log_path)) == dump_records(result.records)
+
+
+def test_lines_with_json_escapes_take_the_full_line_parse(tmp_path):
+    payload = json.dumps('say "hi" \\ é\t')  # a YAML double-quoted string too
+    scenario = parse_scenario(COMPROMISE.replace('"q1"', payload))
+    log_path = tmp_path / "escaped.log"
+    write_log(run(scenario).records, log_path)
+    text = log_path.read_text(encoding="utf-8")
+    records = read_log(log_path)
+    assert [type(record) for record in records] == [
+        Record if "\\" in line else LineRecord for line in text.splitlines()]
+    assert Record in map(type, records)
+    assert dump_records(records) == text
+    assert cli.main(["replay", "--log", str(log_path)]) == 0
 
 
 def test_write_log_in_small_chunks_writes_the_same_bytes(tmp_path, monkeypatch):

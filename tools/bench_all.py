@@ -5,7 +5,8 @@
 Runs ``bench/run.py`` once per workload (stream, lossy, sweep), one after
 another, and keeps the JSON line each run prints last. Beside them it
 records the source line count, as ``wc -l src/paxsim/*.py`` gives it, and
-the Python version. Exits 1 if a run fails, without writing the file.
+the Python version. Exits 1 if a run fails or its last line of output is not
+JSON, without writing the file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ def bench(workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    try:
+        return json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, ValueError):  # no output, or a last line that is not JSON
+        raise RuntimeError(f"{workload}: the run's last line of output is not JSON") from None
 
 
 def source_lines() -> dict:
