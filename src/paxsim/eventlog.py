@@ -7,7 +7,10 @@ The format is fixed so that two runs can be compared byte for byte.
 
 A live delivery is a ``Delivery``, its packet plus addressing, rendered only
 when the log is written; its fields are that text parsed, as ``read_log``
-returns them. Every other live record is a ``Record`` with a field mapping.
+returns them. A broadcast delivers one packet object to several nodes, so
+``dump_records`` renders each packet object's text once per call, however
+many recipients it has. Every other live record is a ``Record`` with a field
+mapping.
 Reading a line takes one of two routes. A line in the grammar ``write_log``
 writes (``_LINE``) becomes a ``LineRecord``: its time, seq and kind are
 parsed at read, and its other fields are kept as text and parsed on each
@@ -76,10 +79,13 @@ class LineRecord:
         return parse_fields(self.tail)
 
 
-def format_record(record: Record | Delivery | LineRecord) -> str:
+def format_record(record: Record | Delivery | LineRecord, text: str | None = None) -> str:
+    """One log line, without its newline; text, if given, is a Delivery's packet_text."""
     if type(record) is Delivery:
+        if text is None:
+            text = packet_text(record.packet)
         return (f"time={record.time} seq={record.seq} kind={record.packet.kind} "
-                f"from={record.src} to={record.dst} {packet_text(record.packet)}")
+                f"from={record.src} to={record.dst} {text}")
     parts = [f"time={record.time}", f"seq={record.seq}", f"kind={record.kind}"]
     parts.extend(f"{key}={format_value(value)}" for key, value in record.fields.items())
     return " ".join(parts)
@@ -101,7 +107,21 @@ def parse_record(line: str) -> Record | LineRecord:
 
 
 def dump_records(records: Iterable[Record | Delivery | LineRecord]) -> str:
-    return "".join(format_record(r) + "\n" for r in records)
+    """The records' lines, each packet object's text rendered once for all its deliveries."""
+    # id(packet) -> (packet, text): holding the packet keeps its id from being
+    # reused within the call, even when records is a generator of new values.
+    rendered: dict[int, tuple[Packet, str]] = {}
+    lines = []
+    for record in records:
+        text = None
+        if type(record) is Delivery:
+            packet = record.packet
+            if (entry := rendered.get(id(packet))) is None:
+                entry = rendered[id(packet)] = (packet, packet_text(packet))
+            text = entry[1]
+        lines.append(format_record(record, text))
+    lines.append("")  # so that the join ends the last line too
+    return "\n".join(lines)
 
 
 WRITE_CHUNK = 4096  # records formatted per write: the whole log's text is never held

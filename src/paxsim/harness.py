@@ -312,7 +312,9 @@ class ClusterRun:
             verdicts.append({"request_id": request.request_id, "verdict": verdict.kind,
                              **_report_fields(verdict)})
         verdict_kinds = Counter(entry["verdict"].lower() for entry in verdicts)
-        record_kinds = Counter(record.kind for record in self.sim.records)
+        # A delivery's kind is a packet kind, never one counted here.
+        record_kinds = Counter(record.kind for record in self.sim.records
+                               if type(record) is Record)
         counts = {kind: verdict_kinds[kind] for kind in ("consensus", "anomaly", "inconclusive")}
         counts.update(reproposals=record_kinds["Repropose"], elections=record_kinds["Election"],
                       drops=record_kinds["Drop"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 NodeId = int
 
@@ -107,10 +108,13 @@ Packet = Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientRespon
 
 
 def _quote_text(text: str) -> str:
-    """Free text as a log field value: bare when safe, JSON-quoted otherwise."""
+    """Free text as a log field value: bare when safe, JSON-quoted otherwise.
+
+    Quoting calls encode_basestring_ascii, where json.dumps(text, ensure_ascii=True) ends.
+    """
     if _BARE_VALUE.match(text):
         return text
-    return json.dumps(text, ensure_ascii=True)
+    return encode_basestring_ascii(text)
 
 
 def format_value(value) -> str:

@@ -11,7 +11,9 @@ Simulated time is integer-valued and all randomness flows from one seeded
 generator with a fixed draw order: draws happen only inside send(), first
 the loss draw, then (for surviving packets, when jitter > 0) the extra-delay
 draw. Identical (scenario, seed) pairs therefore produce byte-identical
-event logs.
+event logs. The extra delay is drawn as randint(0, jitter) draws it:
+getrandbits of (jitter + 1).bit_length() bits, redrawn while it exceeds
+jitter. send() makes those calls itself, so the stream is the same.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class Simulation:
     def __init__(self, config: NetConfig):
         self.base_delay = config.base_delay
         self.jitter = config.jitter
+        self._jitter_bits = (config.jitter + 1).bit_length()
         self.loss_rate = config.loss_rate
         self.rng = random.Random(config.seed)
         self.now = 0
@@ -75,7 +78,10 @@ class Simulation:
             return
         delay = self.base_delay
         if self.jitter > 0:
-            delay += self.rng.randint(0, self.jitter)
+            extra = self.rng.getrandbits(self._jitter_bits)
+            while extra > self.jitter:
+                extra = self.rng.getrandbits(self._jitter_bits)
+            delay += extra
         heappush(self._queue, (self.now + delay, self._seq, dst, packet, src))
         self._seq += 1
 

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from paxsim.eventlog import Delivery, Record, format_record, parse_record
+from paxsim.eventlog import Delivery, Record, dump_records, format_record, parse_record
 from paxsim.messages import (
     Accepted,
     AcceptRequest,
@@ -16,7 +16,9 @@ from paxsim.messages import (
     Prepare,
     Promise,
     ProposalNumber,
+    _BARE_VALUE,
     _FIELD,
+    _quote_text,
     packet_from_fields,
     parse_fields,
 )
@@ -131,6 +133,53 @@ def test_delivery_renders_as_its_fields_do(time, seq, packet, src, dst):
     generic = Record(time=time, seq=seq, kind=delivery.kind, fields=delivery.fields)
     assert format_record(delivery) == format_record(generic)
     assert delivery.fields == parse_record(format_record(delivery)).fields
+
+
+def line_by_line(records):
+    return "".join(format_record(r) + "\n" for r in records)
+
+
+def test_dump_records_renders_a_broadcast_packet_for_every_recipient():
+    n = ProposalNumber(4, 1)
+    prepare = Prepare(n=n, request=ClientRequest(3, "GET /item/7"), epoch=1)
+    accepted = Accepted(n=n, request_id=3, output="say \"ok\"", new_state="warn", sender=2)
+    records = [Delivery(time=1, seq=0, packet=prepare, src=1, dst=dst) for dst in (0, 2)]
+    records += [Record(time=1, seq=2, kind="Propose", fields={"req": 3, "payload": "a b"}),
+                Delivery(time=2, seq=3, packet=accepted, src=2, dst=1),
+                Delivery(time=2, seq=4, packet=prepare, src=1, dst=3),
+                Delivery(time=2, seq=5, packet=Heartbeat(sender=0, seq=9), src=0, dst=4),
+                Delivery(time=3, seq=6, packet=accepted, src=2, dst=5)]
+    assert dump_records(records) == line_by_line(records)
+    assert dump_records(records).count("kind=Prepare from=1") == 3
+    assert dump_records([]) == ""
+
+
+def test_dump_records_renders_new_packets_freed_after_each_line():
+    # Each packet lives only as long as its Delivery unless dump_records holds
+    # it; a freed packet's id is soon reused by the next one, so a memo keyed
+    # by id alone would render a stale text.
+    def deliveries():
+        for seq in range(200):
+            yield Delivery(time=seq, seq=seq, packet=Heartbeat(sender=0, seq=seq), src=0, dst=1)
+
+    assert dump_records(deliveries()) == line_by_line(deliveries())
+
+
+quotable_text = st.text(alphabet=st.one_of(
+    st.characters(codec=None),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),  # lone surrogates
+    st.characters(max_codepoint=0x1F),
+    st.sampled_from('"\\\x7f é漢😀 =:*,./-_'),
+    st.sampled_from("aZ09")), max_size=30)
+
+
+@given(quotable_text)
+@example("\ud83d")
+@example('"\\\x00\u2028')
+@example("GET/item:7,a*b")
+def test_quote_text_is_bare_or_json_dumps(text):
+    expected = text if _BARE_VALUE.match(text) else json.dumps(text, ensure_ascii=True)
+    assert _quote_text(text) == expected
 
 
 def reference_parse_fields(text):

@@ -1,5 +1,7 @@
 """Event loop ordering, seeded loss/delay, and crashed-node handling."""
 
+import random
+
 import pytest
 
 from paxsim.eventlog import dump_records
@@ -150,3 +152,24 @@ def test_monotone_watermark_over_records():
     stamps = [(r.time, r.seq) for r in sim.records]
     assert stamps == sorted(stamps)
     assert len({seq for _, seq in stamps}) == len(stamps)
+
+
+@pytest.mark.parametrize("jitter", [1, 2, 3, 7, 10, 25])
+def test_jitter_draws_are_those_of_randint(jitter):
+    # send() draws the extra delay with getrandbits itself; the delays, the
+    # drops and the generator's state after must be those of random() then
+    # randint(0, jitter) on a reference generator.
+    for seed in (0, 5, 97, 20120611):
+        for loss_rate in (0.0, 0.1, 0.5):
+            sim, nodes = make_sim(seed=seed, base_delay=2, jitter=jitter, loss_rate=loss_rate)
+            for i in range(200):
+                sim.send(Heartbeat(sender=0, seq=i), 0, 1)
+            sim.run_to_quiescence()
+            reference = random.Random(seed)
+            expected = {}
+            for i in range(200):
+                if reference.random() >= loss_rate:
+                    expected[i] = 2 + reference.randint(0, jitter)
+            assert {packet.seq: now for now, packet, _ in nodes[1].packets} == expected
+            assert sum(r.kind == "Drop" for r in sim.records) == 200 - len(expected)
+            assert sim.rng.getstate() == reference.getstate()
