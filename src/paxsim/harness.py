@@ -180,8 +180,7 @@ class ClusterRun:
             on_election=self._on_election)
         infra_bus = NodeBus(self.sim, self.learner_id)
         self.learner = Learner(
-            node_id=self.learner_id, client_id=self.client_id,
-            membership_view=self.membership.view, bus=infra_bus,
+            client_id=self.client_id, membership_view=self.membership.view, bus=infra_bus,
             policy=scenario.anomaly_policy,
             instance_deadline=scenario.timing.instance_deadline, on_verdict=self._on_verdict)
         self.replicas = [Replica(i, scenario, self.sim, self.learner_id) for i in range(n)]
@@ -375,7 +374,8 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
     logged verdict values are compared as str(), so live records and those
     read back with read_log replay alike. A record lacking a field replay
     reads, or holding a malformed one (an Init whose group size or policy no
-    scenario can have, too), raises ValueError naming the record.
+    scenario can have, or a Failure/Rejoin of a node outside the group, too),
+    raises ValueError naming the record.
     """
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
@@ -392,13 +392,17 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
         if policy not in (STRICT, MAJORITY):
             raise ValueError(f"policy: expected strict or majority, got {policy!r}")
         learner_id = n
-        alive = set(range(n))
+        departed: set[int] = set()  # not the alive set: that would grow with the n the log claims
         for record in records:
             kind = record.kind
-            if kind == "Failure":
-                alive.discard(int(record.fields["node"]))
-            elif kind == "Rejoin":
-                alive.add(int(record.fields["node"]))
+            if kind == "Failure" or kind == "Rejoin":
+                node = int(record.fields["node"])
+                if not 0 <= node < n:
+                    raise ValueError(f"node: expected 0..{n - 1}, got {node}")
+                if kind == "Failure":
+                    departed.add(node)
+                else:
+                    departed.discard(node)
             elif kind == "Accepted":
                 fields = record.fields
                 if int(fields["to"]) == learner_id:
@@ -412,9 +416,10 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
                 verdict = decide(ledger, max(1, membership_size), policy)
                 ledger.verdict = verdict
                 checked += 1
-                if membership_size != len(alive):
+                tracked = n - len(departed)
+                if membership_size != tracked:
                     diffs.append(f"req {rid}: logged membership {membership_size} "
-                                 f"!= tracked {len(alive)}")
+                                 f"!= tracked {tracked}")
                 expected = {"verdict": verdict.kind, **verdict_fields(verdict)}
                 actual = {k: str(fields[k]) for k in expected if k in fields}
                 if expected != actual:

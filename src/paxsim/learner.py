@@ -5,8 +5,9 @@ once every believed-alive member has reported or the slot's deadline
 expires. Replicas are compared on (output, new state) jointly, restricted
 to the highest proposal number present. Any divergence is an anomaly under
 the default strict policy; the majority policy instead sides with the
-largest agreeing group when that group is a majority, still flagging the
-dissenters in a report.
+largest agreeing group when that group is a majority. Under either policy a
+divergent slot first logs an AnomalyReport: the strict verdict's dissenting
+and states fields, as verdict_fields renders them, plus the top-round outputs.
 """
 
 from __future__ import annotations
@@ -14,18 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .messages import Accepted, ClientResponse, NodeId, ProposalNumber
+from .messages import Accepted, ClientResponse, NodeId
 from .proposer import majority_threshold
 
 STRICT = "strict"
 MAJORITY = "majority"
-
-
-@dataclass(frozen=True, slots=True)
-class ReplicaReport:
-    n: ProposalNumber
-    output: str
-    new_state: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +53,7 @@ Verdict = Consensus | Anomaly | Inconclusive
 @dataclass
 class InstanceLedger:
     request_id: int
-    reports: dict[NodeId, ReplicaReport] = field(default_factory=dict)
+    reports: dict[NodeId, Accepted] = field(default_factory=dict)  # each sender's latest
     verdict: Verdict | None = None
     first_report_time: int | None = None
 
@@ -74,7 +68,7 @@ class InstanceLedger:
         existing = self.reports.get(a.sender)
         if existing is not None and a.n <= existing.n:
             return False
-        self.reports[a.sender] = ReplicaReport(n=a.n, output=a.output, new_state=a.new_state)
+        self.reports[a.sender] = a
         return True
 
 
@@ -86,12 +80,7 @@ def ledger_of(ledgers: dict[int, InstanceLedger], request_id: int) -> InstanceLe
     return ledger
 
 
-def _highest_round_reports(reports: dict[NodeId, ReplicaReport]) -> dict[NodeId, ReplicaReport]:
-    top = max(r.n for r in reports.values())
-    return {node: r for node, r in reports.items() if r.n == top}
-
-
-def _groups(top: dict[NodeId, ReplicaReport]) -> list[tuple[tuple[str, str], list[NodeId]]]:
+def _groups(top: dict[NodeId, Accepted]) -> list[tuple[tuple[str, str], list[NodeId]]]:
     """Group nodes by (output, state) pair; largest first, ties toward the
     lexicographically smallest state name (then output)."""
     by_pair: dict[tuple[str, str], list[NodeId]] = {}
@@ -107,20 +96,18 @@ def decide(ledger: InstanceLedger, membership_size: int, policy: str = STRICT) -
     if not ledger.reports:
         return Inconclusive(received=0, needed=needed)
 
-    top = _highest_round_reports(ledger.reports)
+    highest = max(a.n for a in ledger.reports.values())
+    top = {node: a for node, a in ledger.reports.items() if a.n == highest}
     groups = _groups(top)
-    if len(groups) >= 2:
-        (pair, winners), rest = groups[0], groups[1:]
-        if policy == MAJORITY and len(winners) >= needed:
-            return Consensus(output=pair[0], state=pair[1])
-        dissenting = frozenset(n for _, nodes in rest for n in nodes)
-        states = Counter(r.new_state for r in top.values())
-        return Anomaly(agreeing=frozenset(winners), dissenting=dissenting,
-                       states_seen=tuple(sorted(states.items())))
-    if len(top) >= needed:
-        pair = groups[0][0]
-        return Consensus(output=pair[0], state=pair[1])
-    return Inconclusive(received=len(top), needed=needed)
+    (output, state), winners = groups[0]
+    if len(winners) >= needed and (len(groups) == 1 or policy == MAJORITY):
+        return Consensus(output=output, state=state)
+    if len(groups) == 1:
+        return Inconclusive(received=len(top), needed=needed)
+    states = Counter(a.new_state for a in top.values())
+    return Anomaly(agreeing=frozenset(winners),
+                   dissenting=frozenset(n for _, nodes in groups[1:] for n in nodes),
+                   states_seen=tuple(sorted(states.items())))
 
 
 class Learner:
@@ -131,9 +118,8 @@ class Learner:
     per slot, after its verdict is sealed.
     """
 
-    def __init__(self, node_id: NodeId, client_id: NodeId, membership_view, bus,
-                 policy: str, instance_deadline: int, on_verdict):
-        self.id = node_id
+    def __init__(self, client_id: NodeId, membership_view, bus, policy: str,
+                 instance_deadline: int, on_verdict):
         self.client_id = client_id
         self.view = membership_view
         self.bus = bus
@@ -145,7 +131,7 @@ class Learner:
     def on_accepted(self, a: Accepted, now: int) -> None:
         ledger = ledger_of(self.ledgers, a.request_id)
         ledger.record(a)
-        if ledger.reports and ledger.first_report_time is None:
+        if ledger.first_report_time is None:
             ledger.first_report_time = now
             self.bus.set_timer(("deadline", a.request_id), self.instance_deadline)
         if ledger.verdict is None and ledger.reports.keys() >= self.view.alive:
@@ -162,16 +148,13 @@ class Learner:
         membership_size = max(1, len(self.view.alive))  # group may have emptied before a halt
         verdict = decide(ledger, membership_size, self.policy)
         ledger.verdict = verdict
-        if ledger.reports:
-            top = _highest_round_reports(ledger.reports)
-            groups = _groups(top)
-            if len(groups) >= 2:
-                dissenting = sorted(n for _, nodes in groups[1:] for n in nodes)
-                states = Counter(r.new_state for r in top.values())
-                outputs = Counter(r.output for r in top.values())
-                self.bus.log("AnomalyReport", req=ledger.request_id,
-                             dissenting=",".join(map(str, dissenting)),
-                             states=_counts_text(states), outputs=_counts_text(outputs))
+        dissent = verdict if self.policy == STRICT else decide(ledger, membership_size, STRICT)
+        if isinstance(dissent, Anomaly):
+            fields = verdict_fields(dissent)
+            top_round = dissent.agreeing | dissent.dissenting
+            outputs = Counter(ledger.reports[n].output for n in top_round)
+            self.bus.log("AnomalyReport", req=ledger.request_id, dissenting=fields["dissenting"],
+                         states=fields["states"], outputs=_counts_text(outputs))
         self.bus.log("Verdict", req=ledger.request_id, verdict=verdict.kind,
                      membership=membership_size, deadline=1 if deadline_reached else 0,
                      **verdict_fields(verdict))

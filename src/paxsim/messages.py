@@ -121,9 +121,7 @@ def format_value(value) -> str:
     """Render a field value for a log line; free text goes through _quote_text."""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, ProposalNumber):
+    if isinstance(value, (int, ProposalNumber)):
         return str(value)
     return _quote_text(str(value))
 

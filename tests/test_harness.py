@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -583,10 +584,11 @@ def test_cli_replay_names_an_undecodable_line(tmp_path, capsys):
     assert captured.out == ""
 
 
-def replay_error_after_edit(tmp_path, capsys, pattern, replacement):
-    """Edit the first log line matching pattern; return that record and replay's error."""
+def replay_error_after_edit(tmp_path, capsys, pattern, replacement, records=None):
+    """Edit the first log line matching pattern (of the baseline run's log, by default);
+    return that record and replay's error."""
     log_path = tmp_path / "bad.log"
-    write_log(baseline_result().records, log_path)
+    write_log(records or baseline_result().records, log_path)
     lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
     at = next(i for i, line in enumerate(lines) if re.search(pattern, line))
     record = parse_record(lines[at])
@@ -621,3 +623,29 @@ def test_cli_replay_names_an_init_no_scenario_can_have(tmp_path, capsys, pattern
     record, err = replay_error_after_edit(tmp_path, capsys, pattern, replacement)
     assert (record.time, record.seq) == (0, 0)
     assert err == f"invalid log: time=0 seq=0 kind=Init: {problem}\n"
+
+
+@pytest.mark.parametrize("node", ["3", "-1"])
+def test_cli_replay_rejects_a_failure_outside_the_group(tmp_path, capsys, node):
+    records = run(parse_scenario(MIXED_ROUND)).records  # three acceptors; node 0 crashes
+    record, err = replay_error_after_edit(tmp_path, capsys, r"(kind=Failure node=)\d+",
+                                          rf"\g<1>{node}", records)
+    assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Failure: "
+                   f"node: expected 0..2, got {node}\n")
+
+
+def test_replay_memory_is_bounded_by_the_log_not_by_the_group_size_it_claims(tmp_path):
+    log_path = tmp_path / "forged.log"
+    log_path.write_text(
+        "time=0 seq=0 kind=Init acceptors=1000000 leader=0 epoch=0 policy=strict seed=1\n"
+        "time=9 seq=1 kind=Verdict req=0 verdict=Inconclusive membership=5 deadline=1"
+        " received=0 needed=3\n", encoding="utf-8")
+    records = read_log(log_path)
+    tracemalloc.start()
+    try:
+        checked, diffs = replay_verdicts(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (checked, diffs) == (1, ["req 0: logged membership 5 != tracked 1000000"])

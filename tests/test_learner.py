@@ -8,12 +8,14 @@ from paxsim.learner import (
     Consensus,
     Inconclusive,
     InstanceLedger,
+    Learner,
     MAJORITY,
     STRICT,
     decide,
 )
 from paxsim.messages import Accepted, ProposalNumber
 from paxsim.proposer import majority_threshold
+from test_proposer import FakeBus
 
 
 def accepted(sender, output="OK", state="S1", round_=0, rid=0):
@@ -176,3 +178,74 @@ def test_needed_tracks_membership_size():
             assert verdict == Consensus(output="OK", state="S1")
         else:
             assert verdict.needed == majority_threshold(size)
+
+
+class View:
+    def __init__(self, alive):
+        self.alive = set(alive)
+
+
+def make_learner(policy, members=range(5)):
+    bus = FakeBus()
+    learner = Learner(client_id=6, membership_view=View(members), bus=bus, policy=policy,
+                      instance_deadline=50, on_verdict=lambda: None)
+    return learner, bus
+
+
+FOUR_AGAINST_ONE = {0: ("OK", "S1", 0), 1: ("OK", "S1", 0), 2: ("OK", "S1", 0),
+                    3: ("OK", "S1", 0), 4: ("Error", "S7", 0)}
+FOUR_AGAINST_ONE_REPORT = ("AnomalyReport", {"req": 0, "dissenting": "4", "states": "S1:4;S7:1",
+                                             "outputs": "Error:1;OK:4"})
+
+
+def feed(learner, reports, rid=0):
+    for now, (sender, (output, state, round_)) in enumerate(reports.items()):
+        report = accepted(sender, output=output, state=state, round_=round_, rid=rid)
+        learner.on_accepted(report, now)
+
+
+def test_majority_learner_logs_the_anomaly_report_then_a_consensus():
+    learner, bus = make_learner(MAJORITY)
+    feed(learner, FOUR_AGAINST_ONE)
+    assert bus.logs == [FOUR_AGAINST_ONE_REPORT,
+                        ("Verdict", {"req": 0, "verdict": "Consensus", "membership": 5,
+                                     "deadline": 0, "output": "OK", "state": "S1"})]
+    assert [(p.output, dst) for p, dst in bus.sent] == [("OK", 6)]
+
+
+def test_strict_learner_logs_the_same_report_then_an_anomaly_that_agrees_with_it():
+    learner, bus = make_learner(STRICT)
+    feed(learner, FOUR_AGAINST_ONE)
+    assert bus.logs == [FOUR_AGAINST_ONE_REPORT,
+                        ("Verdict", {"req": 0, "verdict": "Anomaly", "membership": 5,
+                                     "deadline": 0, "agreeing": "0,1,2,3", "dissenting": "4",
+                                     "states": "S1:4;S7:1"})]
+    (_, report), (_, verdict) = bus.logs
+    assert (report["dissenting"], report["states"]) == (verdict["dissenting"], verdict["states"])
+    assert bus.sent == []
+
+
+def test_anomaly_report_counts_only_the_top_round():
+    reports = {0: ("old", "S0", 0), 1: ("OK", "S1", 3), 2: ("OK", "S1", 3),
+               3: ("OK", "S1", 3), 4: ("Error", "S7", 3)}
+    for policy in (STRICT, MAJORITY):
+        learner, bus = make_learner(policy)
+        feed(learner, reports)
+        kind, report = bus.logs[0]
+        assert kind == "AnomalyReport"
+        assert report == {"req": 0, "dissenting": "4", "states": "S1:3;S7:1",
+                          "outputs": "Error:1;OK:3"}
+
+
+def test_one_deadline_timer_per_slot_however_many_reports():
+    learner, bus = make_learner(STRICT)
+    learner.on_accepted(accepted(0, rid=0), 0)
+    learner.on_accepted(accepted(0, rid=0), 1)            # duplicate
+    learner.on_accepted(accepted(1, rid=1), 2)
+    learner.on_accepted(accepted(0, round_=2, rid=0), 3)  # a higher round replaces
+    learner.on_accepted(accepted(1, rid=0), 4)
+    learner.on_deadline(0)
+    learner.on_accepted(accepted(2, rid=0), 60)           # after the slot's verdict
+    feed(learner, {n: ("OK", "S1", 0) for n in range(5)}, rid=1)
+    learner.on_accepted(accepted(0, round_=5, rid=1), 70)  # after a Consensus
+    assert bus.timers == [(("deadline", 0), 50), (("deadline", 1), 50)]
