@@ -5,6 +5,9 @@ leader), the learner lives at id n (and hosts the membership watch), and
 the ClusterRun itself is the client at id n+1, whose timers deliver the
 scenario's arrivals and faults. Every packet, including a leader's messages
 to itself, travels through the simulated network.
+
+A ClusterRun runs once. At the end of run() it unlinks its node graph, so
+that dropping it and its RunResult frees the whole run by reference counting.
 """
 
 from __future__ import annotations
@@ -270,6 +273,8 @@ class ClusterRun:
     # -- the run loop -------------------------------------------------------------
 
     def run(self) -> RunResult:
+        if not self.sim.nodes:  # unlinked by an earlier run, whose records a rerun would extend
+            raise RuntimeError("a ClusterRun runs once")
         scenario = self.scenario
         self.sim.log("Init", acceptors=scenario.acceptors, leader=0, epoch=0,
                      policy=scenario.anomaly_policy, seed=self.seed)
@@ -298,6 +303,10 @@ class ClusterRun:
             self.learner.finalize(rid)
 
         report = self._build_report(horizon_reached, bool(undecided) and horizon_reached)
+        # Each node's bus holds the simulation, and the learner and the membership watch
+        # call back into this cluster: unlink both, as the module docstring says.
+        self.sim.nodes.clear()
+        self.learner.on_verdict = self.membership.on_change = self.membership.on_election = None
         return RunResult(report=report, records=self.sim.records)
 
     def _verdict_of(self, request_id: int):
@@ -311,9 +320,7 @@ class ClusterRun:
             verdicts.append({"request_id": request.request_id, "verdict": verdict.kind,
                              **_report_fields(verdict)})
         verdict_kinds = Counter(entry["verdict"].lower() for entry in verdicts)
-        # A delivery's kind is a packet kind, never one counted here.
-        record_kinds = Counter(record.kind for record in self.sim.records
-                               if type(record) is Record)
+        record_kinds = self.sim.record_kinds
         counts = {kind: verdict_kinds[kind] for kind in ("consensus", "anomaly", "inconclusive")}
         counts.update(reproposals=record_kinds["Repropose"], elections=record_kinds["Election"],
                       drops=record_kinds["Drop"])

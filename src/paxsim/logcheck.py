@@ -8,7 +8,6 @@ proposals plus the n and last-served values of promises delivered to it).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
 from .eventlog import Delivery, LineRecord, Record
@@ -19,7 +18,7 @@ def check_proposal_numbers(records: Iterable[Record | Delivery | LineRecord]) ->
     """Return a list of violations; empty means the log is clean."""
     problems: list[str] = []
     last_round: dict[int, int] = {}
-    observed: dict[int, set[int]] = defaultdict(set)
+    observed: dict[int, int] = {}  # the highest round each node has proposed or been promised
 
     for record in records:
         if record.kind in ("Propose", "Repropose"):
@@ -30,18 +29,21 @@ def check_proposal_numbers(records: Iterable[Record | Delivery | LineRecord]) ->
                 problems.append(
                     f"t={record.time}: proposer {proposer} round {round_} "
                     f"does not exceed its previous round {last_round[proposer]}")
-            if record.kind == "Repropose" and observed[proposer]:
-                ceiling = max(observed[proposer])
-                if round_ <= ceiling:
-                    problems.append(
-                        f"t={record.time}: re-proposal round {round_} by proposer "
-                        f"{proposer} does not exceed observed round {ceiling}")
+            ceiling = observed.get(proposer)
+            if record.kind == "Repropose" and ceiling is not None and round_ <= ceiling:
+                problems.append(
+                    f"t={record.time}: re-proposal round {round_} by proposer "
+                    f"{proposer} does not exceed observed round {ceiling}")
             last_round[proposer] = round_
-            observed[proposer].add(round_)
+            _observe(observed, proposer, round_)
         elif record.kind == "Promise":
             fields = record.fields  # built on each read for a Delivery or a LineRecord
             to = int(fields["to"])
-            observed[to].add(ProposalNumber.parse(fields["n"]).round)
+            _observe(observed, to, ProposalNumber.parse(fields["n"]).round)
             if "last" in fields:
-                observed[to].add(ProposalNumber.parse(fields["last"]).round)
+                _observe(observed, to, ProposalNumber.parse(fields["last"]).round)
     return problems
+
+
+def _observe(observed: dict[int, int], node: int, round_: int) -> None:
+    observed[node] = max(round_, observed.get(node, round_))

@@ -19,6 +19,7 @@ jitter. send() makes those calls itself, so the stream is the same.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -59,12 +60,14 @@ class Simulation:
         self.nodes: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
         self.records: list[Record | Delivery] = []
+        self.record_kinds: Counter[str] = Counter()  # of the logged records; no Delivery
         self.shutting_down = False
 
     # -- logging -------------------------------------------------------------
 
     def log(self, kind: str, **fields) -> None:
         self.records.append(Record(time=self.now, seq=self._record_seq, kind=kind, fields=fields))
+        self.record_kinds[kind] += 1
         self._record_seq += 1
 
     # -- scheduling ------------------------------------------------------------
@@ -124,12 +127,3 @@ class Simulation:
                 return True
             step()
         return False
-
-    def run_until(self, t: int) -> None:
-        self.run(t)
-        self.now = max(self.now, t)
-
-    def run_to_quiescence(self) -> int:
-        """Drain the queue completely; returns the final simulated time."""
-        self.run(float("inf"))
-        return self.now

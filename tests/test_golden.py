@@ -6,13 +6,15 @@ change that alters any of them alters a log or a report, which is a
 behaviour change.
 """
 
+import gc
 import hashlib
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from paxsim import load_scenario, parse_scenario, run
+from paxsim import ClusterRun, load_scenario, parse_scenario, run
 from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
@@ -45,8 +47,23 @@ faults:
   - {at: 0, target: 3, kind: compromise, override: {"q2": "Error", "q5": "Error"}}
 """
 
+# Every replica crashes in one tick: the group empties and the run halts.
+ALL_CRASH = """
+name: all_crash
+acceptors: 3
+net: {seed: 1, base_delay: 1, jitter: 0, loss_rate: 0.0}
+machine: {states: ["S"], start: "S", rules: []}
+app_model: {outputs: [], default_output: "OK"}
+requests:
+  - {at: 2, payload: "a"}
+faults:
+  - {at: 5, target: 0, kind: crash}
+  - {at: 5, target: 1, kind: crash}
+  - {at: 5, target: 2, kind: crash}
+"""
+
 INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
-          "LOSSY_MAJORITY": LOSSY_MAJORITY}
+          "LOSSY_MAJORITY": LOSSY_MAJORITY, "ALL_CRASH": ALL_CRASH}
 
 GOLDEN = {
     ("baseline", 0): "52715657e0c4fb4dfbb16212076d198dabef7450ab37d6ed28d07072ecc4adf7",
@@ -137,16 +154,23 @@ GOLDEN_REPORTS = {
 }
 
 
-def golden_run(name, seed):
+def golden_scenario(name):
     if name in INLINE:
-        return run(parse_scenario(INLINE[name]), seed=seed)
-    return run(load_scenario(SCENARIO_DIR / f"{name}.scenario"), seed=seed)
+        return parse_scenario(INLINE[name])
+    return load_scenario(SCENARIO_DIR / f"{name}.scenario")
+
+
+def golden_run(name, seed):
+    return run(golden_scenario(name), seed=seed)
+
+
+def log_digest(records):
+    return hashlib.sha256(dump_records(records).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name, seed", list(GOLDEN))
 def test_log_matches_its_golden_digest(name, seed):
-    log = dump_records(golden_run(name, seed).records)
-    assert hashlib.sha256(log.encode("utf-8")).hexdigest() == GOLDEN[name, seed]
+    assert log_digest(golden_run(name, seed).records) == GOLDEN[name, seed]
 
 
 @pytest.mark.parametrize("name, seed", list(GOLDEN))
@@ -182,3 +206,31 @@ def test_golden_runs_cover_every_verdict_and_fault_record():
                 verdicts[record.fields["verdict"]] += 1
     assert {"AnomalyReport", "Drop", "Repropose", "Election", "Failure"} <= set(kinds)
     assert set(verdicts) == {"Consensus", "Anomaly", "Inconclusive"}
+
+
+@pytest.mark.parametrize("name, seed", list(GOLDEN) + [("ALL_CRASH", None)])
+def test_a_dropped_cluster_is_freed_by_reference_counting(name, seed):
+    # With the cyclic collector off, only an acyclic node graph dies with its last reference.
+    gc.disable()
+    try:
+        cluster = ClusterRun(golden_scenario(name), seed=seed)
+        result = cluster.run()
+        parts = [cluster, cluster.sim, cluster.learner, cluster.membership, *cluster.replicas]
+        refs = [weakref.ref(part) for part in parts]
+        del cluster, parts
+        alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert alive == []
+    if name == "ALL_CRASH":
+        assert result.report.halted
+    else:  # the result the caller keeps outlives the cluster whole
+        assert log_digest(result.records) == GOLDEN[name, seed]
+
+
+def test_a_cluster_runs_once_and_leaves_its_result_whole():
+    cluster = ClusterRun(golden_scenario("COMPROMISE"))
+    result = cluster.run()
+    with pytest.raises(RuntimeError, match="runs once"):
+        cluster.run()
+    assert log_digest(result.records) == GOLDEN["COMPROMISE", None]

@@ -284,6 +284,26 @@ def test_proposal_number_discipline_on_bundled_scenarios():
         assert check_proposal_numbers(result.records) == []
 
 
+def test_proposal_number_violations_are_named():
+    def record(seq, kind, **fields):
+        return Record(time=seq, seq=seq, kind=kind, fields=fields)
+
+    records = [
+        record(0, "Propose", **{"from": 0, "n": "1.0"}),
+        record(1, "Promise", to=0, n="3.1", last="5.2"),
+        record(2, "Repropose", **{"from": 0, "n": "4.0"}),  # below the promised 5
+        record(3, "Propose", **{"from": 0, "n": "4.0"}),  # not above its own 4
+        record(4, "Repropose", **{"from": 1, "n": "0.1"}),  # nothing observed yet
+        record(5, "Promise", to=2, n="0.2"),
+        record(6, "Repropose", **{"from": 2, "n": "0.2"}),  # round 0 is observed too
+    ]
+    assert check_proposal_numbers(records) == [
+        "t=2: re-proposal round 4 by proposer 0 does not exceed observed round 5",
+        "t=3: proposer 0 round 4 does not exceed its previous round 4",
+        "t=6: re-proposal round 0 by proposer 2 does not exceed observed round 0",
+    ]
+
+
 def test_heartbeat_only_scenario_runs_to_horizon():
     text = """
 name: idle

@@ -22,6 +22,15 @@ class Sink:
         self.timers.append((now, tag))
 
 
+FOREVER = float("inf")  # a horizon that drains the queue
+
+
+def run_until(sim, t):
+    """Run every event due by t, then stand the clock at t even if none was due."""
+    sim.run(t)
+    sim.now = max(sim.now, t)
+
+
 def make_sim(**net):
     sim = Simulation(NetConfig(seed=net.pop("seed", 1), **net))
     nodes = {i: Sink() for i in range(3)}
@@ -32,7 +41,7 @@ def make_sim(**net):
 def test_degenerate_config_delivers_at_now_plus_base_delay():
     sim, nodes = make_sim(base_delay=1, jitter=0, loss_rate=0.0)
     sim.send(Heartbeat(sender=0, seq=0), 0, 1)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     assert [t for t, _, _ in nodes[1].packets] == [1]
 
 
@@ -40,7 +49,7 @@ def test_full_loss_drops_everything():
     sim, nodes = make_sim(loss_rate=1.0)
     for _ in range(10):
         sim.send(Heartbeat(sender=0, seq=0), 0, 1)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     assert nodes[1].packets == []
     assert sum(1 for r in sim.records if r.kind == "Drop") == 10
 
@@ -50,7 +59,7 @@ def test_same_time_events_process_in_schedule_order():
     sim.set_timer(0, ("a",), 5)
     sim.set_timer(0, ("b",), 5)
     sim.set_timer(0, ("c",), 2)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     assert [tag for _, tag in nodes[0].timers] == [("c",), ("a",), ("b",)]
 
 
@@ -58,7 +67,7 @@ def test_delivery_to_crashed_node_logged_and_discarded():
     sim, nodes = make_sim()
     sim.crashed.add(1)
     sim.send(Heartbeat(sender=0, seq=0), 0, 1)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     assert nodes[1].packets == []
     discards = [r for r in sim.records if r.kind == "DiscardCrashed"]
     assert len(discards) == 1 and discards[0].fields["to"] == 1
@@ -68,7 +77,7 @@ def test_crashed_node_timers_dropped_silently():
     sim, nodes = make_sim()
     sim.set_timer(1, ("tick",), 3)
     sim.crashed.add(1)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     assert nodes[1].timers == []
     assert all(r.kind != "DiscardCrashed" for r in sim.records)
 
@@ -77,7 +86,7 @@ def test_crashed_sender_emits_nothing():
     sim, nodes = make_sim()
     sim.crashed.add(0)
     sim.send(Heartbeat(sender=0, seq=0), 0, 1)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     assert nodes[1].packets == []
     assert sim.records == []
 
@@ -126,8 +135,8 @@ def test_identical_seed_identical_records():
         sim, _ = make_sim(seed=77, jitter=4, loss_rate=0.3)
         for i in range(40):
             sim.send(Heartbeat(sender=0, seq=i), 0, 1)
-            sim.run_until(sim.now + 1)
-        sim.run_to_quiescence()
+            run_until(sim, sim.now + 1)
+        sim.run(FOREVER)
         return dump_records(sim.records)
 
     assert one_run() == one_run()
@@ -138,7 +147,7 @@ def test_different_seed_changes_delivery_pattern():
         sim, _ = make_sim(seed=seed, jitter=4, loss_rate=0.3)
         for i in range(40):
             sim.send(Heartbeat(sender=0, seq=i), 0, 1)
-        sim.run_to_quiescence()
+        sim.run(FOREVER)
         return dump_records(sim.records)
 
     assert one_run(1) != one_run(2)
@@ -148,7 +157,7 @@ def test_monotone_watermark_over_records():
     sim, _ = make_sim(jitter=3, loss_rate=0.2, seed=5)
     for i in range(50):
         sim.send(Heartbeat(sender=0, seq=i), 0, (i % 2) + 1)
-    sim.run_to_quiescence()
+    sim.run(FOREVER)
     stamps = [(r.time, r.seq) for r in sim.records]
     assert stamps == sorted(stamps)
     assert len({seq for _, seq in stamps}) == len(stamps)
@@ -164,7 +173,7 @@ def test_jitter_draws_are_those_of_randint(jitter):
             sim, nodes = make_sim(seed=seed, base_delay=2, jitter=jitter, loss_rate=loss_rate)
             for i in range(200):
                 sim.send(Heartbeat(sender=0, seq=i), 0, 1)
-            sim.run_to_quiescence()
+            sim.run(FOREVER)
             reference = random.Random(seed)
             expected = {}
             for i in range(200):
