@@ -113,7 +113,7 @@ class InfraNode:
         if isinstance(packet, Heartbeat):
             self.membership.record_heartbeat(packet.sender, now)
         elif isinstance(packet, Accepted):
-            self.learner.on_accepted(packet, now)
+            self.learner.on_accepted(packet)
 
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "detect":
@@ -215,6 +215,7 @@ class ClusterRun:
     # -- callbacks ---------------------------------------------------------------
 
     def _on_membership_change(self, alive) -> None:
+        self.learner.on_membership_change()
         leader = self.membership.view.leader
         replica = self.replicas[leader]
         if leader in self.sim.crashed or replica.proposer is None:

@@ -1,13 +1,15 @@
 """Learner-side verdict logic: consensus detection by replica comparison.
 
-The learner collects per-replica result triples for each slot, and decides
-once every believed-alive member has reported or the slot's deadline
-expires. Replicas are compared on (output, new state) jointly, restricted
-to the highest proposal number present. Any divergence is an anomaly under
-the default strict policy; the majority policy instead sides with the
-largest agreeing group when that group is a majority. Under either policy a
-divergent slot first logs an AnomalyReport: the strict verdict's dissenting
-and states fields, as verdict_fields renders them, plus the top-round outputs.
+The learner keeps each replica's first result triple for a slot, and decides
+once the reports cover every believed-alive member (checked again on each
+membership change) or the slot's deadline expires. Replicas are compared on
+(output, new state) jointly, whatever round each report came under, since an
+acceptor answers every round of a slot from its result cache. Any divergence
+is an anomaly under the default strict policy; the majority policy instead
+sides with the largest agreeing group when that group is a majority. Under
+either policy a divergent slot first logs an AnomalyReport: the strict
+verdict's dissenting and states fields, as verdict_fields renders them, plus
+the outputs reported.
 """
 
 from __future__ import annotations
@@ -53,23 +55,13 @@ Verdict = Consensus | Anomaly | Inconclusive
 @dataclass
 class InstanceLedger:
     request_id: int
-    reports: dict[NodeId, Accepted] = field(default_factory=dict)  # each sender's latest
+    reports: dict[NodeId, Accepted] = field(default_factory=dict)  # each sender's first
     verdict: Verdict | None = None
-    first_report_time: int | None = None
 
-    def record(self, a: Accepted) -> bool:
-        """Record a replica report; a higher-numbered report replaces an older one.
-
-        Returns False when the report was ignored (duplicate, lower-numbered,
-        or arriving after a Consensus verdict was sealed).
-        """
-        if isinstance(self.verdict, Consensus):
-            return False
-        existing = self.reports.get(a.sender)
-        if existing is not None and a.n <= existing.n:
-            return False
-        self.reports[a.sender] = a
-        return True
+    def record(self, a: Accepted) -> None:
+        """Keep each sender's first report; ignore every report after a Consensus verdict."""
+        if not isinstance(self.verdict, Consensus):
+            self.reports.setdefault(a.sender, a)
 
 
 def ledger_of(ledgers: dict[int, InstanceLedger], request_id: int) -> InstanceLedger:
@@ -80,12 +72,12 @@ def ledger_of(ledgers: dict[int, InstanceLedger], request_id: int) -> InstanceLe
     return ledger
 
 
-def _groups(top: dict[NodeId, Accepted]) -> list[tuple[tuple[str, str], list[NodeId]]]:
+def _groups(reports: dict[NodeId, Accepted]) -> list[tuple[tuple[str, str], list[NodeId]]]:
     """Group nodes by (output, state) pair; largest first, ties toward the
     lexicographically smallest state name (then output)."""
     by_pair: dict[tuple[str, str], list[NodeId]] = {}
-    for node in sorted(top):
-        pair = (top[node].output, top[node].new_state)
+    for node in sorted(reports):
+        pair = (reports[node].output, reports[node].new_state)
         by_pair.setdefault(pair, []).append(node)
     return sorted(by_pair.items(), key=lambda kv: (-len(kv[1]), kv[0][1], kv[0][0]))
 
@@ -96,15 +88,13 @@ def decide(ledger: InstanceLedger, membership_size: int, policy: str = STRICT) -
     if not ledger.reports:
         return Inconclusive(received=0, needed=needed)
 
-    highest = max(a.n for a in ledger.reports.values())
-    top = {node: a for node, a in ledger.reports.items() if a.n == highest}
-    groups = _groups(top)
+    groups = _groups(ledger.reports)
     (output, state), winners = groups[0]
     if len(winners) >= needed and (len(groups) == 1 or policy == MAJORITY):
         return Consensus(output=output, state=state)
     if len(groups) == 1:
-        return Inconclusive(received=len(top), needed=needed)
-    states = Counter(a.new_state for a in top.values())
+        return Inconclusive(received=len(ledger.reports), needed=needed)
+    states = Counter(a.new_state for a in ledger.reports.values())
     return Anomaly(agreeing=frozenset(winners),
                    dissenting=frozenset(n for _, nodes in groups[1:] for n in nodes),
                    states_seen=tuple(sorted(states.items())))
@@ -127,14 +117,22 @@ class Learner:
         self.instance_deadline = instance_deadline
         self.on_verdict = on_verdict
         self.ledgers: dict[int, InstanceLedger] = {}
+        self.undecided: dict[int, InstanceLedger] = {}  # ledgers awaiting a verdict
 
-    def on_accepted(self, a: Accepted, now: int) -> None:
-        ledger = ledger_of(self.ledgers, a.request_id)
-        ledger.record(a)
-        if ledger.first_report_time is None:
-            ledger.first_report_time = now
+    def on_accepted(self, a: Accepted) -> None:
+        ledger = self.ledgers.get(a.request_id)
+        if ledger is None:  # the slot's first report arms its deadline
+            ledger = InstanceLedger(a.request_id)
+            self.ledgers[a.request_id] = self.undecided[a.request_id] = ledger
             self.bus.set_timer(("deadline", a.request_id), self.instance_deadline)
+        ledger.record(a)
         if ledger.verdict is None and ledger.reports.keys() >= self.view.alive:
+            self._decide(ledger, deadline_reached=False)
+
+    def on_membership_change(self) -> None:
+        """Decide every undecided slot whose reports now cover the alive set."""
+        alive = self.view.alive
+        for ledger in [x for x in self.undecided.values() if x.reports.keys() >= alive]:
             self._decide(ledger, deadline_reached=False)
 
     def on_deadline(self, request_id: int) -> None:
@@ -148,11 +146,11 @@ class Learner:
         membership_size = max(1, len(self.view.alive))  # group may have emptied before a halt
         verdict = decide(ledger, membership_size, self.policy)
         ledger.verdict = verdict
+        self.undecided.pop(ledger.request_id, None)
         dissent = verdict if self.policy == STRICT else decide(ledger, membership_size, STRICT)
         if isinstance(dissent, Anomaly):
             fields = verdict_fields(dissent)
-            top_round = dissent.agreeing | dissent.dissenting
-            outputs = Counter(ledger.reports[n].output for n in top_round)
+            outputs = Counter(a.output for a in ledger.reports.values())
             self.bus.log("AnomalyReport", req=ledger.request_id, dissenting=fields["dissenting"],
                          states=fields["states"], outputs=_counts_text(outputs))
         self.bus.log("Verdict", req=ledger.request_id, verdict=verdict.kind,

@@ -91,6 +91,7 @@ def test_criterion_1_safety_agreement():
     anomalies = 0
     mismatches = 0
     consensus = 0
+    lossless = lossless_inconclusive = 0  # lossless scenarios: verdicts, and Inconclusive ones
     for _ in range(1000):
         scenario = _honest_scenario(rng)
         result = run(scenario)
@@ -103,10 +104,15 @@ def test_criterion_1_safety_agreement():
                 consensus += 1
                 if (entry["output"], entry["state"]) != expected[entry["request_id"]]:
                     mismatches += 1
-    ok = anomalies == 0 and mismatches == 0
-    _report(1, "safety: no anomalies, consensus matches the single-replica oracle", ok,
+            if scenario.net.loss_rate == 0.0:
+                lossless += 1
+                lossless_inconclusive += entry["verdict"] == "Inconclusive"
+    ok = anomalies == 0 and mismatches == 0 and lossless_inconclusive == 0
+    _report(1, "safety: no anomalies, consensus matches the single-replica oracle, "
+            "lossless runs decide", ok,
             f"1000 scenarios, {consensus} consensus verdicts, "
-            f"{anomalies} anomalies, {mismatches} oracle mismatches")
+            f"{anomalies} anomalies, {mismatches} oracle mismatches, "
+            f"{lossless_inconclusive} of {lossless} lossless verdicts inconclusive")
     assert ok
 
 

@@ -18,34 +18,9 @@ from paxsim import ClusterRun, load_scenario, parse_scenario, run
 from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
-from test_harness import COMPROMISE, MIXED_ROUND
+from test_harness import COMPROMISE, LOSSY_MAJORITY, MIXED_ROUND
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-# Five replicas at 10% loss under the majority policy, one of them lying:
-# drops, a re-proposal, AnomalyReports and all three verdict kinds in one run.
-LOSSY_MAJORITY = """
-name: lossy_majority
-acceptors: 5
-anomaly_policy: majority
-net: {seed: 4, base_delay: 1, jitter: 2, loss_rate: 0.1}
-timing: {horizon: 800}
-machine:
-  states: ["S0", "S7"]
-  start: "S0"
-  rules:
-    - {from: "S0", to: "S7", output_regex: "Error", threshold: 0}
-app_model: {outputs: [{request: "q.*", output: "OK"}], default_output: "OK"}
-requests:
-  - {at: 1, payload: "q1"}
-  - {at: 10, payload: "q2"}
-  - {at: 20, payload: "q3"}
-  - {at: 30, payload: "q4"}
-  - {at: 40, payload: "q5"}
-  - {at: 50, payload: "q6"}
-faults:
-  - {at: 0, target: 3, kind: compromise, override: {"q2": "Error", "q5": "Error"}}
-"""
 
 # Every replica crashes in one tick: the group empties and the run halts.
 ALL_CRASH = """
@@ -91,7 +66,7 @@ GOLDEN = {
     ("stale_count", 6): "84ca6ef2bfae07a949b68a663b7557882adaa3008a75a541a7e5ba81f071228c",
     ("stale_count", 7): "27130fcaefabc3c9d0f0c28682c37759d1575c5bfd6f980760cc72aa8a72e53c",
     ("COMPROMISE", None): "f7fa4dfeb50768bcd033c1daf68137c9b0e1d8db6870223917c9a9dfde39c790",
-    ("MIXED_ROUND", None): "bd3c13230004f8a5b4a994a3baae87a1eecbe575b68a8e60e9e3e235ee785d37",
+    ("MIXED_ROUND", None): "691acc5f7d03c5b6a5898b608b6ab596881f3970df42f115ae6b9be12189bff8",
     ("LOSSY_MAJORITY", None): "ba91f92b79e303e5d24c9db0acbf1d8f9b16a1f83dfb4a7d71742d51587c981f",
 }
 
@@ -147,8 +122,8 @@ GOLDEN_REPORTS = {
                           "df8ecca5432ceee582c63a8ce9dd210b76066e8937bfecdbeb951f36b348a4c6"),
     ("COMPROMISE", None): ("057bba6febb17f3075e013c7cf6e36adb02e629fd5c9d99b5e264b21abd90391",
                             "b4e90d3ef62b1c900c1e69151c609717b12bc8fed59723b36ad4391863aafa38"),
-    ("MIXED_ROUND", None): ("6214e3f7c3f18329202f752df7d11821204a4944879140f03440d1771ed28b49",
-                             "38e7697c7552981973473e204b2280f9cfe212ee6e5f3057d579053585d7e8c0"),
+    ("MIXED_ROUND", None): ("1a6b2d01b62c3da35890eb5c452b1ce47928a0289e942a7c56f20854b675a032",
+                             "5b2c3768c53946bdda8be8a429fd679c25eef11e2ce483a1136e243699794166"),
     ("LOSSY_MAJORITY", None): ("ea6dae417ea61a355584f5541eb162fdcaa5842caa4e376c1d210ba8149142e9",
                                 "46ead8fd08b28956ff361667b6ad4cf4189cddae17484313cae9ab5c18aa0e08"),
 }

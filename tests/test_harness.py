@@ -125,7 +125,8 @@ def test_replay_reproduces_verdicts_in_memory_and_from_file(tmp_path):
         assert checked == len(res.report.verdicts) and diffs == [], name
 
 
-# Three replicas, leader crash at tick 4: slot 0 ends Inconclusive, slots 1-2 Consensus.
+# Three replicas, leader crash at tick 4: every slot ends Consensus. Slot 0 has reports
+# from nodes 1 and 2 only, and node 0's Failure leaves them covering the group.
 MIXED_ROUND = """
 name: mixed_round
 acceptors: 3
@@ -141,19 +142,48 @@ faults:
   - {at: 4, target: 0, kind: crash}
 """
 
+# Five replicas at 10% loss under the majority policy, one of them lying:
+# drops, a re-proposal, AnomalyReports and all three verdict kinds in one run.
+LOSSY_MAJORITY = """
+name: lossy_majority
+acceptors: 5
+anomaly_policy: majority
+net: {seed: 4, base_delay: 1, jitter: 2, loss_rate: 0.1}
+timing: {horizon: 800}
+machine:
+  states: ["S0", "S7"]
+  start: "S0"
+  rules:
+    - {from: "S0", to: "S7", output_regex: "Error", threshold: 0}
+app_model: {outputs: [{request: "q.*", output: "OK"}], default_output: "OK"}
+requests:
+  - {at: 1, payload: "q1"}
+  - {at: 10, payload: "q2"}
+  - {at: 20, payload: "q3"}
+  - {at: 30, payload: "q4"}
+  - {at: 40, payload: "q5"}
+  - {at: 50, payload: "q6"}
+faults:
+  - {at: 0, target: 3, kind: compromise, override: {"q2": "Error", "q5": "Error"}}
+"""
+
 
 @pytest.mark.parametrize("rid, key, forged", [
-    (0, "received", 2), (0, "needed", 3), (1, "output", "forged"), (2, "state", "T"),
+    (1, "received", 3), (1, "needed", 2), (1, "output", "forged"), (2, "state", "T"),
 ])
 def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
-    records = list(run(parse_scenario(MIXED_ROUND)).records)
-    assert replay_verdicts(records) == (3, [])
+    # An Inconclusive field is forged in LOSSY_MAJORITY's slot 1 (2 of 3 reports),
+    # a Consensus field in MIXED_ROUND's.
+    text = LOSSY_MAJORITY if key in ("received", "needed") else MIXED_ROUND
+    records = list(run(parse_scenario(text)).records)
+    verdicts = sum(record.kind == "Verdict" for record in records)
+    assert replay_verdicts(records) == (verdicts, [])
     at = next(i for i, r in enumerate(records)
               if r.kind == "Verdict" and r.fields["req"] == rid)
     assert key in records[at].fields and records[at].fields[key] != forged
     records[at] = replace(records[at], fields={**records[at].fields, key: forged})
     checked, diffs = replay_verdicts(records)
-    assert checked == 3 and len(diffs) == 1 and diffs[0].startswith(f"req {rid}: recomputed")
+    assert checked == verdicts and len(diffs) == 1 and diffs[0].startswith(f"req {rid}: recomputed")
     log_path = tmp_path / "forged.log"
     write_log(records, log_path)
     assert replay_verdicts(read_log(log_path)) == (checked, diffs)

@@ -31,25 +31,21 @@ def filled_ledger(reports, rid=0):
 
 
 def test_first_tuple_recorded():
+    # A sender's first report stands, whatever rounds its later ones carry.
     ledger = InstanceLedger(request_id=0)
-    assert ledger.record(accepted(1))
+    ledger.record(accepted(1, output="first", round_=0))
+    ledger.record(accepted(1, output="later", round_=2))
+    assert {node: a.output for node, a in ledger.reports.items()} == {1: "first"}
+    ledger.verdict = Consensus(output="first", state="S1")
+    ledger.record(accepted(2))  # after a Consensus
     assert set(ledger.reports) == {1}
 
 
 def test_duplicate_tuple_ignored():
     ledger = InstanceLedger(request_id=0)
     ledger.record(accepted(1))
-    assert not ledger.record(accepted(1))
+    ledger.record(accepted(1))
     assert len(ledger.reports) == 1
-
-
-def test_higher_number_replaces_entry():
-    ledger = InstanceLedger(request_id=0)
-    ledger.record(accepted(1, output="old", round_=0))
-    assert ledger.record(accepted(1, output="new", round_=2))
-    assert ledger.reports[1].output == "new"
-    assert not ledger.record(accepted(1, output="older", round_=1))
-    assert ledger.reports[1].output == "new"
 
 
 def test_unanimous_majority_is_consensus():
@@ -79,12 +75,21 @@ def test_empty_ledger_is_inconclusive_zero():
     assert verdict == Inconclusive(received=0, needed=3)
 
 
-def test_only_highest_number_tuples_count():
+def test_reports_of_every_round_are_compared():
     reports = {0: ("old", "S0", 0), 1: ("new", "S1", 3), 2: ("new", "S1", 3)}
     verdict = decide(filled_ledger(reports), membership_size=3)
-    # Node 0's stale tuple is outside the decision set: two fresh agreeing
-    # tuples of three members make a consensus.
-    assert verdict == Consensus(output="new", state="S1")
+    # Node 0's report came under an older round, and it still dissents.
+    assert verdict == Anomaly(agreeing=frozenset({1, 2}), dissenting=frozenset({0}),
+                              states_seen=(("S0", 1), ("S1", 2)))
+
+
+def test_a_forged_round_does_not_hide_a_liar():
+    reports = {i: ("OK", "S1", 1) for i in range(4)}
+    reports[4] = ("Error", "S7", 99)
+    ledger = filled_ledger(reports)
+    verdict = decide(ledger, membership_size=5, policy=STRICT)
+    assert isinstance(verdict, Anomaly) and verdict.dissenting == frozenset({4})
+    assert decide(ledger, 5, policy=MAJORITY) == Consensus(output="OK", state="S1")
 
 
 def brute_force_decision(pairs_by_node, membership_size):
@@ -199,9 +204,8 @@ FOUR_AGAINST_ONE_REPORT = ("AnomalyReport", {"req": 0, "dissenting": "4", "state
 
 
 def feed(learner, reports, rid=0):
-    for now, (sender, (output, state, round_)) in enumerate(reports.items()):
-        report = accepted(sender, output=output, state=state, round_=round_, rid=rid)
-        learner.on_accepted(report, now)
+    for sender, (output, state, round_) in reports.items():
+        learner.on_accepted(accepted(sender, output=output, state=state, round_=round_, rid=rid))
 
 
 def test_majority_learner_logs_the_anomaly_report_then_a_consensus():
@@ -225,7 +229,7 @@ def test_strict_learner_logs_the_same_report_then_an_anomaly_that_agrees_with_it
     assert bus.sent == []
 
 
-def test_anomaly_report_counts_only_the_top_round():
+def test_anomaly_report_counts_every_round():
     reports = {0: ("old", "S0", 0), 1: ("OK", "S1", 3), 2: ("OK", "S1", 3),
                3: ("OK", "S1", 3), 4: ("Error", "S7", 3)}
     for policy in (STRICT, MAJORITY):
@@ -233,19 +237,32 @@ def test_anomaly_report_counts_only_the_top_round():
         feed(learner, reports)
         kind, report = bus.logs[0]
         assert kind == "AnomalyReport"
-        assert report == {"req": 0, "dissenting": "4", "states": "S1:3;S7:1",
-                          "outputs": "Error:1;OK:3"}
+        assert report == {"req": 0, "dissenting": "0,4", "states": "S0:1;S1:3;S7:1",
+                          "outputs": "Error:1;OK:3;old:1"}
+
+
+def test_a_departure_that_completes_a_slots_reports_decides_it():
+    learner, bus = make_learner(STRICT, members=range(3))
+    feed(learner, {0: ("OK", "S1", 0), 1: ("OK", "S1", 0)}, rid=0)
+    feed(learner, {0: ("OK", "S1", 0)}, rid=1)
+    assert bus.logs == []
+    learner.view.alive.discard(2)
+    learner.on_membership_change()
+    learner.on_membership_change()  # a decided slot is not decided again
+    assert bus.logs == [("Verdict", {"req": 0, "verdict": "Consensus", "membership": 2,
+                                     "deadline": 0, "output": "OK", "state": "S1"})]
+    assert list(learner.undecided) == [1]
 
 
 def test_one_deadline_timer_per_slot_however_many_reports():
     learner, bus = make_learner(STRICT)
-    learner.on_accepted(accepted(0, rid=0), 0)
-    learner.on_accepted(accepted(0, rid=0), 1)            # duplicate
-    learner.on_accepted(accepted(1, rid=1), 2)
-    learner.on_accepted(accepted(0, round_=2, rid=0), 3)  # a higher round replaces
-    learner.on_accepted(accepted(1, rid=0), 4)
+    learner.on_accepted(accepted(0, rid=0))
+    learner.on_accepted(accepted(0, rid=0))            # duplicate
+    learner.on_accepted(accepted(1, rid=1))
+    learner.on_accepted(accepted(0, round_=2, rid=0))  # a higher round, ignored
+    learner.on_accepted(accepted(1, rid=0))
     learner.on_deadline(0)
-    learner.on_accepted(accepted(2, rid=0), 60)           # after the slot's verdict
+    learner.on_accepted(accepted(2, rid=0))            # after the slot's verdict
     feed(learner, {n: ("OK", "S1", 0) for n in range(5)}, rid=1)
-    learner.on_accepted(accepted(0, round_=5, rid=1), 70)  # after a Consensus
+    learner.on_accepted(accepted(0, round_=5, rid=1))  # after a Consensus
     assert bus.timers == [(("deadline", 0), 50), (("deadline", 1), 50)]
