@@ -17,6 +17,12 @@ parsed at read, and its other fields are kept as text and parsed on each
 read of ``fields``. Any other line is parsed whole into a ``Record``, which
 checks its head and every quoted value, so a malformed line fails at read
 even if no reader opens its fields.
+The records of one read_log call share one str per distinct kind and one int
+per run of lines with equal time, as a live run's records do, so a record read
+back costs little more than a live one. The kinds are shared through a dict
+local to the call, not sys.intern, which on Python 3.12 makes a string
+immortal: a log with many junk kinds would stay in memory for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -136,9 +142,22 @@ def write_log(records: Iterable[Record], path) -> None:
 
 def read_log(path) -> list[Record | LineRecord]:
     """Parse a UTF-8 log file; a malformed line raises ValueError naming its 1-based number."""
+    kinds: dict[str, str] = {}
+    records = []
+    time = None
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return [parse_record(line) for line in fh if line.strip()]
+            for line in fh:
+                if not line.isspace():  # skips blank lines as strip() would, with no copy
+                    record = parse_record(line)
+                    # Keep the first str of each kind and int of each tick; new copies die here.
+                    record.kind = kinds.setdefault(record.kind, record.kind)
+                    if record.time == time:
+                        record.time = time
+                    else:
+                        time = record.time
+                    records.append(record)
+            return records
         except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError too
             _raise_first_bad_line(path)  # only a failed read pays for numbering the lines
             raise

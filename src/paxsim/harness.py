@@ -378,12 +378,14 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
     The log itself carries everything needed: Init for the group size and
     policy, Failure/Rejoin for membership tracking, Accepted deliveries to
     the learner for the ledgers, and each Verdict's membership/deadline
-    context fields. A live Delivery's fields are its parsed log text, and
-    logged verdict values are compared as str(), so live records and those
-    read back with read_log replay alike. A record lacking a field replay
-    reads, or holding a malformed one (an Init whose group size or policy no
-    scenario can have, or a Failure/Rejoin of a node outside the group, too),
-    raises ValueError naming the record.
+    context fields. A Verdict logged before its deadline (deadline=0) must
+    follow a report from every member replay tracks as alive; the reporters
+    are counted, so no alive set is built. A live Delivery's fields are its
+    parsed log text, and logged verdict values are compared as str(), so
+    live records and those read back with read_log replay alike. A record
+    lacking a field replay reads, or holding a malformed one (an Init whose
+    group size or policy no scenario can have, or a Failure/Rejoin of a node
+    outside the group, too), raises ValueError naming the record.
     """
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
@@ -424,10 +426,16 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
                 verdict = decide(ledger, max(1, membership_size), policy)
                 ledger.verdict = verdict
                 checked += 1
-                tracked = n - len(departed)
+                alive = n - len(departed)
+                tracked = max(1, alive)  # as the learner logs it once the group has emptied
                 if membership_size != tracked:
                     diffs.append(f"req {rid}: logged membership {membership_size} "
                                  f"!= tracked {tracked}")
+                if int(fields["deadline"]) == 0:  # decided early: every member reported
+                    reporters = sum(0 <= s < n and s not in departed for s in ledger.reports)
+                    if reporters < alive:
+                        diffs.append(f"req {rid}: decided early on {reporters} of {alive} "
+                                     "members' reports")
                 expected = {"verdict": verdict.kind, **verdict_fields(verdict)}
                 actual = {k: str(fields[k]) for k in expected if k in fields}
                 if expected != actual:

@@ -107,7 +107,10 @@ class Simulation:
             time, _, node, packet, info = heappop(self._queue)
         except IndexError:
             raise QueueEmpty("step on an empty event queue") from None
-        self.now = time
+        if time == self.now:
+            time = self.now  # one int per tick, shared by every record made at it
+        else:
+            self.now = time
         if packet is None:  # a timer; info is its tag
             if node not in self.crashed:
                 self.nodes[node].on_timer(info, time)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from paxsim import ClusterRun, load_scenario, parse_scenario, run
+from paxsim import ClusterRun, cli, load_scenario, parse_scenario, run
 from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
@@ -23,19 +23,7 @@ from test_harness import COMPROMISE, LOSSY_MAJORITY, MIXED_ROUND
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Every replica crashes in one tick: the group empties and the run halts.
-ALL_CRASH = """
-name: all_crash
-acceptors: 3
-net: {seed: 1, base_delay: 1, jitter: 0, loss_rate: 0.0}
-machine: {states: ["S"], start: "S", rules: []}
-app_model: {outputs: [], default_output: "OK"}
-requests:
-  - {at: 2, payload: "a"}
-faults:
-  - {at: 5, target: 0, kind: crash}
-  - {at: 5, target: 1, kind: crash}
-  - {at: 5, target: 2, kind: crash}
-"""
+ALL_CRASH = (SCENARIO_DIR / "all_crash.scenario").read_text(encoding="utf-8")
 
 INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
           "LOSSY_MAJORITY": LOSSY_MAJORITY, "ALL_CRASH": ALL_CRASH}
@@ -157,7 +145,8 @@ def test_live_records_and_their_log_file_agree(tmp_path, name, seed):
     from_file = read_log(path)
     # Every line write_log writes here is in the fast-path grammar.
     assert all(type(record) is LineRecord for record in from_file)
-    assert replay_verdicts(live) == replay_verdicts(from_file)
+    verdicts = sum(record.kind == "Verdict" for record in live)
+    assert replay_verdicts(live) == replay_verdicts(from_file) == (verdicts, [])
     assert check_proposal_numbers(live) == check_proposal_numbers(from_file)
     assert dump_records(from_file) == dump_records(live)
     deliveries = [i for i, record in enumerate(live) if type(record) is Delivery]
@@ -209,3 +198,13 @@ def test_a_cluster_runs_once_and_leaves_its_result_whole():
     with pytest.raises(RuntimeError, match="runs once"):
         cluster.run()
     assert log_digest(result.records) == GOLDEN["COMPROMISE", None]
+
+
+def test_a_halted_run_replays_clean(tmp_path):
+    # The learner logs membership 1 for the emptied group, as replay now tracks it.
+    records = golden_run("ALL_CRASH", None).records
+    assert replay_verdicts(records) == (1, [])
+    path = tmp_path / "all_crash.log"
+    write_log(records, path)
+    assert replay_verdicts(read_log(path)) == (1, [])
+    assert cli.main(["replay", "--log", str(path)]) == cli.EXIT_OK

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from paxsim import cli, load_scenario, parse_scenario, run
-from paxsim.eventlog import LineRecord, Record, dump_records, parse_record, read_log, write_log
+from paxsim.eventlog import (Delivery, LineRecord, Record, dump_records, parse_record, read_log,
+                             write_log)
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 from paxsim.messages import ProposalNumber
@@ -189,6 +190,22 @@ def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
     assert replay_verdicts(read_log(log_path)) == (checked, diffs)
 
 
+def test_replay_reports_a_verdict_forged_as_early(tmp_path, capsys):
+    # LOSSY_MAJORITY's slot 2 waited for its deadline with 4 of 5 reports. MIXED_ROUND's
+    # slots are all decided early, slot 0 on node 0's Failure, and replay clean.
+    assert replay_verdicts(run(parse_scenario(MIXED_ROUND)).records) == (3, [])
+    log_path = tmp_path / "forged.log"
+    write_log(run(parse_scenario(LOSSY_MAJORITY)).records, log_path)
+    text = log_path.read_text(encoding="utf-8")
+    forged, count = re.subn(r"(kind=Verdict req=2 .*deadline=)1", r"\g<1>0", text)
+    assert count == 1
+    log_path.write_text(forged, encoding="utf-8")
+    mismatch = "req 2: decided early on 4 of 5 members' reports"
+    assert replay_verdicts(read_log(log_path)) == (6, [mismatch])
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().out == f"mismatch: {mismatch}\n6 verdicts checked, 1 mismatches\n"
+
+
 def test_log_file_roundtrip_is_lossless(tmp_path):
     result = run(load_scenario(SCENARIO_DIR / "baseline.scenario"))
     log_path = tmp_path / "run.log"
@@ -208,6 +225,57 @@ def test_lines_with_json_escapes_take_the_full_line_parse(tmp_path):
     assert Record in map(type, records)
     assert dump_records(records) == text
     assert cli.main(["replay", "--log", str(log_path)]) == 0
+
+
+# LOSSY_MAJORITY with every arrival 300 ticks later: most records fall after
+# t=256, where each int is its own object unless something shares it.
+LATE_LOSSY = re.sub(r"at: (\d+), payload", lambda m: f"at: {int(m[1]) + 300}, payload",
+                    LOSSY_MAJORITY)
+
+
+def assert_shared(records):
+    """One kind object per kind, and one time object per run of records at one tick;
+    returns the pairs of consecutive records at one tick past 256."""
+    kinds = {}
+    for record in records:
+        assert kinds.setdefault(record.kind, record.kind) is record.kind
+    late = [(a, b) for a, b in zip(records, records[1:]) if a.time == b.time > 256]
+    assert len(late) > 100
+    assert all(a.time is b.time for a, b in late)
+    return late
+
+
+def test_read_log_shares_each_kind_and_each_ticks_time(tmp_path):
+    log_path = tmp_path / "run.log"
+    write_log(run(parse_scenario(LATE_LOSSY)).records, log_path)
+    records = read_log(log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    assert records == [parse_record(line) for line in lines]
+    assert {"Drop", "Failure", "Verdict"} <= {record.kind for record in records}
+    assert_shared(records)
+
+
+def test_live_records_share_each_ticks_time():
+    pairs = {(type(a), type(b)) for a, b in assert_shared(run(parse_scenario(LATE_LOSSY)).records)}
+    assert pairs == {(Delivery, Delivery), (Delivery, Record), (Record, Delivery), (Record, Record)}
+
+
+def test_a_log_of_both_routes_and_blank_lines_reads_and_fails_as_before(tmp_path):
+    payload = json.dumps('say "hi"')  # escaped in the log, so its lines take the Record route
+    log_path = tmp_path / "mixed.log"
+    write_log(run(parse_scenario(LATE_LOSSY.replace('"q2"', payload))).records, log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1:1] = ["\n", "  \n"]
+    log_path.write_text("".join(lines), encoding="utf-8")
+    records = read_log(log_path)
+    assert records == [parse_record(line) for line in lines if line.strip()]
+    assert {type(record) for record in records} == {Record, LineRecord}
+    assert_shared(records)
+    assert replay_verdicts(records) == (6, [])
+    lines.append('time=999 seq=0 kind=Verdict note="\\q"\n')
+    log_path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^line {len(lines)}: Invalid \\escape: "):
+        read_log(log_path)
 
 
 def test_write_log_in_small_chunks_writes_the_same_bytes(tmp_path, monkeypatch):
