@@ -24,7 +24,9 @@ from .membership import EmptyGroup, MembershipService
 from .messages import (
     Accepted,
     AcceptRequest,
+    CatchUp,
     ClientRequest,
+    Decided,
     Heartbeat,
     NodeId,
     Packet,
@@ -32,13 +34,23 @@ from .messages import (
     Promise,
     packet_from_fields,
 )
-from .proposer import Proposer, Rounds
+from .proposer import Proposer, Rounds, majority_threshold
 from .scenario import CrashFault, FaultSpec, Scenario
 from .simnet import Simulation
 
 
 class Replica:
-    """A replica node: always an acceptor, plus the proposer role while leading."""
+    """A replica node: always an acceptor, plus the proposer role while leading.
+
+    An AcceptRequest for a slot past the acceptor's cursor reveals a gap: the
+    replica sends CatchUp(next_slot) to n - majority(n) peers, which include
+    one that executed any slot a majority accepted. The peers are a window of
+    the ring of the other replicas (from id + 1 on) that moves with the
+    revealing slot, so the asks that follow cover every peer. Nothing retries
+    a CatchUp but the next AcceptRequest that reveals a gap. A peer answers
+    with a Decided packet per slot it has executed from that slot on; the
+    Accepted a Decided produces goes to the learner only.
+    """
 
     def __init__(self, node_id: NodeId, scenario: Scenario, sim: Simulation,
                  learner_id: NodeId):
@@ -52,9 +64,14 @@ class Replica:
         self.epoch = 0
         self.heartbeat_seq = 0
         self.rounds = Rounds()  # shared by every incumbency of this node
+        self.group_size = scenario.acceptors
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
-        self.rounds.note(packet.n.round)  # every kind a replica receives is numbered
+        if isinstance(packet, CatchUp):
+            for decided in self.acceptor.decided_from(packet.from_slot):
+                self.bus.send(decided, src)
+            return
+        self.rounds.note(packet.n.round)  # every other kind a replica receives is numbered
         if isinstance(packet, Promise):
             if packet.last_served is not None:
                 self.rounds.note(packet.last_served.round)
@@ -63,6 +80,10 @@ class Replica:
         elif isinstance(packet, Accepted):
             if self.proposer is not None:
                 self.proposer.on_accepted(packet)
+        elif isinstance(packet, Decided):
+            accepted = self.acceptor.on_decided(packet)
+            if accepted is not None:  # the proposer has moved past this slot
+                self.bus.send(accepted, self.learner_id)
         elif packet.epoch != self.epoch:
             return  # fenced: a deposed leader's leftover Prepare or AcceptRequest
         elif isinstance(packet, Prepare):
@@ -74,6 +95,18 @@ class Replica:
             if accepted is not None:
                 self.bus.send(accepted, src)
                 self.bus.send(accepted, self.learner_id)
+            elif packet.request.request_id > self.acceptor.next_slot:
+                self._catch_up(packet.request.request_id)
+
+    def _catch_up(self, revealing_slot: int) -> None:
+        """Ask the window of peers that revealing_slot selects for the missing slots."""
+        n = self.group_size
+        # A group of two asks its one peer, though a majority of two leaves no other.
+        fanout = min(n - 1, max(1, n - majority_threshold(n)))
+        ask = CatchUp(from_slot=self.acceptor.next_slot, sender=self.id)
+        start = revealing_slot * fanout
+        for i in range(start, start + fanout):
+            self.bus.send(ask, (self.id + 1 + i % (n - 1)) % n)  # the i-th peer on the ring
 
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "hb":
@@ -227,9 +260,11 @@ class ClusterRun:
         for replica in self.replicas:
             if replica.id not in self.sim.crashed:
                 replica.set_leadership(epoch, leader, members)
-        # The client retries every unanswered request against the new leader,
-        # synchronously and in slot order, so nothing arriving later this tick
-        # can jump the queue ahead of an older unfinished slot.
+        # The learner first seals the slots this election's Failure completed.
+        # Then the client retries every unanswered request against the new
+        # leader, synchronously and in slot order, so nothing arriving later
+        # this tick can jump the queue ahead of an older unfinished slot.
+        self.learner.on_membership_change()
         for rid in sorted(self.seen):
             if not isinstance(self._verdict_of(rid), Consensus):
                 self._on_arrival(self.seen[rid], redispatch=True)

@@ -104,7 +104,28 @@ class ClientResponse:
     kind = "ClientResponse"
 
 
-Packet = Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientResponse
+@dataclass(frozen=True, slots=True)
+class CatchUp:
+    """A lagging replica's ask for the slots a peer has executed, from from_slot on."""
+
+    from_slot: int
+    sender: NodeId
+
+    kind = "CatchUp"
+
+
+@dataclass(frozen=True, slots=True)
+class Decided:
+    """One slot a peer has executed: the number it was accepted under, and its request."""
+
+    n: ProposalNumber
+    request: ClientRequest
+
+    kind = "Decided"
+
+
+Packet = (Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientResponse | CatchUp
+          | Decided)
 
 
 def _quote_text(text: str) -> str:
@@ -154,6 +175,11 @@ def packet_text(packet: Packet) -> str:
         return f"hb_seq={packet.seq}"
     if cls is ClientResponse:
         return f"req={packet.request_id} output={_quote_text(packet.output)}"
+    if cls is CatchUp:
+        return f"from_slot={packet.from_slot}"
+    if cls is Decided:
+        return (f"n={packet.n} req={packet.request.request_id} "
+                f"payload={_quote_text(packet.request.payload)}")
     raise TypeError(f"not a packet: {packet!r}")
 
 
@@ -173,4 +199,9 @@ def packet_from_fields(kind: str, fields: dict[str, str], sender: NodeId) -> Pac
         return Heartbeat(sender=sender, seq=int(fields["hb_seq"]))
     if kind == "ClientResponse":
         return ClientResponse(request_id=int(fields["req"]), output=fields["output"])
+    if kind == "CatchUp":
+        return CatchUp(from_slot=int(fields["from_slot"]), sender=sender)
+    if kind == "Decided":
+        return Decided(n=ProposalNumber.parse(fields["n"]),
+                       request=ClientRequest(int(fields["req"]), fields["payload"]))
     raise ValueError(f"unknown packet kind: {kind}")

@@ -3,7 +3,7 @@
 import random
 
 from paxsim.acceptor import Acceptor
-from paxsim.messages import AcceptRequest, ClientRequest, Prepare, ProposalNumber
+from paxsim.messages import AcceptRequest, ClientRequest, Decided, Prepare, ProposalNumber
 from paxsim.statemachine import compile_app_model, compile_machine
 
 MACHINE = compile_machine({
@@ -154,3 +154,35 @@ def test_slots_execute_in_order_exactly_once():
     # Slot 1 now executes.
     second = a.on_accept_request(accept(ProposalNumber(8, 2), rid=1))
     assert second is not None and second.request_id == 1
+
+
+def test_on_decided_executes_only_the_next_slot():
+    a = make_acceptor()
+    a.highest_promised = ProposalNumber(9, 1)
+
+    def decided(rid, payload="GET /health"):
+        return Decided(n=ProposalNumber(rid, 0), request=ClientRequest(rid, payload))
+
+    assert a.on_decided(decided(1)) is None  # ahead of the cursor: not buffered
+    assert a.next_slot == 0 and a.executed == {}
+    out = a.on_decided(decided(0, payload="boom"))
+    assert (out.n, out.request_id, out.output, out.new_state, out.sender) == (
+        ProposalNumber(0, 0), 0, "Error", "S1", a.id)
+    assert a.next_slot == 1
+    # A Decided moves no promise, and is no accepted proposal.
+    assert a.highest_promised == ProposalNumber(9, 1) and a.last_served is None
+    machine = a.machine
+    assert a.on_decided(decided(0, payload="boom")) is None  # behind the cursor
+    assert a.machine == machine and a.next_slot == 1
+    # The slot is cached as an AcceptRequest would have left it.
+    retry = a.on_accept_request(accept(ProposalNumber(10, 2), payload="boom", rid=0))
+    assert (retry.output, retry.new_state) == ("Error", "S1")
+    assert a.decided_from(0) == [decided(0, payload="boom")]
+
+
+def test_a_compromised_replica_lies_about_a_decided_slot_too():
+    shady = make_acceptor()
+    shady.compromise({"GET /health": "Error"})
+    decided = Decided(n=ProposalNumber(0, 0), request=ClientRequest(0, "GET /health"))
+    out = shady.on_decided(decided)
+    assert (out.output, out.new_state) == ("Error", "S1")

@@ -1,0 +1,213 @@
+"""Replica catch-up: a replica that misses a slot fetches it from its peers."""
+
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from paxsim import ClusterRun, load_scenario, majority_threshold, parse_scenario, run
+from paxsim.acceptor import CATCH_UP_LIMIT
+from paxsim.harness import Replica
+from paxsim.messages import (Accepted, AcceptRequest, CatchUp, ClientRequest, Decided,
+                             ProposalNumber)
+from test_harness import COMPROMISE, MIXED_ROUND
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def group(acceptors: int):
+    return parse_scenario(f"""
+name: group
+acceptors: {acceptors}
+net: {{seed: 1}}
+machine: {{states: ["S0", "S1"], start: "S0",
+           rules: [{{from: "S0", to: "S1", output_regex: "Error", threshold: 0}}]}}
+app_model: {{outputs: [{{request: "bad.*", output: "Error"}}], default_output: "OK"}}
+requests: []
+""")
+
+
+class Wire:
+    """A stand-in for the simulation: keeps every send, delivers nothing by itself."""
+
+    shutting_down = False
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, packet, src, dst):
+        self.sent.append((packet, src, dst))
+
+    def set_timer(self, owner, tag, delay):
+        pass
+
+    def log(self, kind, **fields):
+        pass
+
+    def take(self):
+        sent, self.sent = self.sent, []
+        return sent
+
+
+def replicas(acceptors: int):
+    wire, scenario = Wire(), group(acceptors)
+    return wire, [Replica(i, scenario, wire, learner_id=acceptors) for i in range(acceptors)]
+
+
+def accept_request(slot: int, payload: str = "ok") -> AcceptRequest:
+    return AcceptRequest(n=ProposalNumber(slot, 0), request=ClientRequest(slot, payload), epoch=0)
+
+
+def execute(replica: Replica, slots) -> None:
+    for slot in slots:
+        replica.on_packet(accept_request(slot), 0, 0)
+
+
+@pytest.mark.parametrize("acceptors", [3, 4, 5, 7, 9])
+def test_a_gap_asks_n_minus_majority_peers_from_a_window_that_rotates(acceptors):
+    wire, nodes = replicas(acceptors)
+    laggard = nodes[acceptors - 1]
+    execute(laggard, [0])
+    wire.take()
+    fanout = acceptors - majority_threshold(acceptors)
+    others = set(range(acceptors - 1))
+    asked = set()
+    for slot in range(2, 2 + acceptors):
+        laggard.on_packet(accept_request(slot), 0, 0)
+        sent = wire.take()
+        assert {packet for packet, _, _ in sent} == {CatchUp(from_slot=1, sender=laggard.id)}
+        peers = [dst for _, _, dst in sent]
+        assert len(set(peers)) == len(peers) == fanout and set(peers) <= others
+        asked |= set(peers)
+    assert asked == others  # consecutive revealing slots cover every peer
+    assert laggard.acceptor.next_slot == 1
+
+
+def test_a_group_of_two_asks_its_one_peer():
+    wire, nodes = replicas(2)
+    nodes[1].on_packet(accept_request(1), 0, 0)
+    assert wire.take() == [(CatchUp(from_slot=0, sender=1), 1, 0)]
+
+
+def test_a_peer_answers_from_its_executed_prefix_with_the_cap():
+    wire, nodes = replicas(3)
+    peer = nodes[1]
+    total = CATCH_UP_LIMIT + 6
+    execute(peer, range(total))
+    wire.take()
+    peer.on_packet(CatchUp(from_slot=3, sender=2), 2, 0)
+    sent = wire.take()
+    slots = [packet.request.request_id for packet, _, _ in sent]
+    assert slots == list(range(3, 3 + CATCH_UP_LIMIT))
+    assert all(type(packet) is Decided and (src, dst) == (1, 2) for packet, src, dst in sent)
+    assert sent[0][0] == Decided(n=ProposalNumber(3, 0), request=ClientRequest(3, "ok"))
+    peer.on_packet(CatchUp(from_slot=total - 2, sender=0), 0, 0)
+    assert [(packet.request.request_id, dst) for packet, _, dst in wire.take()] == [
+        (total - 2, 0), (total - 1, 0)]
+    peer.on_packet(CatchUp(from_slot=total, sender=0), 0, 0)
+    assert wire.take() == []
+
+
+def test_an_accepted_made_from_a_decided_goes_to_the_learner_only():
+    wire, nodes = replicas(5)
+    laggard = nodes[3]
+    decided = Decided(n=ProposalNumber(4, 1), request=ClientRequest(0, "bad"))
+    laggard.on_packet(decided, 2, 0)
+    assert wire.take() == [(Accepted(n=ProposalNumber(4, 1), request_id=0, output="Error",
+                                     new_state="S1", sender=3), 3, 5)]
+    laggard.on_packet(decided, 4, 0)  # a second peer's copy of the same slot
+    assert wire.take() == []
+
+
+def pump(wire: Wire, nodes, crashed=frozenset()) -> list:
+    """Deliver every send to its replica, crashed ones excepted, until none is left;
+    returns what was sent to the learner."""
+    to_learner = []
+    while wire.sent:
+        for packet, src, dst in wire.take():
+            if dst == len(nodes):
+                to_learner.append(packet)
+            elif dst not in crashed:
+                nodes[dst].on_packet(packet, src, 0)
+    return to_learner
+
+
+def test_a_laggard_whose_first_ring_peers_are_crashed_still_catches_up():
+    wire, nodes = replicas(5)
+    laggard = nodes[2]
+    for node in nodes:
+        if node is not laggard:
+            execute(node, range(4))
+    wire.take()
+    laggard.on_packet(accept_request(3), 0, 0)
+    first = {dst for _, _, dst in wire.sent}
+    assert len(first) == 2
+    assert pump(wire, nodes, crashed=first) == []
+    assert laggard.acceptor.next_slot == 0
+    for node in nodes:
+        if node is not laggard and node.id not in first:
+            execute(node, [4])
+    wire.take()
+    laggard.on_packet(accept_request(4), 0, 0)
+    second = {dst for _, _, dst in wire.sent}
+    assert second.isdisjoint(first)
+    reports = pump(wire, nodes, crashed=first)
+    assert [a.request_id for a in reports] == [0, 1, 2, 3, 4]
+    assert all(a.sender == 2 for a in reports)
+    assert laggard.acceptor.next_slot == 5
+
+
+def test_a_lossless_run_sends_no_catch_up():
+    runs = [run(load_scenario(SCENARIO_DIR / f"{name}.scenario"), seed=seed)
+            for name in ("baseline", "error_streak", "stale_count") for seed in range(4)]
+    runs += [run(parse_scenario(text)) for text in (COMPROMISE, MIXED_ROUND)]
+    for result in runs:
+        kinds = Counter(record.kind for record in result.records)
+        assert kinds["CatchUp"] == kinds["Decided"] == 0
+        assert "CatchUp" not in {record.fields.get("pkt") for record in result.records
+                                 if record.kind == "Drop"}
+
+
+def test_no_propose_follows_a_slots_verdict_in_mixed_round():
+    # The Failure that elects the new leader completes slot 0's reports: the
+    # learner seals it before the client retries, so it is not proposed again.
+    records = run(parse_scenario(MIXED_ROUND)).records
+    sealed = set()
+    for record in records:
+        if record.kind == "Verdict":
+            sealed.add(record.fields["req"])
+        elif record.kind in ("Propose", "Repropose"):
+            assert record.fields["req"] not in sealed, record
+    assert sealed == {0, 1, 2}
+    assert sum(record.kind == "Propose" for record in records) == 3
+
+
+def liveness_scenario(seed: int, loss_rate: float) -> str:
+    requests = "\n".join(f'  - {{at: {1 + 10 * i}, payload: "r{i % 7}"}}' for i in range(200))
+    return f"""
+name: liveness
+acceptors: 9
+net: {{seed: {seed}, base_delay: 1, jitter: 2, loss_rate: {loss_rate}}}
+timing: {{horizon: 4000}}
+machine: {{states: ["S"], start: "S", rules: []}}
+app_model: {{outputs: [], default_output: "OK"}}
+requests:
+{requests}
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("loss_rate, least", [(0.02, 200), (0.1, 199)])
+def test_lossy_groups_stay_live(seed, loss_rate, least):
+    # 9 replicas x 200 requests. Without catch-up one lost AcceptRequest stops a
+    # replica for good: 182-188 Consensus at 2% loss and 86-96 at 10%. At 10% a
+    # slot can still end Inconclusive when too many of its reports to the learner
+    # are lost, and a replica can end one slot behind when the last slot's
+    # AcceptRequest to it is lost (a trailing gap: no later AcceptRequest reveals it).
+    cluster = ClusterRun(parse_scenario(liveness_scenario(seed, loss_rate)))
+    report = cluster.run().report
+    assert report.counts["consensus"] >= least
+    cursors = [replica.acceptor.next_slot for replica in cluster.replicas]
+    assert min(cursors) >= 199
+    if loss_rate == 0.02:
+        assert cursors == [200] * 9

@@ -54,8 +54,8 @@ GOLDEN = {
     ("stale_count", 6): "84ca6ef2bfae07a949b68a663b7557882adaa3008a75a541a7e5ba81f071228c",
     ("stale_count", 7): "27130fcaefabc3c9d0f0c28682c37759d1575c5bfd6f980760cc72aa8a72e53c",
     ("COMPROMISE", None): "f7fa4dfeb50768bcd033c1daf68137c9b0e1d8db6870223917c9a9dfde39c790",
-    ("MIXED_ROUND", None): "691acc5f7d03c5b6a5898b608b6ab596881f3970df42f115ae6b9be12189bff8",
-    ("LOSSY_MAJORITY", None): "ba91f92b79e303e5d24c9db0acbf1d8f9b16a1f83dfb4a7d71742d51587c981f",
+    ("MIXED_ROUND", None): "215dbdb47e05ad649976810bc3cea1ca8786215ef7c16ffef38cf4e851ab48f4",
+    ("LOSSY_MAJORITY", None): "3602f54bc3a4c6929d0371df7bea949977f54e779a047099c00f431d06517cd1",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
@@ -110,10 +110,10 @@ GOLDEN_REPORTS = {
                           "df8ecca5432ceee582c63a8ce9dd210b76066e8937bfecdbeb951f36b348a4c6"),
     ("COMPROMISE", None): ("057bba6febb17f3075e013c7cf6e36adb02e629fd5c9d99b5e264b21abd90391",
                             "b4e90d3ef62b1c900c1e69151c609717b12bc8fed59723b36ad4391863aafa38"),
-    ("MIXED_ROUND", None): ("1a6b2d01b62c3da35890eb5c452b1ce47928a0289e942a7c56f20854b675a032",
-                             "5b2c3768c53946bdda8be8a429fd679c25eef11e2ce483a1136e243699794166"),
-    ("LOSSY_MAJORITY", None): ("ea6dae417ea61a355584f5541eb162fdcaa5842caa4e376c1d210ba8149142e9",
-                                "46ead8fd08b28956ff361667b6ad4cf4189cddae17484313cae9ab5c18aa0e08"),
+    ("MIXED_ROUND", None): ("fafb25328ca95fcec77ab449bd64be4c5f2880a94d73fe662bc249463db973e1",
+                             "4526ec922fad2ebc995ba57846781b24b18f49eeccc9e986b92fa2136e1d3ea1"),
+    ("LOSSY_MAJORITY", None): ("61af44762f19cf8b85bb489c1479d50d9148c3ed118d93eff8ac619e9b7c9d5e",
+                                "41fe2891e850f3ea7b7f73b92d0ed0a2f874cc8daa4d7b8a7f7dab1d73f1191e"),
 }
 
 
@@ -162,13 +162,15 @@ def test_report_matches_its_golden_digests(name, seed):
 
 
 def test_golden_runs_cover_every_verdict_and_fault_record():
+    # Catch-up leaves no lossy golden slot Inconclusive; ALL_CRASH's slot is one.
     kinds, verdicts = Counter(), Counter()
-    for name, seed in GOLDEN:
+    for name, seed in list(GOLDEN) + [("ALL_CRASH", None)]:
         for record in golden_run(name, seed).records:
             kinds[record.kind] += 1
             if record.kind == "Verdict":
                 verdicts[record.fields["verdict"]] += 1
-    assert {"AnomalyReport", "Drop", "Repropose", "Election", "Failure"} <= set(kinds)
+    assert {"AnomalyReport", "Drop", "Repropose", "Election", "Failure", "CatchUp",
+            "Decided"} <= set(kinds)
     assert set(verdicts) == {"Consensus", "Anomaly", "Inconclusive"}
 
 

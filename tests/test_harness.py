@@ -144,7 +144,9 @@ faults:
 """
 
 # Five replicas at 10% loss under the majority policy, one of them lying:
-# drops, a re-proposal, AnomalyReports and all three verdict kinds in one run.
+# drops, a re-proposal, AnomalyReports and a catch-up in one run. Replica 0
+# misses slots 0-2 and fetches them from its peers; every slot ends
+# Consensus, slots 0, 1 and 3 at their deadlines.
 LOSSY_MAJORITY = """
 name: lossy_majority
 acceptors: 5
@@ -170,13 +172,16 @@ faults:
 
 
 @pytest.mark.parametrize("rid, key, forged", [
-    (1, "received", 3), (1, "needed", 2), (1, "output", "forged"), (2, "state", "T"),
+    (0, "received", 3), (0, "needed", 2), (1, "output", "forged"), (2, "state", "T"),
 ])
 def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
-    # An Inconclusive field is forged in LOSSY_MAJORITY's slot 1 (2 of 3 reports),
+    # An Inconclusive field is forged in all_crash's slot 0 (0 reports, 1 needed),
     # a Consensus field in MIXED_ROUND's.
-    text = LOSSY_MAJORITY if key in ("received", "needed") else MIXED_ROUND
-    records = list(run(parse_scenario(text)).records)
+    if key in ("received", "needed"):
+        scenario = load_scenario(SCENARIO_DIR / "all_crash.scenario")
+    else:
+        scenario = parse_scenario(MIXED_ROUND)
+    records = list(run(scenario).records)
     verdicts = sum(record.kind == "Verdict" for record in records)
     assert replay_verdicts(records) == (verdicts, [])
     at = next(i for i, r in enumerate(records)
@@ -191,16 +196,16 @@ def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
 
 
 def test_replay_reports_a_verdict_forged_as_early(tmp_path, capsys):
-    # LOSSY_MAJORITY's slot 2 waited for its deadline with 4 of 5 reports. MIXED_ROUND's
+    # LOSSY_MAJORITY's slot 3 waited for its deadline with 4 of 5 reports. MIXED_ROUND's
     # slots are all decided early, slot 0 on node 0's Failure, and replay clean.
     assert replay_verdicts(run(parse_scenario(MIXED_ROUND)).records) == (3, [])
     log_path = tmp_path / "forged.log"
     write_log(run(parse_scenario(LOSSY_MAJORITY)).records, log_path)
     text = log_path.read_text(encoding="utf-8")
-    forged, count = re.subn(r"(kind=Verdict req=2 .*deadline=)1", r"\g<1>0", text)
+    forged, count = re.subn(r"(kind=Verdict req=3 .*deadline=)1", r"\g<1>0", text)
     assert count == 1
     log_path.write_text(forged, encoding="utf-8")
-    mismatch = "req 2: decided early on 4 of 5 members' reports"
+    mismatch = "req 3: decided early on 4 of 5 members' reports"
     assert replay_verdicts(read_log(log_path)) == (6, [mismatch])
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
     assert capsys.readouterr().out == f"mismatch: {mismatch}\n6 verdicts checked, 1 mismatches\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import typing
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,9 +11,12 @@ from paxsim.eventlog import Delivery, Record, dump_records, format_record, parse
 from paxsim.messages import (
     Accepted,
     AcceptRequest,
+    CatchUp,
     ClientRequest,
     ClientResponse,
+    Decided,
     Heartbeat,
+    Packet,
     Prepare,
     Promise,
     ProposalNumber,
@@ -105,6 +109,13 @@ def test_heartbeat_and_response_roundtrip():
     roundtrip(ClientResponse(request_id=9, output='he said "ok"\n'), src=5, dst=6)
 
 
+@given(st.integers(0, 500), payload_text)
+def test_catch_up_and_decided_roundtrip(slot, payload):
+    roundtrip(CatchUp(from_slot=slot, sender=3), src=3, dst=1)
+    roundtrip(Decided(n=ProposalNumber(slot, 2), request=ClientRequest(slot, payload)),
+              src=1, dst=3)
+
+
 @pytest.mark.parametrize("payload", ["", " ", "a b", '"', "\\", "naïve\t"])
 def test_awkward_payloads_survive(payload):
     packet = Prepare(n=ProposalNumber(0, 0), request=ClientRequest(0, payload), epoch=0)
@@ -116,15 +127,29 @@ any_proposals = st.builds(ProposalNumber, any_ints, any_ints)
 free_text = st.one_of(st.sampled_from(["", '"', 'say "hi"', "\t", "a\tb", "naïve", "漢😀"]),
                       payload_text)
 requests = st.builds(ClientRequest, any_ints, free_text)
-packets = st.one_of(
-    st.builds(Prepare, n=any_proposals, request=requests, epoch=any_ints),
-    st.builds(Promise, n=any_proposals, last_served=st.one_of(st.none(), any_proposals),
-              sender=any_ints),
-    st.builds(AcceptRequest, n=any_proposals, request=requests, epoch=any_ints),
-    st.builds(Accepted, n=any_proposals, request_id=any_ints, output=free_text,
-              new_state=free_text, sender=any_ints),
-    st.builds(Heartbeat, sender=any_ints, seq=any_ints),
-    st.builds(ClientResponse, request_id=any_ints, output=free_text))
+PACKETS_BY_KIND = {
+    Prepare: st.builds(Prepare, n=any_proposals, request=requests, epoch=any_ints),
+    Promise: st.builds(Promise, n=any_proposals,
+                       last_served=st.one_of(st.none(), any_proposals), sender=any_ints),
+    AcceptRequest: st.builds(AcceptRequest, n=any_proposals, request=requests, epoch=any_ints),
+    Accepted: st.builds(Accepted, n=any_proposals, request_id=any_ints, output=free_text,
+                        new_state=free_text, sender=any_ints),
+    Heartbeat: st.builds(Heartbeat, sender=any_ints, seq=any_ints),
+    ClientResponse: st.builds(ClientResponse, request_id=any_ints, output=free_text),
+    CatchUp: st.builds(CatchUp, from_slot=any_ints, sender=any_ints),
+    Decided: st.builds(Decided, n=any_proposals, request=requests),
+}
+packets = st.one_of(*PACKETS_BY_KIND.values())
+
+
+def test_the_packet_strategy_covers_every_packet_kind():
+    assert set(PACKETS_BY_KIND) == set(typing.get_args(Packet))
+
+
+@given(packets, any_ints, any_ints)
+def test_every_packet_kind_round_trips(packet, src, dst):
+    # A packet's sender, if it has one, travels as the delivery's from field.
+    roundtrip(packet, src=getattr(packet, "sender", src), dst=dst)
 
 
 @given(any_ints, any_ints, packets, any_ints, any_ints)
