@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .messages import Accepted, AcceptRequest, Decided, NodeId, Prepare, Promise, ProposalNumber
+from .messages import Accepted, AcceptRequest, Decided, Prepare, Promise, ProposalNumber
 from .statemachine import AppModel, RuntimeState, StateMachineDef, apply, execute, initial_state
 
 CATCH_UP_LIMIT = 64  # Decided packets sent in answer to one CatchUp
@@ -27,7 +27,6 @@ CATCH_UP_LIMIT = 64  # Decided packets sent in answer to one CatchUp
 
 @dataclass
 class Acceptor:
-    id: NodeId
     definition: StateMachineDef
     model: AppModel
     highest_promised: ProposalNumber | None = None
@@ -46,7 +45,7 @@ class Acceptor:
     def on_prepare(self, p: Prepare) -> Promise | None:
         """Promise iff p.n beats the highest number promised so far; else stay silent."""
         if self.highest_promised is None or p.n > self.highest_promised:
-            promise = Promise(n=p.n, last_served=self.last_served, sender=self.id)
+            promise = Promise(n=p.n, last_served=self.last_served)
             self.highest_promised = p.n
             return promise
         return None
@@ -100,7 +99,7 @@ class Acceptor:
 
     def _report(self, n: ProposalNumber, slot: int) -> Accepted:
         _, output, new_state = self.executed[slot]
-        return Accepted(n=n, request_id=slot, output=output, new_state=new_state, sender=self.id)
+        return Accepted(n=n, request_id=slot, output=output, new_state=new_state)
 
     def _produce_output(self, a: AcceptRequest | Decided) -> str:
         if a.request.payload in self.output_override:

@@ -20,7 +20,7 @@ from .acceptor import Acceptor
 from .eventlog import Delivery, LineRecord, Record
 from .learner import (MAJORITY, STRICT, Anomaly, Consensus, InstanceLedger, Learner, decide,
                       ledger_of, verdict_fields)
-from .membership import EmptyGroup, MembershipService
+from .membership import EmptyGroup, MembershipService, MembershipView
 from .messages import (
     Accepted,
     AcceptRequest,
@@ -53,13 +53,13 @@ class Replica:
     """
 
     def __init__(self, node_id: NodeId, scenario: Scenario, sim: Simulation,
-                 learner_id: NodeId):
+                 learner_id: NodeId, view: MembershipView):
         self.id = node_id
         self.bus = NodeBus(sim, node_id)
         self.learner_id = learner_id
+        self.view = view  # handed to each incumbency's proposer
         self.timing = scenario.timing
-        self.acceptor = Acceptor(id=node_id, definition=scenario.machine,
-                                 model=scenario.app_model)
+        self.acceptor = Acceptor(definition=scenario.machine, model=scenario.app_model)
         self.proposer: Proposer | None = None
         self.epoch = 0
         self.heartbeat_seq = 0
@@ -76,10 +76,10 @@ class Replica:
             if packet.last_served is not None:
                 self.rounds.note(packet.last_served.round)
             if self.proposer is not None:
-                self.proposer.on_promise(packet)
+                self.proposer.on_promise(packet, src)
         elif isinstance(packet, Accepted):
             if self.proposer is not None:
-                self.proposer.on_accepted(packet)
+                self.proposer.on_accepted(packet, src)
         elif isinstance(packet, Decided):
             accepted = self.acceptor.on_decided(packet)
             if accepted is not None:  # the proposer has moved past this slot
@@ -103,14 +103,14 @@ class Replica:
         n = self.group_size
         # A group of two asks its one peer, though a majority of two leaves no other.
         fanout = min(n - 1, max(1, n - majority_threshold(n)))
-        ask = CatchUp(from_slot=self.acceptor.next_slot, sender=self.id)
+        ask = CatchUp(from_slot=self.acceptor.next_slot)
         start = revealing_slot * fanout
         for i in range(start, start + fanout):
             self.bus.send(ask, (self.id + 1 + i % (n - 1)) % n)  # the i-th peer on the ring
 
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "hb":
-            self.bus.send(Heartbeat(sender=self.id, seq=self.heartbeat_seq), self.learner_id)
+            self.bus.send(Heartbeat(seq=self.heartbeat_seq), self.learner_id)
             self.heartbeat_seq += 1
             if not self.bus.shutting_down:
                 self.bus.set_timer(("hb",), self.timing.heartbeat_interval)
@@ -118,13 +118,13 @@ class Replica:
             _, request_id, round_, phase = tag
             self.proposer.on_phase_timeout(request_id, round_, phase)
 
-    def set_leadership(self, epoch: int, leader: NodeId, members) -> None:
+    def set_leadership(self, epoch: int, leader: NodeId) -> None:
         """Adopt the new epoch; take up or lay down the proposer role."""
         self.epoch = epoch
         if leader == self.id:
             if self.proposer is None:
                 self.proposer = Proposer(
-                    node_id=self.id, epoch=epoch, members=members,
+                    node_id=self.id, epoch=epoch, view=self.view,
                     rounds=self.rounds, bus=self.bus,
                     timeout=self.timing.prepare_timeout,
                 )
@@ -144,9 +144,9 @@ class InfraNode:
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
         if isinstance(packet, Heartbeat):
-            self.membership.record_heartbeat(packet.sender, now)
+            self.membership.record_heartbeat(src, now)
         elif isinstance(packet, Accepted):
-            self.learner.on_accepted(packet)
+            self.learner.on_accepted(packet, src)
 
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "detect":
@@ -219,7 +219,8 @@ class ClusterRun:
             client_id=self.client_id, membership_view=self.membership.view, bus=infra_bus,
             policy=scenario.anomaly_policy,
             instance_deadline=scenario.timing.instance_deadline, on_verdict=self._on_verdict)
-        self.replicas = [Replica(i, scenario, self.sim, self.learner_id) for i in range(n)]
+        self.replicas = [Replica(i, scenario, self.sim, self.learner_id, self.membership.view)
+                         for i in range(n)]
         infra = InfraNode(infra_bus, self.learner, self.membership,
                           scenario.timing.heartbeat_interval)
         self.sim.nodes = {i: r for i, r in enumerate(self.replicas)}
@@ -253,13 +254,12 @@ class ClusterRun:
         replica = self.replicas[leader]
         if leader in self.sim.crashed or replica.proposer is None:
             return
-        replica.proposer.on_membership_change(alive)
+        replica.proposer.on_membership_change()
 
     def _on_election(self, epoch: int, leader: NodeId) -> None:
-        members = frozenset(self.membership.view.alive)
         for replica in self.replicas:
             if replica.id not in self.sim.crashed:
-                replica.set_leadership(epoch, leader, members)
+                replica.set_leadership(epoch, leader)
         # The learner first seals the slots this election's Failure completed.
         # Then the client retries every unanswered request against the new
         # leader, synchronously and in slot order, so nothing arriving later
@@ -314,7 +314,7 @@ class ClusterRun:
         scenario = self.scenario
         self.sim.log("Init", acceptors=scenario.acceptors, leader=0, epoch=0,
                      policy=scenario.anomaly_policy, seed=self.seed)
-        self.replicas[0].set_leadership(0, 0, frozenset(range(scenario.acceptors)))
+        self.replicas[0].set_leadership(0, 0)
         # Same-tick events run in push order, so this order is part of the log.
         for fault in self.faults:
             self.sim.set_timer(self.client_id, ("fault", fault), fault.at)
@@ -451,8 +451,8 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
             elif kind == "Accepted":
                 fields = record.fields
                 if int(fields["to"]) == learner_id:
-                    packet = packet_from_fields("Accepted", fields, sender=int(fields["from"]))
-                    ledger_of(ledgers, packet.request_id).record(packet)
+                    packet = packet_from_fields("Accepted", fields)
+                    ledger_of(ledgers, packet.request_id).record(packet, int(fields["from"]))
             elif kind == "Verdict":
                 fields = record.fields
                 rid = int(fields["req"])

@@ -58,10 +58,10 @@ class InstanceLedger:
     reports: dict[NodeId, Accepted] = field(default_factory=dict)  # each sender's first
     verdict: Verdict | None = None
 
-    def record(self, a: Accepted) -> None:
+    def record(self, a: Accepted, sender: NodeId) -> None:
         """Keep each sender's first report; ignore every report after a Consensus verdict."""
         if not isinstance(self.verdict, Consensus):
-            self.reports.setdefault(a.sender, a)
+            self.reports.setdefault(sender, a)
 
 
 def ledger_of(ledgers: dict[int, InstanceLedger], request_id: int) -> InstanceLedger:
@@ -119,13 +119,13 @@ class Learner:
         self.ledgers: dict[int, InstanceLedger] = {}
         self.undecided: dict[int, InstanceLedger] = {}  # ledgers awaiting a verdict
 
-    def on_accepted(self, a: Accepted) -> None:
+    def on_accepted(self, a: Accepted, src: NodeId) -> None:
         ledger = self.ledgers.get(a.request_id)
         if ledger is None:  # the slot's first report arms its deadline
             ledger = InstanceLedger(a.request_id)
             self.ledgers[a.request_id] = self.undecided[a.request_id] = ledger
             self.bus.set_timer(("deadline", a.request_id), self.instance_deadline)
-        ledger.record(a)
+        ledger.record(a, src)
         if ledger.verdict is None and ledger.reports.keys() >= self.view.alive:
             self._decide(ledger, deadline_reached=False)
 

@@ -1,7 +1,8 @@
 """Protocol values exchanged between nodes, and their event-log text form.
 
 All message values are immutable after construction; handlers may freely
-keep or copy them across logical nodes.
+keep or copy them across logical nodes. A packet carries content only: its
+sender is the transport's src, logged as the delivery's from field.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class Promise:
 
     n: ProposalNumber
     last_served: ProposalNumber | None
-    sender: NodeId
 
     kind = "Promise"
 
@@ -75,22 +75,20 @@ class AcceptRequest:
 class Accepted:
     """The execution result a replica reports: proposal number, output, new state.
 
-    request_id identifies the slot the result belongs to; it is addressing
-    metadata, like sender, not part of the reported result triple.
+    request_id identifies the slot the result belongs to; it is not part of
+    the reported result triple. The reporting replica is the delivery's src.
     """
 
     n: ProposalNumber
     request_id: int
     output: str
     new_state: str
-    sender: NodeId
 
     kind = "Accepted"
 
 
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
-    sender: NodeId
     seq: int
 
     kind = "Heartbeat"
@@ -109,7 +107,6 @@ class CatchUp:
     """A lagging replica's ask for the slots a peer has executed, from from_slot on."""
 
     from_slot: int
-    sender: NodeId
 
     kind = "CatchUp"
 
@@ -183,7 +180,7 @@ def packet_text(packet: Packet) -> str:
     raise TypeError(f"not a packet: {packet!r}")
 
 
-def packet_from_fields(kind: str, fields: dict[str, str], sender: NodeId) -> Packet:
+def packet_from_fields(kind: str, fields: dict[str, str]) -> Packet:
     """Rebuild a packet value from parsed log fields. Inverse of packet_text."""
     if kind in ("Prepare", "AcceptRequest"):
         cls = Prepare if kind == "Prepare" else AcceptRequest
@@ -191,16 +188,16 @@ def packet_from_fields(kind: str, fields: dict[str, str], sender: NodeId) -> Pac
                    request=ClientRequest(int(fields["req"]), fields["payload"]))
     if kind == "Promise":
         last = ProposalNumber.parse(fields["last"]) if "last" in fields else None
-        return Promise(n=ProposalNumber.parse(fields["n"]), last_served=last, sender=sender)
+        return Promise(n=ProposalNumber.parse(fields["n"]), last_served=last)
     if kind == "Accepted":
         return Accepted(n=ProposalNumber.parse(fields["n"]), request_id=int(fields["req"]),
-                        output=fields["output"], new_state=fields["state"], sender=sender)
+                        output=fields["output"], new_state=fields["state"])
     if kind == "Heartbeat":
-        return Heartbeat(sender=sender, seq=int(fields["hb_seq"]))
+        return Heartbeat(seq=int(fields["hb_seq"]))
     if kind == "ClientResponse":
         return ClientResponse(request_id=int(fields["req"]), output=fields["output"])
     if kind == "CatchUp":
-        return CatchUp(from_slot=int(fields["from_slot"]), sender=sender)
+        return CatchUp(from_slot=int(fields["from_slot"]))
     if kind == "Decided":
         return Decided(n=ProposalNumber.parse(fields["n"]),
                        request=ClientRequest(int(fields["req"]), fields["payload"]))

@@ -1,14 +1,15 @@
 """Leader-side protocol logic: numbering, quorum counting, retry.
 
 The proposer converts each client request into a numbered proposal,
-broadcasts Prepare to every believed member (itself included), issues
-AcceptRequest once a majority has promised, and retries with a strictly
-higher number when a phase times out without reaching majority. Each
-in-flight proposal keeps one vote set, its promises while preparing and
-its acceptances once accepting, and one majority check drives both phase
-changes. Requests are driven one slot at a time, in slot order. Numbers
-come from the host node's Rounds, which outlives each incumbency, so none
-is ever reused.
+broadcasts Prepare to every member of the membership view's alive set
+(itself included), issues AcceptRequest once a majority of that set has
+promised, and retries with a strictly higher number when a phase times out
+without reaching majority. Each in-flight proposal keeps one vote set, its
+promises while preparing and its acceptances once accepting, and one
+majority check drives both phase changes. Requests are driven one slot at a
+time, in slot order; the client submits each request once per incumbency.
+Numbers come from the host node's Rounds, which outlives each incumbency,
+so none is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
 with the surface: send(packet, dst), set_timer(tag, delay),
@@ -32,10 +33,6 @@ from .messages import (
 
 
 class ZeroMembership(ValueError):
-    pass
-
-
-class DuplicateRequest(ValueError):
     pass
 
 
@@ -72,25 +69,19 @@ class InFlight:
 class Proposer:
     """One leadership incumbency of a node; discarded when the node is deposed."""
 
-    def __init__(self, node_id: NodeId, epoch: int, members, rounds: Rounds, bus, timeout: int):
+    def __init__(self, node_id: NodeId, epoch: int, view, rounds: Rounds, bus, timeout: int):
         self.id = node_id
         self.epoch = epoch
-        self.members: set[NodeId] = set(members)
+        self.view = view  # its alive set is the group: broadcast targets and voters
         self.rounds = rounds
         self.bus = bus
         self.timeout = timeout
         self.in_flight: InFlight | None = None
         self.pending: deque[ClientRequest] = deque()
-        self.done: set[int] = set()
 
     # -- client side -------------------------------------------------------
 
     def submit(self, request: ClientRequest) -> None:
-        rid = request.request_id
-        if rid in self.done or any(p.request_id == rid for p in self.pending) or (
-            self.in_flight is not None and self.in_flight.request.request_id == rid
-        ):
-            raise DuplicateRequest(f"request {rid} is already decided or in flight")
         if self.in_flight is not None:
             self.pending.append(request)
         else:
@@ -98,11 +89,11 @@ class Proposer:
 
     # -- packet handlers ----------------------------------------------------
 
-    def on_promise(self, p: Promise) -> None:
-        self._vote(p, PREPARING)
+    def on_promise(self, p: Promise, src: NodeId) -> None:
+        self._vote(p, src, PREPARING)
 
-    def on_accepted(self, a: Accepted) -> None:
-        self._vote(a, ACCEPTING)
+    def on_accepted(self, a: Accepted, src: NodeId) -> None:
+        self._vote(a, src, ACCEPTING)
 
     # -- timers and membership ----------------------------------------------
 
@@ -116,17 +107,16 @@ class Proposer:
             return
         self._propose(flight.request, "Repropose")
 
-    def on_membership_change(self, alive) -> None:
-        """Adopt the new membership and re-evaluate the majority immediately.
+    def on_membership_change(self) -> None:
+        """Re-evaluate the majority against the view's changed alive set immediately.
 
         Votes from departed nodes are discarded before the threshold is
         recomputed, so a stalled 3-of-6 can become a satisfied 3-of-5
         without waiting for a timeout.
         """
-        self.members = set(alive)
         flight = self.in_flight
         if flight is not None:
-            flight.votes &= self.members
+            flight.votes &= self.view.alive
             self._check_majority()
 
     # -- internals -----------------------------------------------------------
@@ -141,33 +131,33 @@ class Proposer:
         self._broadcast(Prepare(n=n, request=request, epoch=self.epoch))
 
     def _broadcast(self, packet: Prepare | AcceptRequest) -> None:
-        """Send to every member, then arm the in-flight phase's timeout."""
+        """Send to every alive member, then arm the in-flight phase's timeout."""
         flight = self.in_flight
-        for member in sorted(self.members):
+        for member in sorted(self.view.alive):
             self.bus.send(packet, member)
         self.bus.set_timer(("phase", flight.request.request_id, flight.n.round, flight.phase),
                            self.timeout)
 
-    def _vote(self, reply: Promise | Accepted, phase: str) -> None:
+    def _vote(self, reply: Promise | Accepted, src: NodeId, phase: str) -> None:
         flight = self.in_flight
         if (flight is None or flight.phase != phase or reply.n != flight.n
-                or reply.sender not in self.members):
+                or src not in self.view.alive):
             return  # stale, foreign or from a non-member
-        flight.votes.add(reply.sender)
+        flight.votes.add(src)
         self._check_majority()
 
     def _check_majority(self) -> None:
         flight = self.in_flight
-        if len(flight.votes) < majority_threshold(len(self.members)):
+        membership = len(self.view.alive)
+        if len(flight.votes) < majority_threshold(membership):
             return
         if flight.phase == PREPARING:
             self.bus.log("MajorityReached", **{"from": self.id, "req": flight.request.request_id,
                                                "n": flight.n, "promises": len(flight.votes),
-                                               "membership": len(self.members)})
+                                               "membership": membership})
             flight.phase, flight.votes = ACCEPTING, set()
             self._broadcast(AcceptRequest(n=flight.n, request=flight.request, epoch=self.epoch))
         else:
-            self.done.add(flight.request.request_id)
             self.in_flight = None
             if self.pending:
                 self._propose(self.pending.popleft(), "Propose")

@@ -113,6 +113,20 @@ def _require_mapping(value, field_name) -> dict:
     return value
 
 
+def _require_list(value, field_name) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(field_name, f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _require_text(value, field_name) -> str:
+    if value is None:
+        raise ValidationError(field_name, "expected text, got null")
+    return str(value)
+
+
 def _error_line(text: str, exc: Exception) -> int | None:
     """The 1-based line a YAML load error points at, if it carries a position."""
     mark = getattr(exc, "problem_mark", None)
@@ -182,10 +196,7 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
 
     requests = []
     previous_at = 0
-    raw_requests = doc.get("requests") or []
-    if not isinstance(raw_requests, list):
-        raise ValidationError("requests", "expected a list")
-    for idx, raw in enumerate(raw_requests):
+    for idx, raw in enumerate(_require_list(doc.get("requests"), "requests")):
         entry = _require_mapping(raw, f"requests[{idx}]")
         at = _require_int(entry.get("at"), f"requests[{idx}].at", minimum=0)
         if at < previous_at:
@@ -193,13 +204,10 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
         previous_at = at
         if "payload" not in entry:
             raise ValidationError(f"requests[{idx}].payload", "missing payload")
-        requests.append((at, str(entry["payload"])))
+        requests.append((at, _require_text(entry["payload"], f"requests[{idx}].payload")))
 
     faults = []
-    raw_faults = doc.get("faults") or []
-    if not isinstance(raw_faults, list):
-        raise ValidationError("faults", "expected a list")
-    for idx, raw in enumerate(raw_faults):
+    for idx, raw in enumerate(_require_list(doc.get("faults"), "faults")):
         entry = _require_mapping(raw, f"faults[{idx}]")
         at = _require_int(entry.get("at"), f"faults[{idx}].at", minimum=0)
         target = _require_int(entry.get("target"), f"faults[{idx}].target",
@@ -208,16 +216,18 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
         if kind == "crash":
             faults.append(CrashFault(at=at, target=target))
         elif kind == "compromise":
-            override = _require_mapping(entry.get("override"), f"faults[{idx}].override")
+            where = f"faults[{idx}].override"
+            override = _require_mapping(entry.get("override"), where)
             if not override:
-                raise ValidationError(f"faults[{idx}].override", "compromise requires an override table")
-            faults.append(CompromiseFault(at=at, target=target,
-                                          override={str(k): str(v) for k, v in override.items()}))
+                raise ValidationError(where, "compromise requires an override table")
+            override = {_require_text(k, where): _require_text(v, f"{where}.{k}")
+                        for k, v in override.items()}
+            faults.append(CompromiseFault(at=at, target=target, override=override))
         else:
             raise ValidationError(f"faults[{idx}].kind", f"expected crash or compromise, got {kind!r}")
 
     return Scenario(
-        name=str(doc.get("name", name_hint)),
+        name=_require_text(doc.get("name", name_hint), "name"),
         acceptors=acceptors,
         machine=machine,
         app_model=app_model,

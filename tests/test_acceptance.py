@@ -313,7 +313,7 @@ def test_criterion_8_learner_oracle_equivalence():
                     continue
                 pairs[node] = pair
                 ledger.record(Accepted(n=ProposalNumber(0, 0), request_id=0,
-                                       output=pair[0], new_state=pair[1], sender=node))
+                                       output=pair[0], new_state=pair[1]), node)
             got = decide(ledger, membership_size=n_nodes)
             want = _brute_force_verdict(pairs, n_nodes)
             checked += 1

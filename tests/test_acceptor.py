@@ -17,8 +17,8 @@ MODEL = compile_app_model({
 })
 
 
-def make_acceptor(node_id=1):
-    return Acceptor(id=node_id, definition=MACHINE, model=MODEL)
+def make_acceptor():
+    return Acceptor(definition=MACHINE, model=MODEL)
 
 
 def prepare(n, payload="GET /health", rid=0):
@@ -35,7 +35,6 @@ def test_fresh_acceptor_promises_with_empty_history():
     assert p is not None
     assert p.n == ProposalNumber(1, 0)
     assert p.last_served is None
-    assert p.sender == a.id
 
 
 def test_promise_rule_matches_brute_force():
@@ -74,7 +73,6 @@ def test_honest_execution_emits_result_triple():
     n = ProposalNumber(0, 0)
     out = a.on_accept_request(accept(n))
     assert (out.n, out.output, out.new_state) == (n, "OK", "S0")
-    assert out.sender == a.id
     assert a.last_served == n
 
 
@@ -90,7 +88,7 @@ def test_stale_accept_request_dropped_silently():
 def test_compromised_output_diverges_exactly_when_rule_changes():
     # Side by side: honest vs compromised on the same request stream.
     honest = make_acceptor()
-    shady = make_acceptor(node_id=2)
+    shady = make_acceptor()
     shady.compromise({"GET /health": "Error"})
     n = ProposalNumber(0, 0)
     a, b = honest.on_accept_request(accept(n)), shady.on_accept_request(accept(n))
@@ -131,7 +129,7 @@ def test_identical_streams_give_identical_outputs():
     stream = []
     for rid in range(20):
         stream.append(accept(ProposalNumber(rid, 0), payload=rng.choice(["GET /health", "x"]), rid=rid))
-    a, b = make_acceptor(1), make_acceptor(2)
+    a, b = make_acceptor(), make_acceptor()
     outs_a = [a.on_accept_request(pkt) for pkt in stream]
     outs_b = [b.on_accept_request(pkt) for pkt in stream]
     for x, y in zip(outs_a, outs_b):
@@ -166,8 +164,8 @@ def test_on_decided_executes_only_the_next_slot():
     assert a.on_decided(decided(1)) is None  # ahead of the cursor: not buffered
     assert a.next_slot == 0 and a.executed == {}
     out = a.on_decided(decided(0, payload="boom"))
-    assert (out.n, out.request_id, out.output, out.new_state, out.sender) == (
-        ProposalNumber(0, 0), 0, "Error", "S1", a.id)
+    assert (out.n, out.request_id, out.output, out.new_state) == (
+        ProposalNumber(0, 0), 0, "Error", "S1")
     assert a.next_slot == 1
     # A Decided moves no promise, and is no accepted proposal.
     assert a.highest_promised == ProposalNumber(9, 1) and a.last_served is None

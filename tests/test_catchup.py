@@ -11,6 +11,7 @@ from paxsim.harness import Replica
 from paxsim.messages import (Accepted, AcceptRequest, CatchUp, ClientRequest, Decided,
                              ProposalNumber)
 from test_harness import COMPROMISE, MIXED_ROUND
+from test_proposer import duplicate_proposals, view_of
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -51,7 +52,9 @@ class Wire:
 
 def replicas(acceptors: int):
     wire, scenario = Wire(), group(acceptors)
-    return wire, [Replica(i, scenario, wire, learner_id=acceptors) for i in range(acceptors)]
+    view = view_of(range(acceptors))
+    return wire, [Replica(i, scenario, wire, learner_id=acceptors, view=view)
+                  for i in range(acceptors)]
 
 
 def accept_request(slot: int, payload: str = "ok") -> AcceptRequest:
@@ -75,7 +78,7 @@ def test_a_gap_asks_n_minus_majority_peers_from_a_window_that_rotates(acceptors)
     for slot in range(2, 2 + acceptors):
         laggard.on_packet(accept_request(slot), 0, 0)
         sent = wire.take()
-        assert {packet for packet, _, _ in sent} == {CatchUp(from_slot=1, sender=laggard.id)}
+        assert {packet for packet, _, _ in sent} == {CatchUp(from_slot=1)}
         peers = [dst for _, _, dst in sent]
         assert len(set(peers)) == len(peers) == fanout and set(peers) <= others
         asked |= set(peers)
@@ -86,7 +89,7 @@ def test_a_gap_asks_n_minus_majority_peers_from_a_window_that_rotates(acceptors)
 def test_a_group_of_two_asks_its_one_peer():
     wire, nodes = replicas(2)
     nodes[1].on_packet(accept_request(1), 0, 0)
-    assert wire.take() == [(CatchUp(from_slot=0, sender=1), 1, 0)]
+    assert wire.take() == [(CatchUp(from_slot=0), 1, 0)]
 
 
 def test_a_peer_answers_from_its_executed_prefix_with_the_cap():
@@ -95,16 +98,16 @@ def test_a_peer_answers_from_its_executed_prefix_with_the_cap():
     total = CATCH_UP_LIMIT + 6
     execute(peer, range(total))
     wire.take()
-    peer.on_packet(CatchUp(from_slot=3, sender=2), 2, 0)
+    peer.on_packet(CatchUp(from_slot=3), 2, 0)
     sent = wire.take()
     slots = [packet.request.request_id for packet, _, _ in sent]
     assert slots == list(range(3, 3 + CATCH_UP_LIMIT))
     assert all(type(packet) is Decided and (src, dst) == (1, 2) for packet, src, dst in sent)
     assert sent[0][0] == Decided(n=ProposalNumber(3, 0), request=ClientRequest(3, "ok"))
-    peer.on_packet(CatchUp(from_slot=total - 2, sender=0), 0, 0)
+    peer.on_packet(CatchUp(from_slot=total - 2), 0, 0)
     assert [(packet.request.request_id, dst) for packet, _, dst in wire.take()] == [
         (total - 2, 0), (total - 1, 0)]
-    peer.on_packet(CatchUp(from_slot=total, sender=0), 0, 0)
+    peer.on_packet(CatchUp(from_slot=total), 0, 0)
     assert wire.take() == []
 
 
@@ -114,19 +117,19 @@ def test_an_accepted_made_from_a_decided_goes_to_the_learner_only():
     decided = Decided(n=ProposalNumber(4, 1), request=ClientRequest(0, "bad"))
     laggard.on_packet(decided, 2, 0)
     assert wire.take() == [(Accepted(n=ProposalNumber(4, 1), request_id=0, output="Error",
-                                     new_state="S1", sender=3), 3, 5)]
+                                     new_state="S1"), 3, 5)]
     laggard.on_packet(decided, 4, 0)  # a second peer's copy of the same slot
     assert wire.take() == []
 
 
 def pump(wire: Wire, nodes, crashed=frozenset()) -> list:
     """Deliver every send to its replica, crashed ones excepted, until none is left;
-    returns what was sent to the learner."""
+    returns the (packet, src) pairs sent to the learner."""
     to_learner = []
     while wire.sent:
         for packet, src, dst in wire.take():
             if dst == len(nodes):
-                to_learner.append(packet)
+                to_learner.append((packet, src))
             elif dst not in crashed:
                 nodes[dst].on_packet(packet, src, 0)
     return to_learner
@@ -152,8 +155,8 @@ def test_a_laggard_whose_first_ring_peers_are_crashed_still_catches_up():
     second = {dst for _, _, dst in wire.sent}
     assert second.isdisjoint(first)
     reports = pump(wire, nodes, crashed=first)
-    assert [a.request_id for a in reports] == [0, 1, 2, 3, 4]
-    assert all(a.sender == 2 for a in reports)
+    assert [a.request_id for a, _ in reports] == [0, 1, 2, 3, 4]
+    assert all(src == 2 for _, src in reports)
     assert laggard.acceptor.next_slot == 5
 
 
@@ -205,8 +208,9 @@ def test_lossy_groups_stay_live(seed, loss_rate, least):
     # are lost, and a replica can end one slot behind when the last slot's
     # AcceptRequest to it is lost (a trailing gap: no later AcceptRequest reveals it).
     cluster = ClusterRun(parse_scenario(liveness_scenario(seed, loss_rate)))
-    report = cluster.run().report
-    assert report.counts["consensus"] >= least
+    result = cluster.run()
+    assert result.report.counts["consensus"] >= least
+    assert duplicate_proposals(result.records) == []
     cursors = [replica.acceptor.next_slot for replica in cluster.replicas]
     assert min(cursors) >= 199
     if loss_rate == 0.02:

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from paxsim import cli, load_scenario, parse_scenario, run
+from paxsim import ClusterRun, cli, load_scenario, parse_scenario, run
 from paxsim.eventlog import (Delivery, LineRecord, Record, dump_records, parse_record, read_log,
                              write_log)
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
-from paxsim.messages import ProposalNumber
+from paxsim.messages import Accepted, Heartbeat, ProposalNumber
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -305,6 +305,17 @@ def test_report_counts_agree_with_log():
     assert counts["inconclusive"] == verdicts["Inconclusive"]
     total = counts["consensus"] + counts["anomaly"] + counts["inconclusive"]
     assert total == len(result.report.verdicts)
+
+
+def test_the_infra_node_credits_each_packet_to_its_delivery_src():
+    cluster = ClusterRun(parse_scenario(COMPROMISE))
+    infra = cluster.sim.nodes[cluster.learner_id]
+    report = Accepted(n=ProposalNumber(0, 0), request_id=0, output="OK", new_state="S0")
+    infra.on_packet(report, 3, 4)
+    infra.on_packet(report, 1, 4)
+    assert cluster.learner.ledgers[0].reports == {3: report, 1: report}
+    infra.on_packet(Heartbeat(seq=0), 2, 9)
+    assert cluster.membership.view.last_heartbeat == {0: 0, 1: 0, 2: 9, 3: 0, 4: 0}
 
 
 def test_crashed_node_emits_nothing_after_crash():

@@ -18,33 +18,32 @@ from paxsim.proposer import majority_threshold
 from test_proposer import FakeBus
 
 
-def accepted(sender, output="OK", state="S1", round_=0, rid=0):
-    return Accepted(n=ProposalNumber(round_, 0), request_id=rid, output=output,
-                    new_state=state, sender=sender)
+def accepted(output="OK", state="S1", round_=0, rid=0):
+    return Accepted(n=ProposalNumber(round_, 0), request_id=rid, output=output, new_state=state)
 
 
 def filled_ledger(reports, rid=0):
     ledger = InstanceLedger(request_id=rid)
     for sender, (output, state, round_) in reports.items():
-        ledger.record(accepted(sender, output=output, state=state, round_=round_))
+        ledger.record(accepted(output=output, state=state, round_=round_), sender)
     return ledger
 
 
 def test_first_tuple_recorded():
     # A sender's first report stands, whatever rounds its later ones carry.
     ledger = InstanceLedger(request_id=0)
-    ledger.record(accepted(1, output="first", round_=0))
-    ledger.record(accepted(1, output="later", round_=2))
+    ledger.record(accepted(output="first", round_=0), 1)
+    ledger.record(accepted(output="later", round_=2), 1)
     assert {node: a.output for node, a in ledger.reports.items()} == {1: "first"}
     ledger.verdict = Consensus(output="first", state="S1")
-    ledger.record(accepted(2))  # after a Consensus
+    ledger.record(accepted(), 2)  # after a Consensus
     assert set(ledger.reports) == {1}
 
 
 def test_duplicate_tuple_ignored():
     ledger = InstanceLedger(request_id=0)
-    ledger.record(accepted(1))
-    ledger.record(accepted(1))
+    ledger.record(accepted(), 1)
+    ledger.record(accepted(), 1)
     assert len(ledger.reports) == 1
 
 
@@ -205,7 +204,7 @@ FOUR_AGAINST_ONE_REPORT = ("AnomalyReport", {"req": 0, "dissenting": "4", "state
 
 def feed(learner, reports, rid=0):
     for sender, (output, state, round_) in reports.items():
-        learner.on_accepted(accepted(sender, output=output, state=state, round_=round_, rid=rid))
+        learner.on_accepted(accepted(output=output, state=state, round_=round_, rid=rid), sender)
 
 
 def test_majority_learner_logs_the_anomaly_report_then_a_consensus():
@@ -256,13 +255,13 @@ def test_a_departure_that_completes_a_slots_reports_decides_it():
 
 def test_one_deadline_timer_per_slot_however_many_reports():
     learner, bus = make_learner(STRICT)
-    learner.on_accepted(accepted(0, rid=0))
-    learner.on_accepted(accepted(0, rid=0))            # duplicate
-    learner.on_accepted(accepted(1, rid=1))
-    learner.on_accepted(accepted(0, round_=2, rid=0))  # a higher round, ignored
-    learner.on_accepted(accepted(1, rid=0))
+    learner.on_accepted(accepted(rid=0), 0)
+    learner.on_accepted(accepted(rid=0), 0)            # duplicate
+    learner.on_accepted(accepted(rid=1), 1)
+    learner.on_accepted(accepted(round_=2, rid=0), 0)  # a higher round, ignored
+    learner.on_accepted(accepted(rid=0), 1)
     learner.on_deadline(0)
-    learner.on_accepted(accepted(2, rid=0))            # after the slot's verdict
+    learner.on_accepted(accepted(rid=0), 2)            # after the slot's verdict
     feed(learner, {n: ("OK", "S1", 0) for n in range(5)}, rid=1)
-    learner.on_accepted(accepted(0, round_=5, rid=1))  # after a Consensus
+    learner.on_accepted(accepted(round_=5, rid=1), 0)  # after a Consensus
     assert bus.timers == [(("deadline", 0), 50), (("deadline", 1), 50)]

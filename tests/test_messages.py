@@ -79,9 +79,8 @@ payload_text = st.text(
 def roundtrip(packet, src, dst):
     parsed = parse_record(format_record(Delivery(time=7, seq=3, packet=packet, src=src, dst=dst)))
     assert parsed.time == 7 and parsed.seq == 3 and parsed.kind == packet.kind
-    rebuilt = packet_from_fields(parsed.kind, parsed.fields, sender=int(parsed.fields["from"]))
-    assert rebuilt == packet
-    assert int(parsed.fields["to"]) == dst
+    assert packet_from_fields(parsed.kind, parsed.fields) == packet
+    assert (int(parsed.fields["from"]), int(parsed.fields["to"])) == (src, dst)
 
 
 @given(st.integers(0, 99), st.integers(0, 9), st.integers(0, 50), payload_text)
@@ -93,7 +92,7 @@ def test_prepare_roundtrip(round_, proposer, rid, payload):
 
 @given(st.integers(0, 99), st.one_of(st.none(), proposals))
 def test_promise_roundtrip(round_, last):
-    packet = Promise(n=ProposalNumber(round_, 0), last_served=last, sender=3)
+    packet = Promise(n=ProposalNumber(round_, 0), last_served=last)
     roundtrip(packet, src=3, dst=0)
 
 
@@ -101,17 +100,17 @@ def test_promise_roundtrip(round_, last):
 def test_accept_request_and_accepted_roundtrip(payload, output):
     n = ProposalNumber(5, 1)
     roundtrip(AcceptRequest(n=n, request=ClientRequest(2, payload), epoch=0), src=1, dst=2)
-    roundtrip(Accepted(n=n, request_id=2, output=output, new_state="S1", sender=2), src=2, dst=6)
+    roundtrip(Accepted(n=n, request_id=2, output=output, new_state="S1"), src=2, dst=6)
 
 
 def test_heartbeat_and_response_roundtrip():
-    roundtrip(Heartbeat(sender=4, seq=17), src=4, dst=5)
+    roundtrip(Heartbeat(seq=17), src=4, dst=5)
     roundtrip(ClientResponse(request_id=9, output='he said "ok"\n'), src=5, dst=6)
 
 
 @given(st.integers(0, 500), payload_text)
 def test_catch_up_and_decided_roundtrip(slot, payload):
-    roundtrip(CatchUp(from_slot=slot, sender=3), src=3, dst=1)
+    roundtrip(CatchUp(from_slot=slot), src=3, dst=1)
     roundtrip(Decided(n=ProposalNumber(slot, 2), request=ClientRequest(slot, payload)),
               src=1, dst=3)
 
@@ -130,13 +129,13 @@ requests = st.builds(ClientRequest, any_ints, free_text)
 PACKETS_BY_KIND = {
     Prepare: st.builds(Prepare, n=any_proposals, request=requests, epoch=any_ints),
     Promise: st.builds(Promise, n=any_proposals,
-                       last_served=st.one_of(st.none(), any_proposals), sender=any_ints),
+                       last_served=st.one_of(st.none(), any_proposals)),
     AcceptRequest: st.builds(AcceptRequest, n=any_proposals, request=requests, epoch=any_ints),
     Accepted: st.builds(Accepted, n=any_proposals, request_id=any_ints, output=free_text,
-                        new_state=free_text, sender=any_ints),
-    Heartbeat: st.builds(Heartbeat, sender=any_ints, seq=any_ints),
+                        new_state=free_text),
+    Heartbeat: st.builds(Heartbeat, seq=any_ints),
     ClientResponse: st.builds(ClientResponse, request_id=any_ints, output=free_text),
-    CatchUp: st.builds(CatchUp, from_slot=any_ints, sender=any_ints),
+    CatchUp: st.builds(CatchUp, from_slot=any_ints),
     Decided: st.builds(Decided, n=any_proposals, request=requests),
 }
 packets = st.one_of(*PACKETS_BY_KIND.values())
@@ -148,8 +147,7 @@ def test_the_packet_strategy_covers_every_packet_kind():
 
 @given(packets, any_ints, any_ints)
 def test_every_packet_kind_round_trips(packet, src, dst):
-    # A packet's sender, if it has one, travels as the delivery's from field.
-    roundtrip(packet, src=getattr(packet, "sender", src), dst=dst)
+    roundtrip(packet, src=src, dst=dst)
 
 
 @given(any_ints, any_ints, packets, any_ints, any_ints)
@@ -167,12 +165,12 @@ def line_by_line(records):
 def test_dump_records_renders_a_broadcast_packet_for_every_recipient():
     n = ProposalNumber(4, 1)
     prepare = Prepare(n=n, request=ClientRequest(3, "GET /item/7"), epoch=1)
-    accepted = Accepted(n=n, request_id=3, output="say \"ok\"", new_state="warn", sender=2)
+    accepted = Accepted(n=n, request_id=3, output="say \"ok\"", new_state="warn")
     records = [Delivery(time=1, seq=0, packet=prepare, src=1, dst=dst) for dst in (0, 2)]
     records += [Record(time=1, seq=2, kind="Propose", fields={"req": 3, "payload": "a b"}),
                 Delivery(time=2, seq=3, packet=accepted, src=2, dst=1),
                 Delivery(time=2, seq=4, packet=prepare, src=1, dst=3),
-                Delivery(time=2, seq=5, packet=Heartbeat(sender=0, seq=9), src=0, dst=4),
+                Delivery(time=2, seq=5, packet=Heartbeat(seq=9), src=0, dst=4),
                 Delivery(time=3, seq=6, packet=accepted, src=2, dst=5)]
     assert dump_records(records) == line_by_line(records)
     assert dump_records(records).count("kind=Prepare from=1") == 3
@@ -185,7 +183,7 @@ def test_dump_records_renders_new_packets_freed_after_each_line():
     # by id alone would render a stale text.
     def deliveries():
         for seq in range(200):
-            yield Delivery(time=seq, seq=seq, packet=Heartbeat(sender=0, seq=seq), src=0, dst=1)
+            yield Delivery(time=seq, seq=seq, packet=Heartbeat(seq=seq), src=0, dst=1)
 
     assert dump_records(deliveries()) == line_by_line(deliveries())
 

@@ -1,13 +1,16 @@
 """Proposer numbering, majority tracking and retry behaviour."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from paxsim import parse_scenario
+from paxsim import load_scenario, parse_scenario, run
 from paxsim.harness import Replica
+from paxsim.membership import MembershipView
 from paxsim.messages import Accepted, ClientRequest, Promise, ProposalNumber
 from paxsim.proposer import (
     ACCEPTING,
-    DuplicateRequest,
     PREPARING,
     Proposer,
     Rounds,
@@ -15,6 +18,8 @@ from paxsim.proposer import (
     majority_threshold,
 )
 from paxsim.simnet import NetConfig, Simulation
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 FIVE_REPLICAS = """
 acceptors: 5
@@ -41,24 +46,33 @@ class FakeBus:
         self.logs.append((kind, fields))
 
 
+def view_of(members):
+    return MembershipView(epoch=0, alive=set(members), leader=0)
+
+
 def make_proposer(members=range(5), node_id=0):
     bus = FakeBus()
-    return Proposer(node_id=node_id, epoch=0, members=members,
+    return Proposer(node_id=node_id, epoch=0, view=view_of(members),
                     rounds=Rounds(), bus=bus, timeout=10), bus
 
 
 def make_replica(node_id=0):
     """A lone replica of a five-node group; its sends queue up undelivered."""
     sim = Simulation(NetConfig(seed=0))
-    return Replica(node_id, parse_scenario(FIVE_REPLICAS), sim, learner_id=5), sim
+    return Replica(node_id, parse_scenario(FIVE_REPLICAS), sim, learner_id=5,
+                   view=view_of(range(5))), sim
 
 
 def proposed_rounds(sim):
     return [r.fields["n"].round for r in sim.records if r.kind in ("Propose", "Repropose")]
 
 
-def promise(n, sender, last=None):
-    return Promise(n=n, last_served=last, sender=sender)
+def promise(n, last=None):
+    return Promise(n=n, last_served=last)
+
+
+def accepted(n):
+    return Accepted(n=n, request_id=0, output="o", new_state="s")
 
 
 @pytest.mark.parametrize("size,expected", [(6, 4), (5, 3), (1, 1), (2, 2), (9, 5)])
@@ -85,31 +99,23 @@ def test_rounds_strictly_increase_across_requests():
     p.submit(ClientRequest(0, "a"))
     # Decide instance 0 quickly.
     for node in range(3):
-        p.on_promise(promise(ProposalNumber(0, 0), node))
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
     for node in range(3):
-        p.on_accepted(Accepted(n=ProposalNumber(0, 0), request_id=0, output="o",
-                               new_state="s", sender=node))
+        p.on_accepted(accepted(ProposalNumber(0, 0)), node)
     p.submit(ClientRequest(1, "b"))
     rounds = [pkt.n.round for pkt, _ in bus.sent if pkt.kind == "Prepare"]
     assert rounds == [0] * 5 + [1] * 5
-
-
-def test_duplicate_request_rejected():
-    p, _ = make_proposer()
-    p.submit(ClientRequest(0, "a"))
-    with pytest.raises(DuplicateRequest):
-        p.submit(ClientRequest(0, "a"))
 
 
 def test_third_distinct_promise_of_five_triggers_accept_broadcast():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
     bus.sent.clear()
-    p.on_promise(promise(ProposalNumber(0, 0), 1))
-    p.on_promise(promise(ProposalNumber(0, 0), 1))  # duplicate: no effect
-    p.on_promise(promise(ProposalNumber(0, 0), 2))
+    p.on_promise(promise(ProposalNumber(0, 0)), 1)
+    p.on_promise(promise(ProposalNumber(0, 0)), 1)  # duplicate: no effect
+    p.on_promise(promise(ProposalNumber(0, 0)), 2)
     assert bus.sent == []
-    p.on_promise(promise(ProposalNumber(0, 0), 3))
+    p.on_promise(promise(ProposalNumber(0, 0)), 3)
     accepts = [pkt for pkt, _ in bus.sent if pkt.kind == "AcceptRequest"]
     assert len(accepts) == 5
     majority = [f for k, f in bus.logs if k == "MajorityReached"]
@@ -121,12 +127,12 @@ def test_promise_for_decided_or_foreign_proposal_ignored():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
     bus.sent.clear()
-    p.on_promise(promise(ProposalNumber(9, 9), 1))  # foreign number
+    p.on_promise(promise(ProposalNumber(9, 9)), 1)  # foreign number
     assert p.in_flight.votes == set()
     for node in (1, 2, 3):
-        p.on_promise(promise(ProposalNumber(0, 0), node))
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
     assert p.in_flight.phase == ACCEPTING
-    p.on_promise(promise(ProposalNumber(0, 0), 4))  # late: phase guard
+    p.on_promise(promise(ProposalNumber(0, 0)), 4)  # late: phase guard
     assert 4 not in p.in_flight.votes
 
 
@@ -142,19 +148,19 @@ def test_timeout_with_no_promises_bumps_round_by_one():
 
 def test_repropose_exceeds_every_observed_round():
     replica, sim = make_replica()
-    replica.set_leadership(0, 0, range(5))
+    replica.set_leadership(0, 0)
     replica.proposer.submit(ClientRequest(0, "q"))
-    replica.on_packet(promise(ProposalNumber(0, 0), 1, last=ProposalNumber(7, 1)), 1, 0)
+    replica.on_packet(promise(ProposalNumber(0, 0), last=ProposalNumber(7, 1)), 1, 0)
     replica.on_timer(("phase", 0, 0, PREPARING), 10)
     assert proposed_rounds(sim) == [0, 8]
 
 
 def test_reelected_leader_never_reuses_a_round():
     replica, sim = make_replica()
-    replica.set_leadership(0, 0, range(5))
+    replica.set_leadership(0, 0)
     replica.proposer.submit(ClientRequest(0, "q"))
-    replica.set_leadership(1, 1, range(5))  # deposed before any packet came back
-    replica.set_leadership(2, 0, range(5))
+    replica.set_leadership(1, 1)  # deposed before any packet came back
+    replica.set_leadership(2, 0)
     replica.proposer.submit(ClientRequest(0, "q"))
     assert proposed_rounds(sim) == [0, 1]
 
@@ -173,9 +179,10 @@ def test_membership_shrink_unblocks_pending_majority():
     p.submit(ClientRequest(0, "q"))
     bus.sent.clear()
     for node in (0, 1, 2):
-        p.on_promise(promise(ProposalNumber(0, 0), node))
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
     assert p.in_flight.phase == PREPARING  # 3 of 6 is not a majority
-    p.on_membership_change({0, 1, 2, 3, 4})
+    p.view.alive.discard(5)
+    p.on_membership_change()
     assert p.in_flight.phase == ACCEPTING  # 3 of 5 is
     accepts = [dst for pkt, dst in bus.sent if pkt.kind == "AcceptRequest"]
     assert accepts == [0, 1, 2, 3, 4]
@@ -184,20 +191,39 @@ def test_membership_shrink_unblocks_pending_majority():
 def test_membership_noop_keeps_state():
     p, _ = make_proposer()
     p.submit(ClientRequest(0, "q"))
-    p.on_promise(promise(ProposalNumber(0, 0), 1))
+    p.on_promise(promise(ProposalNumber(0, 0)), 1)
     before = set(p.in_flight.votes)
-    p.on_membership_change({0, 1, 2, 3, 4})
+    p.on_membership_change()
     assert p.in_flight.votes == before
+
+
+def test_a_node_added_to_the_view_gets_the_next_broadcast_and_its_vote_counts():
+    view, bus = view_of(range(3)), FakeBus()
+    p = Proposer(node_id=0, epoch=0, view=view, rounds=Rounds(), bus=bus, timeout=10)
+    p.submit(ClientRequest(0, "q"))
+    p.on_promise(promise(ProposalNumber(0, 0)), 3)  # not yet a member: ignored
+    assert p.in_flight.votes == set()
+    view.alive.add(3)  # a rejoin, as the membership service records it
+    p.on_membership_change()
+    bus.sent.clear()
+    for node in (3, 0):
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
+    assert p.in_flight.votes == {0, 3} and p.in_flight.phase == PREPARING  # 2 of 4
+    p.on_promise(promise(ProposalNumber(0, 0)), 1)
+    assert [dst for pkt, dst in bus.sent if pkt.kind == "AcceptRequest"] == [0, 1, 2, 3]
+    majority = [f for k, f in bus.logs if k == "MajorityReached"]
+    assert [(f["promises"], f["membership"]) for f in majority] == [(3, 4)]
 
 
 def test_departed_promises_discarded_before_threshold_check():
     p, bus = make_proposer(members=range(7))
     p.submit(ClientRequest(0, "q"))
     for node in (0, 1, 4):
-        p.on_promise(promise(ProposalNumber(0, 0), node))
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
     assert p.in_flight.phase == PREPARING  # 3 of 7 is not a majority
     # Membership collapses to three nodes, two of which promised.
-    p.on_membership_change({0, 1, 3})
+    p.view.alive &= {0, 1, 3}
+    p.on_membership_change()
     majority = [f for k, f in bus.logs if k == "MajorityReached"]
     assert [(f["promises"], f["membership"]) for f in majority] == [(2, 3)]
 
@@ -206,10 +232,9 @@ def test_promises_never_count_as_acceptances():
     p, _ = make_proposer()
     p.submit(ClientRequest(0, "q"))
     for node in (0, 1, 2):
-        p.on_promise(promise(ProposalNumber(0, 0), node))
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
     for node in (3, 4):
-        p.on_accepted(Accepted(n=ProposalNumber(0, 0), request_id=0, output="o",
-                               new_state="s", sender=node))
+        p.on_accepted(accepted(ProposalNumber(0, 0)), node)
     assert p.in_flight.phase == ACCEPTING  # 2 of 5 acceptances is not a majority
 
 
@@ -218,6 +243,21 @@ def test_exactly_one_accept_broadcast_per_round():
     p.submit(ClientRequest(0, "q"))
     bus.sent.clear()
     for node in (1, 2, 3, 4, 0):
-        p.on_promise(promise(ProposalNumber(0, 0), node))
+        p.on_promise(promise(ProposalNumber(0, 0)), node)
     accepts = [pkt for pkt, _ in bus.sent if pkt.kind == "AcceptRequest"]
     assert len(accepts) == 5  # one broadcast, not one per extra promise
+
+
+def duplicate_proposals(records):
+    """The (epoch, req) pairs that more than one Propose record of a log carries."""
+    proposed = Counter((r.fields["epoch"], r.fields["req"]) for r in records if r.kind == "Propose")
+    return sorted(key for key, count in proposed.items() if count > 1)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scenario")), ids=lambda p: p.stem)
+def test_no_incumbency_proposes_a_request_twice(path):
+    # The client submits each request once per incumbency (epoch); the
+    # proposer keeps no guard of its own.
+    scenario = load_scenario(path)
+    for seed in range(8):
+        assert duplicate_proposals(run(scenario, seed=seed).records) == [], seed

@@ -43,6 +43,33 @@ def test_minimal_scenario_with_no_requests_is_valid():
     scenario = parse_scenario(MINIMAL)
     assert scenario.requests == ()
     assert scenario.faults == ()
+    assert parse_scenario(MINIMAL.replace("requests: []", "requests: ~\nfaults: null")) == scenario
+
+
+@pytest.mark.parametrize("tail, field_name", [
+    ("requests: 0", "requests"),
+    ("requests: {}", "requests"),
+    ("requests: ''", "requests"),
+    ("faults: {}", "faults"),
+    ("faults: 0", "faults"),
+    ("requests: [{at: 0, payload: ~}]", "requests[0].payload"),
+    ("faults: [{at: 0, target: 1, kind: compromise, override: {~: Error}}]",
+     "faults[0].override"),
+    ("faults: [{at: 0, target: 1, kind: compromise, override: {q: ~}}]",
+     "faults[0].override.q"),
+    ("name: ~", "name"),
+], ids=["requests-int", "requests-mapping", "requests-text", "faults-mapping", "faults-int",
+        "payload-null", "override-key-null", "override-value-null", "name-null"])
+def test_a_wrong_typed_list_or_a_null_text_field_is_invalid(tmp_path, capsys, tail, field_name):
+    text = MINIMAL.replace("requests: []\n", "") + tail + "\n"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert err.value.field_name == field_name
+    path = tmp_path / "bad.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_INVALID
+    message = capsys.readouterr().err
+    assert message.startswith(f"invalid scenario: {field_name}: ") and "Traceback" not in message
 
 
 def test_fault_target_out_of_range_names_the_field():

@@ -40,7 +40,7 @@ def make_sim(**net):
 
 def test_degenerate_config_delivers_at_now_plus_base_delay():
     sim, nodes = make_sim(base_delay=1, jitter=0, loss_rate=0.0)
-    sim.send(Heartbeat(sender=0, seq=0), 0, 1)
+    sim.send(Heartbeat(seq=0), 0, 1)
     sim.run(FOREVER)
     assert [t for t, _, _ in nodes[1].packets] == [1]
 
@@ -48,7 +48,7 @@ def test_degenerate_config_delivers_at_now_plus_base_delay():
 def test_full_loss_drops_everything():
     sim, nodes = make_sim(loss_rate=1.0)
     for _ in range(10):
-        sim.send(Heartbeat(sender=0, seq=0), 0, 1)
+        sim.send(Heartbeat(seq=0), 0, 1)
     sim.run(FOREVER)
     assert nodes[1].packets == []
     assert sum(1 for r in sim.records if r.kind == "Drop") == 10
@@ -66,7 +66,7 @@ def test_same_time_events_process_in_schedule_order():
 def test_delivery_to_crashed_node_logged_and_discarded():
     sim, nodes = make_sim()
     sim.crashed.add(1)
-    sim.send(Heartbeat(sender=0, seq=0), 0, 1)
+    sim.send(Heartbeat(seq=0), 0, 1)
     sim.run(FOREVER)
     assert nodes[1].packets == []
     discards = [r for r in sim.records if r.kind == "DiscardCrashed"]
@@ -85,7 +85,7 @@ def test_crashed_node_timers_dropped_silently():
 def test_crashed_sender_emits_nothing():
     sim, nodes = make_sim()
     sim.crashed.add(0)
-    sim.send(Heartbeat(sender=0, seq=0), 0, 1)
+    sim.send(Heartbeat(seq=0), 0, 1)
     sim.run(FOREVER)
     assert nodes[1].packets == []
     assert sim.records == []
@@ -110,7 +110,7 @@ def test_run_stops_at_the_first_event_past_the_horizon_and_keeps_it():
 
 def test_run_returns_false_when_the_queue_drains():
     sim, nodes = make_sim()
-    sim.send(Heartbeat(sender=0, seq=0), 0, 1)
+    sim.send(Heartbeat(seq=0), 0, 1)
     assert sim.run(10) is False
     assert sim.pending() == 0 and len(nodes[1].packets) == 1
     assert sim.run(10) is False  # an empty queue is already drained
@@ -134,7 +134,7 @@ def test_identical_seed_identical_records():
     def one_run():
         sim, _ = make_sim(seed=77, jitter=4, loss_rate=0.3)
         for i in range(40):
-            sim.send(Heartbeat(sender=0, seq=i), 0, 1)
+            sim.send(Heartbeat(seq=i), 0, 1)
             run_until(sim, sim.now + 1)
         sim.run(FOREVER)
         return dump_records(sim.records)
@@ -146,7 +146,7 @@ def test_different_seed_changes_delivery_pattern():
     def one_run(seed):
         sim, _ = make_sim(seed=seed, jitter=4, loss_rate=0.3)
         for i in range(40):
-            sim.send(Heartbeat(sender=0, seq=i), 0, 1)
+            sim.send(Heartbeat(seq=i), 0, 1)
         sim.run(FOREVER)
         return dump_records(sim.records)
 
@@ -156,7 +156,7 @@ def test_different_seed_changes_delivery_pattern():
 def test_monotone_watermark_over_records():
     sim, _ = make_sim(jitter=3, loss_rate=0.2, seed=5)
     for i in range(50):
-        sim.send(Heartbeat(sender=0, seq=i), 0, (i % 2) + 1)
+        sim.send(Heartbeat(seq=i), 0, (i % 2) + 1)
     sim.run(FOREVER)
     stamps = [(r.time, r.seq) for r in sim.records]
     assert stamps == sorted(stamps)
@@ -172,7 +172,7 @@ def test_jitter_draws_are_those_of_randint(jitter):
         for loss_rate in (0.0, 0.1, 0.5):
             sim, nodes = make_sim(seed=seed, base_delay=2, jitter=jitter, loss_rate=loss_rate)
             for i in range(200):
-                sim.send(Heartbeat(sender=0, seq=i), 0, 1)
+                sim.send(Heartbeat(seq=i), 0, 1)
             sim.run(FOREVER)
             reference = random.Random(seed)
             expected = {}
