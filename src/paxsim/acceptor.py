@@ -90,6 +90,10 @@ class Acceptor:
         packets = (self.executed[slot][0] for slot in range(from_slot, end))
         return [Decided(n=p.n, request=p.request) for p in packets]
 
+    def report_of(self, slot: int) -> Accepted:
+        """An executed slot's triple, as reported when it was executed."""
+        return self._report(self.executed[slot][0].n, slot)
+
     def _execute(self, packet: AcceptRequest | Decided) -> None:
         """Run the next slot's request, step the state machine and cache the result."""
         output = self._produce_output(packet)

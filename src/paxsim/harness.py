@@ -32,6 +32,7 @@ from .messages import (
     Packet,
     Prepare,
     Promise,
+    Query,
     packet_from_fields,
 )
 from .proposer import Proposer, Rounds, majority_threshold
@@ -46,10 +47,16 @@ class Replica:
     replica sends CatchUp(next_slot) to n - majority(n) peers, which include
     one that executed any slot a majority accepted. The peers are a window of
     the ring of the other replicas (from id + 1 on) that moves with the
-    revealing slot, so the asks that follow cover every peer. Nothing retries
-    a CatchUp but the next AcceptRequest that reveals a gap. A peer answers
+    revealing slot, so the asks that follow cover every peer. A peer answers
     with a Decided packet per slot it has executed from that slot on; the
     Accepted a Decided produces goes to the learner only.
+
+    A Query from the learner names a slot whose report from this replica it
+    lacks. An executed slot's cached Accepted is sent again, to the learner
+    only. A slot at or past the cursor is a gap, which the Query reveals as
+    an AcceptRequest would: the replica sends CatchUp. The learner queries
+    every Q ticks until the slot's deadline, so a lost report, a lost
+    CatchUp or a gap that no later AcceptRequest reveals is retried.
     """
 
     def __init__(self, node_id: NodeId, scenario: Scenario, sim: Simulation,
@@ -70,6 +77,12 @@ class Replica:
         if isinstance(packet, CatchUp):
             for decided in self.acceptor.decided_from(packet.from_slot):
                 self.bus.send(decided, src)
+            return
+        if isinstance(packet, Query):  # from the learner, which lacks this replica's report
+            if packet.slot < self.acceptor.next_slot:
+                self.bus.send(self.acceptor.report_of(packet.slot), self.learner_id)
+            else:  # a gap that no AcceptRequest may reveal, such as the run's last slots
+                self._catch_up(packet.slot)
             return
         self.rounds.note(packet.n.round)  # every other kind a replica receives is numbered
         if isinstance(packet, Promise):
@@ -155,6 +168,8 @@ class InfraNode:
                 self.bus.set_timer(("detect",), self.heartbeat_interval)
         elif tag[0] == "deadline":
             self.learner.on_deadline(tag[1])
+        elif tag[0] == "query":
+            self.learner.on_query_timer(tag[1], tag[2], now)
 
 
 @dataclass

@@ -2,7 +2,12 @@
 
 The learner keeps each replica's first result triple for a slot, and decides
 once the reports cover every believed-alive member (checked again on each
-membership change) or the slot's deadline expires. Replicas are compared on
+membership change) or the slot's deadline expires. It pulls a missing report
+rather than waiting for the deadline: every Q = instance_deadline // 6 ticks
+after a slot's first report, until the deadline, it sends Query(slot) to each
+alive member whose report is missing and whose heartbeat it has heard within
+the last Q ticks (a member silent that long may have crashed undetected, and
+a query to it would only be discarded). Replicas are compared on
 (output, new state) jointly, whatever round each report came under, since an
 acceptor answers every round of a slot from its result cache. Any divergence
 is an anomaly under the default strict policy; the majority policy instead
@@ -17,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .messages import Accepted, ClientResponse, NodeId
+from .messages import Accepted, ClientResponse, NodeId, Query
 from .proposer import majority_threshold
 
 STRICT = "strict"
@@ -115,16 +120,18 @@ class Learner:
         self.bus = bus
         self.policy = policy
         self.instance_deadline = instance_deadline
+        self.query_interval = instance_deadline // 6  # Q; 0 turns the pull off
         self.on_verdict = on_verdict
         self.ledgers: dict[int, InstanceLedger] = {}
         self.undecided: dict[int, InstanceLedger] = {}  # ledgers awaiting a verdict
 
     def on_accepted(self, a: Accepted, src: NodeId) -> None:
         ledger = self.ledgers.get(a.request_id)
-        if ledger is None:  # the slot's first report arms its deadline
+        if ledger is None:  # the slot's first report arms its deadline and its first query
             ledger = InstanceLedger(a.request_id)
             self.ledgers[a.request_id] = self.undecided[a.request_id] = ledger
             self.bus.set_timer(("deadline", a.request_id), self.instance_deadline)
+            self._arm_query(a.request_id, self.instance_deadline)
         ledger.record(a, src)
         if ledger.verdict is None and ledger.reports.keys() >= self.view.alive:
             self._decide(ledger, deadline_reached=False)
@@ -134,6 +141,24 @@ class Learner:
         alive = self.view.alive
         for ledger in [x for x in self.undecided.values() if x.reports.keys() >= alive]:
             self._decide(ledger, deadline_reached=False)
+
+    def on_query_timer(self, request_id: int, budget: int, now: int) -> None:
+        """Query the members an undecided slot lacks a report from; budget: ticks to its deadline."""
+        ledger = self.undecided.get(request_id)
+        if ledger is None:
+            return
+        last_heartbeat = self.view.last_heartbeat
+        query = Query(slot=request_id)
+        for node in sorted(self.view.alive - ledger.reports.keys()):
+            if now - last_heartbeat[node] <= self.query_interval:
+                self.bus.send(query, node)
+        self._arm_query(request_id, budget)
+
+    def _arm_query(self, request_id: int, budget: int) -> None:
+        """Arm the slot's next query Q ticks out, if its deadline is further off than that."""
+        if 0 < self.query_interval < budget:
+            self.bus.set_timer(("query", request_id, budget - self.query_interval),
+                               self.query_interval)
 
     def on_deadline(self, request_id: int) -> None:
         ledger = ledger_of(self.ledgers, request_id)

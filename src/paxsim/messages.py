@@ -121,8 +121,17 @@ class Decided:
     kind = "Decided"
 
 
+@dataclass(frozen=True, slots=True)
+class Query:
+    """The learner's ask for a member's report on a slot it has not heard that member on."""
+
+    slot: int
+
+    kind = "Query"
+
+
 Packet = (Prepare | Promise | AcceptRequest | Accepted | Heartbeat | ClientResponse | CatchUp
-          | Decided)
+          | Decided | Query)
 
 
 def _quote_text(text: str) -> str:
@@ -177,6 +186,8 @@ def packet_text(packet: Packet) -> str:
     if cls is Decided:
         return (f"n={packet.n} req={packet.request.request_id} "
                 f"payload={_quote_text(packet.request.payload)}")
+    if cls is Query:
+        return f"slot={packet.slot}"
     raise TypeError(f"not a packet: {packet!r}")
 
 
@@ -201,4 +212,6 @@ def packet_from_fields(kind: str, fields: dict[str, str]) -> Packet:
     if kind == "Decided":
         return Decided(n=ProposalNumber.parse(fields["n"]),
                        request=ClientRequest(int(fields["req"]), fields["payload"]))
+    if kind == "Query":
+        return Query(slot=int(fields["slot"]))
     raise ValueError(f"unknown packet kind: {kind}")

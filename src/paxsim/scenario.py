@@ -122,8 +122,10 @@ def _require_list(value, field_name) -> list:
 
 
 def _require_text(value, field_name) -> str:
-    if value is None:
-        raise ValidationError(field_name, "expected text, got null")
+    """A text field's value; null, a mapping and a list are not text, whatever str() makes of them."""
+    if value is None or isinstance(value, (dict, list)):
+        got = "null" if value is None else type(value).__name__
+        raise ValidationError(field_name, f"expected text, got {got}")
     return str(value)
 
 

@@ -103,6 +103,14 @@ def _list(section: dict, key: str) -> list | tuple:
     return value
 
 
+def _text(value, where: str) -> str:
+    """A text field's value; null, a mapping and a list are not text, whatever str() makes of them."""
+    if value is None or isinstance(value, (dict, list)):
+        got = "null" if value is None else type(value).__name__
+        raise MachineError(f"{where}: expected text, got {got}")
+    return str(value)
+
+
 def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise MachineError(f"{where}: expected a mapping, got {type(value).__name__}")
@@ -116,7 +124,7 @@ def compile_machine(section: dict) -> StateMachineDef:
     mappings with from/to/output_regex, optional input_regex, threshold as a
     non-negative integer or "*").
     """
-    states = tuple(str(s) for s in _list(section, "states"))
+    states = tuple(_text(s, f"states[{i}]") for i, s in enumerate(_list(section, "states")))
     if not states:
         raise NoStartState("machine declares no states")
     declared = set(states)
@@ -129,8 +137,8 @@ def compile_machine(section: dict) -> StateMachineDef:
     for idx, raw in enumerate(_list(section, "rules")):
         where = f"rules[{idx}]"
         raw = _mapping(raw, where)
-        source = str(raw.get("from"))
-        target = str(raw.get("to"))
+        source = _text(raw.get("from"), f"{where}.from")
+        target = _text(raw.get("to"), f"{where}.to")
         if source not in declared:
             raise UnknownState(f"{where}.from: {source!r} is not a declared state")
         if target not in declared:
@@ -142,19 +150,18 @@ def compile_machine(section: dict) -> StateMachineDef:
             raise MachineError(f"{where}.threshold: expected non-negative integer or '*', got {threshold!r}")
         if threshold is STAR and target != source:
             raise StarNotSelfLoop(f"{where}: '*' threshold requires to == from, got {source!r} -> {target!r}")
-        output_regex = raw.get("output_regex", "")
-        if output_regex is None:
-            raise MachineError(f"{where}.output_regex: expected text, got null")
-        output_regex = str(output_regex)
+        output_regex = _text(raw.get("output_regex", ""), f"{where}.output_regex")
         input_regex = raw.get("input_regex")
+        if input_regex is not None:
+            input_regex = _text(input_regex, f"{where}.input_regex")
         rule = TransitionRule(
             source=source,
             target=target,
             output_regex=output_regex,
-            input_regex=None if input_regex is None else str(input_regex),
+            input_regex=input_regex,
             threshold=threshold,
             _output_pat=_compile_pattern(output_regex, f"{where}.output_regex"),
-            _input_pat=_compile_pattern(str(input_regex), f"{where}.input_regex")
+            _input_pat=_compile_pattern(input_regex, f"{where}.input_regex")
             if input_regex is not None else None,
         )
         rules.append(rule)
@@ -199,17 +206,15 @@ def compile_app_model(section: dict) -> AppModel:
     for idx, raw in enumerate(_list(section, "outputs")):
         raw = _mapping(raw, f"outputs[{idx}]")
         for key in ("request", "output"):
-            if raw.get(key) is None:
+            if key not in raw:
                 raise MachineError(f"outputs[{idx}].{key}: missing")
-        pattern, output = str(raw["request"]), str(raw["output"])
+        pattern, output = (_text(raw[key], f"outputs[{idx}].{key}")
+                           for key in ("request", "output"))
         patterns.append(_compile_pattern(pattern, f"outputs[{idx}].request"))
         entries.append((pattern, output))
-    default_output = section.get("default_output", "")
-    if default_output is None:
-        raise MachineError("default_output: expected text, got null")
     return AppModel(
         entries=tuple(entries),
-        default_output=str(default_output),
+        default_output=_text(section.get("default_output", ""), "default_output"),
         _patterns=tuple(patterns),
     )
 

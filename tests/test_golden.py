@@ -45,17 +45,18 @@ GOLDEN = {
     ("error_streak", 5): "90974814ef63d8a32d7d3f0b66c471d82db172e83168426c44f0f8bd0b513fc5",
     ("error_streak", 6): "ac7664e6beb447b264db808a739dc0a8bd37eebf4e2edd2b68a0f9723f71fe63",
     ("error_streak", 7): "06a5562a55d9fc2dea05f9b9ce8962ac10b5d0f384b02042645e1f119f997932",
-    ("stale_count", 0): "137d217f3ee5ebf3b7948827314f269b302ba83698438a392a31359ee601caba",
+    ("stale_count", 0): "9861275ad296a903b784912ca9ee3d49c33b956c5a885be69551d7c5d6bffd03",
     ("stale_count", 1): "baa813809d974a9337c1d404aa63c0f1e1200cd0ef35e2072180b266768a4155",
-    ("stale_count", 2): "d4c89b47510a40b96892a2286b8c498c1e71211dd20815e3257bc1ac0c6ce712",
-    ("stale_count", 3): "00f044904f9720f34b9b4e6e4fa9c05bba3bc8162478c42bad15ad30b50f4b4e",
-    ("stale_count", 4): "840fae6059730e81e699fd17e1ff551a2faf498ac4bf2bef42c74cafdce9edbd",
-    ("stale_count", 5): "453f85c8fbcf924f517969901d779d89b425dbce179e410d77ac73a783c685fe",
-    ("stale_count", 6): "84ca6ef2bfae07a949b68a663b7557882adaa3008a75a541a7e5ba81f071228c",
-    ("stale_count", 7): "27130fcaefabc3c9d0f0c28682c37759d1575c5bfd6f980760cc72aa8a72e53c",
+    ("stale_count", 2): "382fffe7e7efc2865069d09293a4e2a6af704020e97d3c4986892fc8a074bae0",
+    ("stale_count", 3): "dcfd3a4b59ef520bed34f61c145630f533fb0ff9d83bf160942528f53330a11a",
+    ("stale_count", 4): "7f9c54c4b4e72c70668140206e1ee1289f501e89fc91801539473cac1a0e4bd7",
+    ("stale_count", 5): "a603e247489b609652e8c800a076e33235ad36fa57dce2f465fe00b833a59e1e",
+    ("stale_count", 6): "72dc9ba570ef53c036e33723417df0779b485f307c6c054a6060c602fdda7bf5",
+    ("stale_count", 7): "3034fb9d57f3bce6c9b23d6e04081d3c2e8fc572beeb9c42ce44fd2588dd4bf1",
     ("COMPROMISE", None): "f7fa4dfeb50768bcd033c1daf68137c9b0e1d8db6870223917c9a9dfde39c790",
     ("MIXED_ROUND", None): "215dbdb47e05ad649976810bc3cea1ca8786215ef7c16ffef38cf4e851ab48f4",
-    ("LOSSY_MAJORITY", None): "3602f54bc3a4c6929d0371df7bea949977f54e779a047099c00f431d06517cd1",
+    ("LOSSY_MAJORITY", None): "ea8eab508e65fcae2a06764535c2a23dbaf8704b89203e33e29b0d28a6ab4a89",
+    ("lossy_pull", None): "0b645d6f20f1809c4401d0e78e6fb3e3a46064a722f1ca79d108a4a691fe673c",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
@@ -96,24 +97,26 @@ GOLDEN_REPORTS = {
                           "b82a9aa95073f4ace6b1a44533171f30ea03cb3211983a43b2f981a0ec93018a"),
     ("stale_count", 1): ("a2071e121199a035358a39968ffc56606b644ec21d5e7716c55151d455401adc",
                           "385b873d62e5537e0ef127ca5e647bf62cf15622bb6ee3098be2778dd91df738"),
-    ("stale_count", 2): ("680a22106db495b3aa0200e69ccdb392e370e0a75e79a5e412095f8f66e3854d",
-                          "7b139b4440c8b8673eb7d995ad91aaa01139fdcef76216dd844611e847df2f22"),
-    ("stale_count", 3): ("c73d8f968cf02ad4b2c5a391f0b25ae51779086117916b0b74d57d0a074cd730",
-                          "5fdaad56c88ff093f12a87df2d8d13ab4c0d113792efe09d5785d918a6c13a1c"),
+    ("stale_count", 2): ("c44338079abfce68660dca0a4877d92f46f4e30dc642cec9a65ce068ce18b170",
+                          "7a8d125560758e5eca312efb72c24a9216e1568765d55cdcbe1501d423a01f6c"),
+    ("stale_count", 3): ("ad590332c8a405446198d6732caf909b7e01b07a19111389b7fd272c68277748",
+                          "4f03bf6457fd56ddd331e4be0a4f19cc35898d7d14e935332bce16dcd6bc1416"),
     ("stale_count", 4): ("0d83c6f1b7c8191b10b4cd70682f8218ba26849cc6de0b963ed9106faa734a6a",
                           "f59d16eb572903d3648c28a0b241380a833603bdec0ea1ec22c51be6ffe0d07e"),
-    ("stale_count", 5): ("c37636d904532ecaab98d00ebaeddcf92e7e4ea7da0f4e71ec7d01fef3cad6c0",
-                          "c449f3997981756f7cce307b8a6106742b95b2fad69900f3e2cea323ea9a9234"),
-    ("stale_count", 6): ("5c80835b571c6e1cac60af3dda7651bb47df03b1f75b0b8a3b41d0358c629baa",
-                          "e6c8437d0cf9eb94399f451dd8c205d103eb54f7065b7fe15d471b695bcf2950"),
+    ("stale_count", 5): ("d08552a648afd1d7c13698611d975af0429714875bd1b3a098c2f3979fbe6828",
+                          "6eef7ab4e981856991139a31151a2511016f7d0fd3f6026993f120dc98b07c40"),
+    ("stale_count", 6): ("3fb3c769d6599c26c8fa37caaed181202c170b8355226c9b72ba5bedd5c8f4a1",
+                          "e1c6526c5b406be7204b2115d3185493d5d4ced15a8f8287c7232adbc508b5bb"),
     ("stale_count", 7): ("4972b1491dc3247d24ca12ad2b94fba7480171e004c518c52531dba5a2f1be9a",
                           "df8ecca5432ceee582c63a8ce9dd210b76066e8937bfecdbeb951f36b348a4c6"),
     ("COMPROMISE", None): ("057bba6febb17f3075e013c7cf6e36adb02e629fd5c9d99b5e264b21abd90391",
                             "b4e90d3ef62b1c900c1e69151c609717b12bc8fed59723b36ad4391863aafa38"),
     ("MIXED_ROUND", None): ("fafb25328ca95fcec77ab449bd64be4c5f2880a94d73fe662bc249463db973e1",
                              "4526ec922fad2ebc995ba57846781b24b18f49eeccc9e986b92fa2136e1d3ea1"),
-    ("LOSSY_MAJORITY", None): ("61af44762f19cf8b85bb489c1479d50d9148c3ed118d93eff8ac619e9b7c9d5e",
-                                "41fe2891e850f3ea7b7f73b92d0ed0a2f874cc8daa4d7b8a7f7dab1d73f1191e"),
+    ("LOSSY_MAJORITY", None): ("1a9c101221dc5437cfd698fb07ae0581562a3085fe63b2f5024dd5277dd219c2",
+                                "c2e800945a2bff76f2f9113786fdc743aed3b3dadb03e50eee754ed4b8bcca9f"),
+    ("lossy_pull", None): ("07b00baf5d04c5d8957078fd6c6298b3ad5ea50db1e54428b689b74cde576b81",
+                            "664363a38da9b196aca61c7713a9ad230520f6ac30d8dec41b15501b8c899def"),
 }
 
 
@@ -170,7 +173,7 @@ def test_golden_runs_cover_every_verdict_and_fault_record():
             if record.kind == "Verdict":
                 verdicts[record.fields["verdict"]] += 1
     assert {"AnomalyReport", "Drop", "Repropose", "Election", "Failure", "CatchUp",
-            "Decided"} <= set(kinds)
+            "Decided", "Query"} <= set(kinds)
     assert set(verdicts) == {"Consensus", "Anomaly", "Inconclusive"}
 
 

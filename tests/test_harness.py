@@ -144,9 +144,9 @@ faults:
 """
 
 # Five replicas at 10% loss under the majority policy, one of them lying:
-# drops, a re-proposal, AnomalyReports and a catch-up in one run. Replica 0
-# misses slots 0-2 and fetches them from its peers; every slot ends
-# Consensus, slots 0, 1 and 3 at their deadlines.
+# drops, AnomalyReports, queries and catch-ups in one run. Replica 0 misses
+# slots 0-2 and fetches them from its peers, and a query reveals replica 1's
+# trailing gap at slot 5; every slot ends Consensus before its deadline.
 LOSSY_MAJORITY = """
 name: lossy_majority
 acceptors: 5
@@ -195,20 +195,39 @@ def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
     assert replay_verdicts(read_log(log_path)) == (checked, diffs)
 
 
+# Replica 2 crash-stops before the only request, and failure detection is
+# slower than the slot's deadline. The learner does not query a member it has
+# not heard from within Q ticks, so the slot waits for its deadline with 2 of
+# 3 reports.
+SILENT_CRASH = """
+name: silent_crash
+acceptors: 3
+net: {seed: 1, base_delay: 1, jitter: 0, loss_rate: 0.0}
+timing: {suspect_after: 100, horizon: 600}
+machine: {states: ["S"], start: "S", rules: []}
+app_model: {outputs: [], default_output: "OK"}
+requests:
+  - {at: 1, payload: "a"}
+faults:
+  - {at: 0, target: 2, kind: crash}
+"""
+
+
 def test_replay_reports_a_verdict_forged_as_early(tmp_path, capsys):
-    # LOSSY_MAJORITY's slot 3 waited for its deadline with 4 of 5 reports. MIXED_ROUND's
-    # slots are all decided early, slot 0 on node 0's Failure, and replay clean.
+    # MIXED_ROUND's slots are all decided early, slot 0 on node 0's Failure, and replay clean.
     assert replay_verdicts(run(parse_scenario(MIXED_ROUND)).records) == (3, [])
     log_path = tmp_path / "forged.log"
-    write_log(run(parse_scenario(LOSSY_MAJORITY)).records, log_path)
+    records = run(parse_scenario(SILENT_CRASH)).records
+    assert not any(record.kind == "Query" for record in records)
+    write_log(records, log_path)
     text = log_path.read_text(encoding="utf-8")
-    forged, count = re.subn(r"(kind=Verdict req=3 .*deadline=)1", r"\g<1>0", text)
+    forged, count = re.subn(r"(kind=Verdict req=0 .*deadline=)1", r"\g<1>0", text)
     assert count == 1
     log_path.write_text(forged, encoding="utf-8")
-    mismatch = "req 3: decided early on 4 of 5 members' reports"
-    assert replay_verdicts(read_log(log_path)) == (6, [mismatch])
+    mismatch = "req 0: decided early on 2 of 3 members' reports"
+    assert replay_verdicts(read_log(log_path)) == (1, [mismatch])
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
-    assert capsys.readouterr().out == f"mismatch: {mismatch}\n6 verdicts checked, 1 mismatches\n"
+    assert capsys.readouterr().out == f"mismatch: {mismatch}\n1 verdicts checked, 1 mismatches\n"
 
 
 def test_log_file_roundtrip_is_lossless(tmp_path):

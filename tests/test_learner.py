@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from paxsim.learner import (
     Anomaly,
     Consensus,
@@ -13,7 +15,7 @@ from paxsim.learner import (
     STRICT,
     decide,
 )
-from paxsim.messages import Accepted, ProposalNumber
+from paxsim.messages import Accepted, ProposalNumber, Query
 from paxsim.proposer import majority_threshold
 from test_proposer import FakeBus
 
@@ -187,6 +189,7 @@ def test_needed_tracks_membership_size():
 class View:
     def __init__(self, alive):
         self.alive = set(alive)
+        self.last_heartbeat = dict.fromkeys(self.alive, 0)
 
 
 def make_learner(policy, members=range(5)):
@@ -264,4 +267,52 @@ def test_one_deadline_timer_per_slot_however_many_reports():
     learner.on_accepted(accepted(rid=0), 2)            # after the slot's verdict
     feed(learner, {n: ("OK", "S1", 0) for n in range(5)}, rid=1)
     learner.on_accepted(accepted(round_=5, rid=1), 0)  # after a Consensus
-    assert bus.timers == [(("deadline", 0), 50), (("deadline", 1), 50)]
+    # Each slot's first report also arms its first query, Q = 50 // 6 = 8 ticks out.
+    assert bus.timers == [(("deadline", 0), 50), (("query", 0, 42), 8),
+                          (("deadline", 1), 50), (("query", 1, 42), 8)]
+    deadlines = [tag[1] for tag, _ in bus.timers if tag[0] == "deadline"]
+    assert deadlines == [0, 1]
+
+
+def test_a_query_goes_to_each_alive_member_missing_a_report_and_heard_from_lately():
+    learner, bus = make_learner(STRICT)
+    feed(learner, {0: ("OK", "S1", 0), 1: ("OK", "S1", 0)})
+    learner.view.alive.discard(4)  # departed
+    # At t=20 with Q = 8: 2 was heard from 8 ticks ago, 3 only 9 ticks ago (it may have crashed).
+    learner.view.last_heartbeat.update({0: 20, 1: 20, 2: 12, 3: 11, 4: 20})
+    bus.timers.clear()
+    learner.on_query_timer(0, 42, now=20)
+    assert bus.sent == [(Query(slot=0), 2)]
+    assert bus.timers == [(("query", 0, 34), 8)]
+
+
+def test_no_query_follows_a_slots_verdict():
+    learner, bus = make_learner(STRICT)
+    feed(learner, {0: ("OK", "S1", 0)}, rid=0)
+    learner.on_deadline(0)
+    feed(learner, {n: ("OK", "S1", 0) for n in range(5)}, rid=1)
+    bus.sent.clear(), bus.timers.clear()
+    for rid in (0, 1):
+        learner.on_query_timer(rid, 42, now=8)
+    assert bus.sent == [] and bus.timers == []
+
+
+@pytest.mark.parametrize("deadline", [1, 5, 6, 7, 12, 13, 49, 50, 250])
+def test_no_query_timer_fires_at_or_past_the_deadline(deadline):
+    bus = FakeBus()
+    learner = Learner(client_id=6, membership_view=View(range(5)), bus=bus, policy=STRICT,
+                      instance_deadline=deadline, on_verdict=lambda: None)
+    feed(learner, {0: ("OK", "S1", 0)})
+    fired, now = [], 0
+    while bus.timers:
+        tag, delay = bus.timers.pop()
+        if tag[0] == "query":
+            now += delay
+            fired.append(now)
+            learner.view.last_heartbeat = dict.fromkeys(range(5), now)
+            learner.on_query_timer(tag[1], tag[2], now)
+            assert now + tag[2] == deadline  # the tag carries the ticks left to the deadline
+    q = deadline // 6  # 0 below 6 ticks: no pull
+    assert fired == (list(range(q, deadline, q)) if q else [])  # every Q ticks, all before it
+    assert len(bus.sent) == 4 * len(fired)
+

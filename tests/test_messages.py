@@ -20,6 +20,7 @@ from paxsim.messages import (
     Prepare,
     Promise,
     ProposalNumber,
+    Query,
     _BARE_VALUE,
     _FIELD,
     _quote_text,
@@ -137,6 +138,7 @@ PACKETS_BY_KIND = {
     ClientResponse: st.builds(ClientResponse, request_id=any_ints, output=free_text),
     CatchUp: st.builds(CatchUp, from_slot=any_ints),
     Decided: st.builds(Decided, n=any_proposals, request=requests),
+    Query: st.builds(Query, slot=any_ints),
 }
 packets = st.one_of(*PACKETS_BY_KIND.values())
 

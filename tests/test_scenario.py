@@ -22,7 +22,7 @@ requests: []
 """
 
 
-@pytest.mark.parametrize("name", ["baseline", "error_streak", "stale_count"])
+@pytest.mark.parametrize("name", ["baseline", "error_streak", "stale_count", "lossy_pull"])
 def test_bundled_scenarios_load(name):
     scenario = load_scenario(SCENARIO_DIR / f"{name}.scenario")
     assert scenario.name == name
@@ -46,6 +46,19 @@ def test_minimal_scenario_with_no_requests_is_valid():
     assert parse_scenario(MINIMAL.replace("requests: []", "requests: ~\nfaults: null")) == scenario
 
 
+def assert_invalid(tmp_path, capsys, text, field_name, detail):
+    """parse_scenario names field_name, and paxsim validate exits 1 with its message."""
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert err.value.field_name == field_name
+    path = tmp_path / "bad.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_INVALID
+    message = capsys.readouterr().err
+    assert message.startswith(f"invalid scenario: {field_name}: {detail}")
+    assert "Traceback" not in message
+
+
 @pytest.mark.parametrize("tail, field_name", [
     ("requests: 0", "requests"),
     ("requests: {}", "requests"),
@@ -62,14 +75,43 @@ def test_minimal_scenario_with_no_requests_is_valid():
         "payload-null", "override-key-null", "override-value-null", "name-null"])
 def test_a_wrong_typed_list_or_a_null_text_field_is_invalid(tmp_path, capsys, tail, field_name):
     text = MINIMAL.replace("requests: []\n", "") + tail + "\n"
-    with pytest.raises(ValidationError) as err:
-        parse_scenario(text)
-    assert err.value.field_name == field_name
-    path = tmp_path / "bad.scenario"
-    path.write_text(text, encoding="utf-8")
-    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_INVALID
-    message = capsys.readouterr().err
-    assert message.startswith(f"invalid scenario: {field_name}: ") and "Traceback" not in message
+    assert_invalid(tmp_path, capsys, text, field_name, "")
+
+
+@pytest.mark.parametrize("machine, detail", [
+    ('{states: [~, "S", "None"], start: "S", rules: []}', "states[0]: expected text, got null"),
+    ('{states: ["S", "None"], start: "S", rules: [{from: ~, to: "S"}]}',
+     "rules[0].from: expected text, got null"),
+    ('{states: ["S", "None"], start: "S", rules: [{from: "S", to: ~}]}',
+     "rules[0].to: expected text, got null"),
+], ids=["state-null", "from-null", "to-null"])
+def test_a_null_state_name_is_invalid_not_the_text_none(tmp_path, capsys, machine, detail):
+    # Each machine declares a state "None", so a null read as that text would compile.
+    text = MINIMAL.replace('{states: ["S"], start: "S", rules: []}', machine)
+    assert_invalid(tmp_path, capsys, text, "machine", detail)
+
+
+@pytest.mark.parametrize("old, new, field_name, detail", [
+    ("requests: []", "requests: [{at: 0, payload: {k: v}}]", "requests[0].payload",
+     "expected text, got dict"),
+    ("requests: []", "requests: [{at: 0, payload: [a]}]", "requests[0].payload",
+     "expected text, got list"),
+    ("requests: []", "faults: [{at: 0, target: 1, kind: compromise, override: {q: {a: 1}}}]",
+     "faults[0].override.q", "expected text, got dict"),
+    ("requests: []", "faults: [{at: 0, target: 1, kind: compromise, override: {q: [E]}}]",
+     "faults[0].override.q", "expected text, got list"),
+    ('default_output: "OK"', "default_output: {a: 1}", "app_model",
+     "default_output: expected text, got dict"),
+    ("outputs: []", "outputs: [{request: [a], output: OK}]", "app_model",
+     "outputs[0].request: expected text, got list"),
+    ("outputs: []", "outputs: [{request: a, output: {b: 1}}]", "app_model",
+     "outputs[0].output: expected text, got dict"),
+], ids=["payload-mapping", "payload-list", "override-mapping", "override-list",
+        "default-output-mapping", "request-list", "output-mapping"])
+def test_a_mapping_or_list_where_text_belongs_is_invalid(tmp_path, capsys, old, new, field_name,
+                                                         detail):
+    assert old in MINIMAL
+    assert_invalid(tmp_path, capsys, MINIMAL.replace(old, new), field_name, detail)
 
 
 def test_fault_target_out_of_range_names_the_field():
