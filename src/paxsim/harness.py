@@ -35,13 +35,16 @@ from .messages import (
     Query,
     packet_from_fields,
 )
-from .proposer import Proposer, Rounds, majority_threshold
+from .proposer import Proposer, majority_threshold
 from .scenario import CrashFault, FaultSpec, Scenario
 from .simnet import Simulation
 
 
 class Replica:
-    """A replica node: always an acceptor, plus the proposer role while leading.
+    """A replica node: an acceptor, and a proposer that proposes only while the node leads.
+
+    Leadership is read from the membership view alone: the client hands
+    requests to its leader's proposer, and its epoch is the fence.
 
     An AcceptRequest for a slot past the acceptor's cursor reveals a gap: the
     replica sends CatchUp(next_slot) to n - majority(n) peers, which include
@@ -64,13 +67,12 @@ class Replica:
         self.id = node_id
         self.bus = NodeBus(sim, node_id)
         self.learner_id = learner_id
-        self.view = view  # handed to each incumbency's proposer
+        self.view = view
         self.timing = scenario.timing
         self.acceptor = Acceptor(definition=scenario.machine, model=scenario.app_model)
-        self.proposer: Proposer | None = None
-        self.epoch = 0
+        self.proposer = Proposer(node_id=node_id, view=view, bus=self.bus,
+                                 timeout=scenario.timing.prepare_timeout)
         self.heartbeat_seq = 0
-        self.rounds = Rounds()  # shared by every incumbency of this node
         self.group_size = scenario.acceptors
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
@@ -84,20 +86,16 @@ class Replica:
             else:  # a gap that no AcceptRequest may reveal, such as the run's last slots
                 self._catch_up(packet.slot)
             return
-        self.rounds.note(packet.n.round)  # every other kind a replica receives is numbered
+        self.proposer.note(packet.n.round)  # every other kind a replica receives is numbered
         if isinstance(packet, Promise):
-            if packet.last_served is not None:
-                self.rounds.note(packet.last_served.round)
-            if self.proposer is not None:
-                self.proposer.on_promise(packet, src)
+            self.proposer.on_promise(packet, src)
         elif isinstance(packet, Accepted):
-            if self.proposer is not None:
-                self.proposer.on_accepted(packet, src)
+            self.proposer.on_accepted(packet, src)
         elif isinstance(packet, Decided):
             accepted = self.acceptor.on_decided(packet)
             if accepted is not None:  # the proposer has moved past this slot
                 self.bus.send(accepted, self.learner_id)
-        elif packet.epoch != self.epoch:
+        elif packet.epoch != self.view.epoch:
             return  # fenced: a deposed leader's leftover Prepare or AcceptRequest
         elif isinstance(packet, Prepare):
             reply = self.acceptor.on_prepare(packet)
@@ -127,22 +125,9 @@ class Replica:
             self.heartbeat_seq += 1
             if not self.bus.shutting_down:
                 self.bus.set_timer(("hb",), self.timing.heartbeat_interval)
-        elif tag[0] == "phase" and self.proposer is not None:
+        elif tag[0] == "phase":
             _, request_id, round_, phase = tag
             self.proposer.on_phase_timeout(request_id, round_, phase)
-
-    def set_leadership(self, epoch: int, leader: NodeId) -> None:
-        """Adopt the new epoch; take up or lay down the proposer role."""
-        self.epoch = epoch
-        if leader == self.id:
-            if self.proposer is None:
-                self.proposer = Proposer(
-                    node_id=self.id, epoch=epoch, view=self.view,
-                    rounds=self.rounds, bus=self.bus,
-                    timeout=self.timing.prepare_timeout,
-                )
-        else:
-            self.proposer = None
 
 
 class InfraNode:
@@ -263,18 +248,17 @@ class ClusterRun:
 
     # -- callbacks ---------------------------------------------------------------
 
-    def _on_membership_change(self, alive) -> None:
+    def _on_membership_change(self) -> None:
         self.learner.on_membership_change()
         leader = self.membership.view.leader
-        replica = self.replicas[leader]
-        if leader in self.sim.crashed or replica.proposer is None:
-            return
-        replica.proposer.on_membership_change()
+        if leader not in self.sim.crashed:
+            self.replicas[leader].proposer.on_membership_change()
 
-    def _on_election(self, epoch: int, leader: NodeId) -> None:
+    def _on_election(self) -> None:
+        # Every proposer stands down, a deposed one still running too: the
+        # view's new epoch would let its packets through the fence.
         for replica in self.replicas:
-            if replica.id not in self.sim.crashed:
-                replica.set_leadership(epoch, leader)
+            replica.proposer.stand_down()
         # The learner first seals the slots this election's Failure completed.
         # Then the client retries every unanswered request against the new
         # leader, synchronously and in slot order, so nothing arriving later
@@ -293,10 +277,9 @@ class ClusterRun:
         self.seen[request.request_id] = request
         if isinstance(self._verdict_of(request.request_id), Consensus):
             return
-        replica = self.replicas[leader]
-        if leader in self.sim.crashed or replica.proposer is None:
+        if leader in self.sim.crashed:
             return  # lost until the next election retries it
-        replica.proposer.submit(request)
+        self.replicas[leader].proposer.submit(request)
 
     def _on_fault(self, spec: FaultSpec) -> None:
         self.sim.log(spec.kind, node=spec.target)
@@ -329,7 +312,6 @@ class ClusterRun:
         scenario = self.scenario
         self.sim.log("Init", acceptors=scenario.acceptors, leader=0, epoch=0,
                      policy=scenario.anomaly_policy, seed=self.seed)
-        self.replicas[0].set_leadership(0, 0)
         # Same-tick events run in push order, so this order is part of the log.
         for fault in self.faults:
             self.sim.set_timer(self.client_id, ("fault", fault), fault.at)

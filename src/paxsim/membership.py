@@ -3,8 +3,9 @@
 A single in-simulation service watches heartbeats from every replica,
 removes nodes that have been silent longer than suspect_after, and elects
 the smallest alive node id as the new leader whenever the current leader is
-removed. Each leadership change bumps the epoch; proposal packets carry the
-epoch so replicas can ignore a deposed leader's leftovers.
+removed. Its view is the one source of leadership. Each leadership change
+bumps the view's epoch; proposal packets carry the epoch so replicas can
+ignore a deposed leader's leftovers.
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ class MembershipView:
 
 
 class MembershipService:
-    """Centralized group watch. Notification callbacks:
+    """Centralized group watch. Notification callbacks, which read the view:
 
-    on_change(alive) is invoked once per membership change, after any
-    election it triggered; on_election(epoch, leader) on every leader change.
+    on_change() is invoked once per membership change, after any election
+    it triggered; on_election() on every leader change.
     """
 
-    def __init__(self, members, suspect_after: int, bus, on_change=None, on_election=None):
+    def __init__(self, members, suspect_after: int, bus, on_change, on_election):
         members = sorted(members)
         self.members: frozenset[NodeId] = frozenset(members)
         self.suspect_after = suspect_after
         self.bus = bus
-        self.on_change = on_change or (lambda alive: None)
-        self.on_election = on_election or (lambda epoch, leader: None)
+        self.on_change = on_change
+        self.on_election = on_election
         self.view = MembershipView(
             epoch=0,
             alive=set(members),
@@ -62,7 +63,7 @@ class MembershipService:
         if sender not in self.view.alive:
             self.view.alive.add(sender)
             self.bus.log("Rejoin", node=sender)
-            self.on_change(frozenset(self.view.alive))
+            self.on_change()
 
     def detect_failures(self, now: int) -> set[NodeId]:
         """Drop every node silent for longer than suspect_after.
@@ -81,7 +82,7 @@ class MembershipService:
             self.bus.log("Failure", node=node)
         if self.view.leader not in self.view.alive:
             self.elect_leader()
-        self.on_change(frozenset(self.view.alive))
+        self.on_change()
         return removed
 
     def elect_leader(self) -> NodeId:
@@ -92,7 +93,7 @@ class MembershipService:
         self.view.leader = min(self.view.alive)
         self.view.epoch += 1
         self.bus.log("Election", epoch=self.view.epoch, leader=self.view.leader)
-        self.on_election(self.view.epoch, self.view.leader)
+        self.on_election()
         return self.view.leader
 
     def mark_crashed(self, node: NodeId) -> None:

@@ -1,14 +1,15 @@
 """Leader-side protocol logic: numbering, quorum counting, retry.
 
-The proposer converts each client request into a numbered proposal,
-broadcasts Prepare to every member of the membership view's alive set
-(itself included), issues AcceptRequest once a majority of that set has
-promised, and retries with a strictly higher number when a phase times out
-without reaching majority. Each in-flight proposal keeps one vote set, its
-promises while preparing and its acceptances once accepting, and one
-majority check drives both phase changes. Requests are driven one slot at a
-time, in slot order; the client submits each request once per incumbency.
-Numbers come from the host node's Rounds, which outlives each incumbency,
+Each replica holds one proposer for the whole run; only the membership
+view's leader is handed requests. The proposer converts each client request
+into a numbered proposal, broadcasts Prepare to every member of the view's
+alive set (itself included), issues AcceptRequest once a majority of that
+set has promised, and retries with a strictly higher number when a phase
+times out without reaching majority. Each in-flight proposal keeps one vote
+set, its promises while preparing and its acceptances once accepting, and
+one majority check drives both phase changes. Requests are driven one slot
+at a time, in slot order; the client submits each request once per
+election. Rounds only grow past the highest the node has proposed or seen,
 so none is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
@@ -18,7 +19,6 @@ log(kind, **fields) and a shutting_down flag.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .messages import (
@@ -43,17 +43,6 @@ def majority_threshold(membership_size: int) -> int:
     return membership_size // 2 + 1
 
 
-@dataclass
-class Rounds:
-    """The highest proposal round a node has proposed or seen."""
-
-    highest: int = -1
-
-    def note(self, round_: int) -> None:
-        if round_ > self.highest:
-            self.highest = round_
-
-
 PREPARING = "preparing"
 ACCEPTING = "accepting"
 
@@ -67,17 +56,30 @@ class InFlight:
 
 
 class Proposer:
-    """One leadership incumbency of a node; discarded when the node is deposed."""
+    """A node's proposer role for the whole run; idle unless its node leads.
 
-    def __init__(self, node_id: NodeId, epoch: int, view, rounds: Rounds, bus, timeout: int):
+    Its packets and records carry the view's epoch. That is safe only
+    because every election stands every proposer down, so a deposed leader
+    never proposes in its successor's epoch.
+    """
+
+    def __init__(self, node_id: NodeId, view, bus, timeout: int):
         self.id = node_id
-        self.epoch = epoch
         self.view = view  # its alive set is the group: broadcast targets and voters
-        self.rounds = rounds
         self.bus = bus
         self.timeout = timeout
+        self.highest_round = -1  # the highest round this node has proposed or seen
         self.in_flight: InFlight | None = None
-        self.pending: deque[ClientRequest] = deque()
+        self.pending: list[ClientRequest] = []  # a list: an idle one costs little
+
+    def note(self, round_: int) -> None:
+        if round_ > self.highest_round:
+            self.highest_round = round_
+
+    def stand_down(self) -> None:
+        """Drop every request on an election; the client re-submits them to the new leader."""
+        self.in_flight = None
+        self.pending.clear()
 
     # -- client side -------------------------------------------------------
 
@@ -123,12 +125,12 @@ class Proposer:
 
     def _propose(self, request: ClientRequest, kind: str) -> None:
         """Start (kind Propose) or restart (kind Repropose) a request's Prepare phase."""
-        self.rounds.highest += 1
-        n = ProposalNumber(self.rounds.highest, self.id)
+        self.highest_round += 1
+        n = ProposalNumber(self.highest_round, self.id)
         self.in_flight = InFlight(request=request, n=n)
         self.bus.log(kind, **{"from": self.id, "req": request.request_id,
-                              "n": n, "epoch": self.epoch})
-        self._broadcast(Prepare(n=n, request=request, epoch=self.epoch))
+                              "n": n, "epoch": self.view.epoch})
+        self._broadcast(Prepare(n=n, request=request, epoch=self.view.epoch))
 
     def _broadcast(self, packet: Prepare | AcceptRequest) -> None:
         """Send to every alive member, then arm the in-flight phase's timeout."""
@@ -156,8 +158,9 @@ class Proposer:
                                                "n": flight.n, "promises": len(flight.votes),
                                                "membership": membership})
             flight.phase, flight.votes = ACCEPTING, set()
-            self._broadcast(AcceptRequest(n=flight.n, request=flight.request, epoch=self.epoch))
+            self._broadcast(AcceptRequest(n=flight.n, request=flight.request,
+                                          epoch=self.view.epoch))
         else:
             self.in_flight = None
             if self.pending:
-                self._propose(self.pending.popleft(), "Propose")
+                self._propose(self.pending.pop(0), "Propose")

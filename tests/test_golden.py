@@ -3,7 +3,9 @@
 The determinism tests elsewhere only compare two runs in one process; these
 digests were taken once and must never be edited to make a change pass. A
 change that alters any of them alters a log or a report, which is a
-behaviour change.
+behaviour change. The log-only invariants at the end name properties that
+the digests would catch only by accident, over the golden runs and each
+bundled scenario at seeds 0-7.
 """
 
 import gc
@@ -18,6 +20,7 @@ from paxsim import ClusterRun, cli, load_scenario, parse_scenario, run
 from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
+from paxsim.messages import ProposalNumber
 from test_harness import COMPROMISE, LOSSY_MAJORITY, MIXED_ROUND
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -213,3 +216,45 @@ def test_a_halted_run_replays_clean(tmp_path):
     write_log(records, path)
     assert replay_verdicts(read_log(path)) == (1, [])
     assert cli.main(["replay", "--log", str(path)]) == cli.EXIT_OK
+
+
+# Every golden run, and each bundled scenario at seeds 0-7.
+BUNDLED = sorted(path.stem for path in SCENARIO_DIR.glob("*.scenario"))
+INVARIANT_RUNS = list(GOLDEN) + [(name, seed) for name in BUNDLED for seed in range(8)
+                                 if (name, seed) not in GOLDEN]
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_every_promise_echoes_a_number_below_its_own(name, seed):
+    # So a Promise's last never raises the round its n has already noted.
+    promises = [r.fields for r in golden_run(name, seed).records if r.kind == "Promise"]
+    assert all(ProposalNumber.parse(f["last"]) < ProposalNumber.parse(f["n"])
+               for f in promises if "last" in f)
+
+
+def leadership_violations(records) -> list[str]:
+    """Proposals not by the current leader in its epoch; packets a non-leader sent in it."""
+    problems = []
+    leader = epoch = None
+    for record in records:
+        kind = record.kind
+        if kind not in ("Init", "Election", "Propose", "Repropose", "MajorityReached",
+                        "Prepare", "AcceptRequest"):
+            continue
+        fields = record.fields
+        where = f"t={record.time} seq={record.seq} {kind}"
+        if kind in ("Init", "Election"):
+            leader, epoch = int(fields["leader"]), int(fields["epoch"])
+        elif kind in ("Prepare", "AcceptRequest"):  # a delivery
+            if int(fields["from"]) != leader and int(fields["epoch"]) == epoch:
+                problems.append(f"{where}: from non-leader {fields['from']} in epoch {epoch}")
+        elif int(fields["from"]) != leader:
+            problems.append(f"{where}: from {fields['from']}, but {leader} leads")
+        elif kind != "MajorityReached" and int(fields["epoch"]) != epoch:
+            problems.append(f"{where}: epoch {fields['epoch']}, but it is {epoch}")
+    return problems
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_only_the_leader_proposes_in_its_epoch(name, seed):
+    assert leadership_violations(golden_run(name, seed).records) == []

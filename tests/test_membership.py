@@ -19,8 +19,8 @@ def make_service(n=5, suspect_after=15):
     elections = []
     service = MembershipService(
         members=range(n), suspect_after=suspect_after, bus=bus,
-        on_change=lambda alive: changes.append(set(alive)),
-        on_election=lambda epoch, leader: elections.append((epoch, leader)))
+        on_change=lambda: changes.append(set(service.view.alive)),
+        on_election=lambda: elections.append((service.view.epoch, service.view.leader)))
     return service, bus, changes, elections
 
 

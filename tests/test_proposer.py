@@ -8,15 +8,8 @@ import pytest
 from paxsim import load_scenario, parse_scenario, run
 from paxsim.harness import Replica
 from paxsim.membership import MembershipView
-from paxsim.messages import Accepted, ClientRequest, Promise, ProposalNumber
-from paxsim.proposer import (
-    ACCEPTING,
-    PREPARING,
-    Proposer,
-    Rounds,
-    ZeroMembership,
-    majority_threshold,
-)
+from paxsim.messages import Accepted, ClientRequest, Prepare, Promise, ProposalNumber
+from paxsim.proposer import ACCEPTING, PREPARING, Proposer, ZeroMembership, majority_threshold
 from paxsim.simnet import NetConfig, Simulation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -52,8 +45,7 @@ def view_of(members):
 
 def make_proposer(members=range(5), node_id=0):
     bus = FakeBus()
-    return Proposer(node_id=node_id, epoch=0, view=view_of(members),
-                    rounds=Rounds(), bus=bus, timeout=10), bus
+    return Proposer(node_id=node_id, view=view_of(members), bus=bus, timeout=10), bus
 
 
 def make_replica(node_id=0):
@@ -67,8 +59,8 @@ def proposed_rounds(sim):
     return [r.fields["n"].round for r in sim.records if r.kind in ("Propose", "Repropose")]
 
 
-def promise(n, last=None):
-    return Promise(n=n, last_served=last)
+def promise(n):
+    return Promise(n=n, last_served=None)
 
 
 def accepted(n):
@@ -148,21 +140,28 @@ def test_timeout_with_no_promises_bumps_round_by_one():
 
 def test_repropose_exceeds_every_observed_round():
     replica, sim = make_replica()
-    replica.set_leadership(0, 0)
     replica.proposer.submit(ClientRequest(0, "q"))
-    replica.on_packet(promise(ProposalNumber(0, 0), last=ProposalNumber(7, 1)), 1, 0)
+    # A peer's Prepare is numbered, and the replica notes its round.
+    replica.on_packet(Prepare(n=ProposalNumber(7, 1), request=ClientRequest(0, "q"), epoch=0),
+                      1, 0)
     replica.on_timer(("phase", 0, 0, PREPARING), 10)
     assert proposed_rounds(sim) == [0, 8]
 
 
 def test_reelected_leader_never_reuses_a_round():
     replica, sim = make_replica()
-    replica.set_leadership(0, 0)
     replica.proposer.submit(ClientRequest(0, "q"))
-    replica.set_leadership(1, 1)  # deposed before any packet came back
-    replica.set_leadership(2, 0)
+    replica.proposer.stand_down()  # deposed before any packet came back, later re-elected
     replica.proposer.submit(ClientRequest(0, "q"))
     assert proposed_rounds(sim) == [0, 1]
+
+
+def test_a_replica_that_does_not_lead_stays_idle():
+    replica, sim = make_replica(node_id=1)  # the view's leader is 0
+    replica.on_packet(promise(ProposalNumber(0, 1)), 2, 0)
+    replica.on_packet(accepted(ProposalNumber(0, 1)), 2, 0)
+    replica.on_timer(("phase", 0, 0, PREPARING), 10)
+    assert sim.records == [] and sim.pending() == 0
 
 
 def test_stale_timer_is_ignored():
@@ -199,7 +198,7 @@ def test_membership_noop_keeps_state():
 
 def test_a_node_added_to_the_view_gets_the_next_broadcast_and_its_vote_counts():
     view, bus = view_of(range(3)), FakeBus()
-    p = Proposer(node_id=0, epoch=0, view=view, rounds=Rounds(), bus=bus, timeout=10)
+    p = Proposer(node_id=0, view=view, bus=bus, timeout=10)
     p.submit(ClientRequest(0, "q"))
     p.on_promise(promise(ProposalNumber(0, 0)), 3)  # not yet a member: ignored
     assert p.in_flight.votes == set()
@@ -256,8 +255,8 @@ def duplicate_proposals(records):
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scenario")), ids=lambda p: p.stem)
 def test_no_incumbency_proposes_a_request_twice(path):
-    # The client submits each request once per incumbency (epoch); the
-    # proposer keeps no guard of its own.
+    # The client submits each request once per election (epoch), and each
+    # election stands the proposer down; it keeps no guard of its own.
     scenario = load_scenario(path)
     for seed in range(8):
         assert duplicate_proposals(run(scenario, seed=seed).records) == [], seed
