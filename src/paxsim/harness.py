@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .acceptor import Acceptor
 from .eventlog import Delivery, LineRecord, Record
-from .learner import (MAJORITY, STRICT, Anomaly, Consensus, InstanceLedger, Learner, decide,
-                      ledger_of, verdict_fields)
+from .learner import MAJORITY, STRICT, Anomaly, Consensus, Learner, decide, verdict_fields
 from .membership import EmptyGroup, MembershipService, MembershipView
 from .messages import (
     Accepted,
@@ -218,7 +217,8 @@ class ClusterRun:
         self.learner = Learner(
             client_id=self.client_id, membership_view=self.membership.view, bus=infra_bus,
             policy=scenario.anomaly_policy,
-            instance_deadline=scenario.timing.instance_deadline, on_verdict=self._on_verdict)
+            instance_deadline=scenario.timing.instance_deadline,
+            on_verdict=self._shut_down_when_done)
         self.replicas = [Replica(i, scenario, self.sim, self.learner_id, self.membership.view)
                          for i in range(n)]
         infra = InfraNode(infra_bus, self.learner, self.membership,
@@ -232,7 +232,6 @@ class ClusterRun:
         # A fault past the horizon never fires: neither schedule it nor wait for it.
         self.faults = [f for f in scenario.faults if f.at <= scenario.timing.horizon]
         self.faults_applied = 0
-        self.verdicts = 0  # each request's verdict is sealed once, never unset
         self.halted = False
 
     # -- the client node ----------------------------------------------------------
@@ -291,16 +290,12 @@ class ClusterRun:
             self.replicas[spec.target].acceptor.compromise(spec.override)
         self._shut_down_when_done()
 
-    def _on_verdict(self) -> None:
-        self.verdicts += 1
-        self._shut_down_when_done()
-
     def _shut_down_when_done(self) -> None:
         """Stop periodic activity once every request has a verdict and every fault fired.
 
         A run without requests observes heartbeats and plays to the horizon.
         """
-        if (self.requests and self.verdicts == len(self.requests)
+        if (self.requests and len(self.learner.verdicts) == len(self.requests)
                 and self.faults_applied == len(self.faults)):
             self.sim.request_shutdown()
 
@@ -343,8 +338,7 @@ class ClusterRun:
         return RunResult(report=report, records=self.sim.records)
 
     def _verdict_of(self, request_id: int):
-        ledger = self.learner.ledgers.get(request_id)
-        return None if ledger is None else ledger.verdict
+        return self.learner.verdicts.get(request_id)
 
     def _build_report(self, horizon_reached: bool, livelock: bool) -> Report:
         verdicts = []
@@ -409,20 +403,24 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
     Returns (number of verdicts checked, list of mismatch descriptions).
     The log itself carries everything needed: Init for the group size and
     policy, Failure/Rejoin for membership tracking, Accepted deliveries to
-    the learner for the ledgers, and each Verdict's membership/deadline
-    context fields. A Verdict logged before its deadline (deadline=0) must
-    follow a report from every member replay tracks as alive; the reporters
-    are counted, so no alive set is built. A live Delivery's fields are its
-    parsed log text, and logged verdict values are compared as str(), so
-    live records and those read back with read_log replay alike. A record
-    lacking a field replay reads, or holding a malformed one (an Init whose
-    group size or policy no scenario can have, or a Failure/Rejoin of a node
-    outside the group, too), raises ValueError naming the record.
+    the learner for each slot's reports, and each Verdict's
+    membership/deadline context fields. As in the learner, a slot's Verdict
+    drops its reports and a report after it is ignored; a second Verdict for
+    one slot is a mismatch, since the learner logs one per slot. A Verdict
+    logged before its deadline (deadline=0) must follow a report from every
+    member replay tracks as alive; the reporters are counted, so no alive set
+    is built. A live Delivery's fields are its parsed log text, and logged
+    verdict values are compared as str(), so live records and those read back
+    with read_log replay alike. A record lacking a field replay reads, or
+    holding a malformed one (an Init whose group size or policy no scenario
+    can have, or a Failure/Rejoin of a node outside the group, too), raises
+    ValueError naming the record.
     """
     init = next((r for r in records if r.kind == "Init"), None)
     if init is None:
         return 0, ["no Init record found"]
-    ledgers: dict[int, InstanceLedger] = {}
+    reports: dict[int, dict[int, Accepted]] = {}  # undecided slots: sender -> first report
+    decided: set[int] = set()
     diffs: list[str] = []
     checked = 0
     record = init
@@ -448,23 +446,27 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
             elif kind == "Accepted":
                 fields = record.fields
                 if int(fields["to"]) == learner_id:
-                    packet = packet_from_fields("Accepted", fields)
-                    ledger_of(ledgers, packet.request_id).record(packet, int(fields["from"]))
+                    packet, sender = packet_from_fields("Accepted", fields), int(fields["from"])
+                    if packet.request_id not in decided:
+                        reports.setdefault(packet.request_id, {}).setdefault(sender, packet)
             elif kind == "Verdict":
                 fields = record.fields
                 rid = int(fields["req"])
                 membership_size = int(fields["membership"])
-                ledger = ledger_of(ledgers, rid)
-                verdict = decide(ledger, max(1, membership_size), policy)
-                ledger.verdict = verdict
                 checked += 1
+                if rid in decided:
+                    diffs.append(f"req {rid}: a second Verdict")
+                    continue
+                decided.add(rid)
+                slot_reports = reports.pop(rid, {})
+                verdict = decide(slot_reports, max(1, membership_size), policy)
                 alive = n - len(departed)
                 tracked = max(1, alive)  # as the learner logs it once the group has emptied
                 if membership_size != tracked:
                     diffs.append(f"req {rid}: logged membership {membership_size} "
                                  f"!= tracked {tracked}")
                 if int(fields["deadline"]) == 0:  # decided early: every member reported
-                    reporters = sum(0 <= s < n and s not in departed for s in ledger.reports)
+                    reporters = sum(0 <= s < n and s not in departed for s in slot_reports)
                     if reporters < alive:
                         diffs.append(f"req {rid}: decided early on {reporters} of {alive} "
                                      "members' reports")

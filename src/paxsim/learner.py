@@ -1,13 +1,15 @@
 """Learner-side verdict logic: consensus detection by replica comparison.
 
-The learner keeps each replica's first result triple for a slot, and decides
-once the reports cover every believed-alive member (checked again on each
-membership change) or the slot's deadline expires. It pulls a missing report
-rather than waiting for the deadline: every Q = instance_deadline // 6 ticks
-after a slot's first report, until the deadline, it sends Query(slot) to each
-alive member whose report is missing and whose heartbeat it has heard within
-the last Q ticks (a member silent that long may have crashed undetected, and
-a query to it would only be discarded). Replicas are compared on
+The learner keeps each replica's first result triple for an undecided slot,
+and decides once the reports cover every believed-alive member (checked again
+on each membership change) or the slot's deadline expires. A decided slot
+keeps only its verdict: its reports are dropped, and a report arriving after
+the verdict is ignored. The learner pulls a missing report rather than
+waiting for the deadline: every Q = instance_deadline // 6 ticks after a
+slot's first report, until the deadline, it sends Query(slot) to each alive
+member whose report is missing and whose heartbeat it has heard within the
+last Q ticks (a member silent that long may have crashed undetected, and a
+query to it would only be discarded). Replicas are compared on
 (output, new state) jointly, whatever round each report came under, since an
 acceptor answers every round of a slot from its result cache. Any divergence
 is an anomaly under the default strict policy; the majority policy instead
@@ -20,7 +22,7 @@ the outputs reported.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .messages import Accepted, ClientResponse, NodeId, Query
 from .proposer import majority_threshold
@@ -57,26 +59,6 @@ class Inconclusive:
 Verdict = Consensus | Anomaly | Inconclusive
 
 
-@dataclass
-class InstanceLedger:
-    request_id: int
-    reports: dict[NodeId, Accepted] = field(default_factory=dict)  # each sender's first
-    verdict: Verdict | None = None
-
-    def record(self, a: Accepted, sender: NodeId) -> None:
-        """Keep each sender's first report; ignore every report after a Consensus verdict."""
-        if not isinstance(self.verdict, Consensus):
-            self.reports.setdefault(sender, a)
-
-
-def ledger_of(ledgers: dict[int, InstanceLedger], request_id: int) -> InstanceLedger:
-    """The slot's ledger in ledgers, built on the slot's first lookup."""
-    ledger = ledgers.get(request_id)
-    if ledger is None:
-        ledger = ledgers[request_id] = InstanceLedger(request_id)
-    return ledger
-
-
 def _groups(reports: dict[NodeId, Accepted]) -> list[tuple[tuple[str, str], list[NodeId]]]:
     """Group nodes by (output, state) pair; largest first, ties toward the
     lexicographically smallest state name (then output)."""
@@ -87,19 +69,20 @@ def _groups(reports: dict[NodeId, Accepted]) -> list[tuple[tuple[str, str], list
     return sorted(by_pair.items(), key=lambda kv: (-len(kv[1]), kv[0][1], kv[0][0]))
 
 
-def decide(ledger: InstanceLedger, membership_size: int, policy: str = STRICT) -> Verdict:
-    """Pure decision function over the reports recorded so far and the membership size."""
+def decide(reports: dict[NodeId, Accepted], membership_size: int,
+           policy: str = STRICT) -> Verdict:
+    """Pure decision function over a slot's reports (node -> its first) and the membership size."""
     needed = majority_threshold(membership_size)
-    if not ledger.reports:
+    if not reports:
         return Inconclusive(received=0, needed=needed)
 
-    groups = _groups(ledger.reports)
+    groups = _groups(reports)
     (output, state), winners = groups[0]
     if len(winners) >= needed and (len(groups) == 1 or policy == MAJORITY):
         return Consensus(output=output, state=state)
     if len(groups) == 1:
-        return Inconclusive(received=len(ledger.reports), needed=needed)
-    states = Counter(a.new_state for a in ledger.reports.values())
+        return Inconclusive(received=len(reports), needed=needed)
+    states = Counter(a.new_state for a in reports.values())
     return Anomaly(agreeing=frozenset(winners),
                    dissenting=frozenset(n for _, nodes in groups[1:] for n in nodes),
                    states_seen=tuple(sorted(states.items())))
@@ -110,7 +93,7 @@ class Learner:
 
     membership_view exposes the believed-alive set; bus provides send /
     set_timer / log as for the other roles. on_verdict() is invoked once
-    per slot, after its verdict is sealed.
+    per slot, after its verdict is sealed in verdicts.
     """
 
     def __init__(self, client_id: NodeId, membership_view, bus, policy: str,
@@ -122,34 +105,36 @@ class Learner:
         self.instance_deadline = instance_deadline
         self.query_interval = instance_deadline // 6  # Q; 0 turns the pull off
         self.on_verdict = on_verdict
-        self.ledgers: dict[int, InstanceLedger] = {}
-        self.undecided: dict[int, InstanceLedger] = {}  # ledgers awaiting a verdict
+        self.verdicts: dict[int, Verdict] = {}  # the one record of a decided slot
+        self.reports: dict[int, dict[NodeId, Accepted]] = {}  # undecided slots: node -> first
 
     def on_accepted(self, a: Accepted, src: NodeId) -> None:
-        ledger = self.ledgers.get(a.request_id)
-        if ledger is None:  # the slot's first report arms its deadline and its first query
-            ledger = InstanceLedger(a.request_id)
-            self.ledgers[a.request_id] = self.undecided[a.request_id] = ledger
-            self.bus.set_timer(("deadline", a.request_id), self.instance_deadline)
-            self._arm_query(a.request_id, self.instance_deadline)
-        ledger.record(a, src)
-        if ledger.verdict is None and ledger.reports.keys() >= self.view.alive:
-            self._decide(ledger, deadline_reached=False)
+        rid = a.request_id
+        if rid in self.verdicts:
+            return  # a report after the verdict changes nothing
+        reports = self.reports.get(rid)
+        if reports is None:  # the slot's first report arms its deadline and its first query
+            reports = self.reports[rid] = {}
+            self.bus.set_timer(("deadline", rid), self.instance_deadline)
+            self._arm_query(rid, self.instance_deadline)
+        reports.setdefault(src, a)
+        if reports.keys() >= self.view.alive:
+            self._decide(rid, deadline_reached=False)
 
     def on_membership_change(self) -> None:
         """Decide every undecided slot whose reports now cover the alive set."""
         alive = self.view.alive
-        for ledger in [x for x in self.undecided.values() if x.reports.keys() >= alive]:
-            self._decide(ledger, deadline_reached=False)
+        for rid in [rid for rid, reports in self.reports.items() if reports.keys() >= alive]:
+            self._decide(rid, deadline_reached=False)
 
     def on_query_timer(self, request_id: int, budget: int, now: int) -> None:
         """Query the members an undecided slot lacks a report from; budget: ticks to its deadline."""
-        ledger = self.undecided.get(request_id)
-        if ledger is None:
+        reports = self.reports.get(request_id)
+        if reports is None:
             return
         last_heartbeat = self.view.last_heartbeat
         query = Query(slot=request_id)
-        for node in sorted(self.view.alive - ledger.reports.keys()):
+        for node in sorted(self.view.alive - reports.keys()):
             if now - last_heartbeat[node] <= self.query_interval:
                 self.bus.send(query, node)
         self._arm_query(request_id, budget)
@@ -161,28 +146,27 @@ class Learner:
                                self.query_interval)
 
     def on_deadline(self, request_id: int) -> None:
-        ledger = ledger_of(self.ledgers, request_id)
-        if ledger.verdict is None:
-            self._decide(ledger, deadline_reached=True)
+        if request_id not in self.verdicts:
+            self._decide(request_id, deadline_reached=True)
 
     finalize = on_deadline  # forces a verdict at the end of a run
 
-    def _decide(self, ledger: InstanceLedger, deadline_reached: bool) -> None:
+    def _decide(self, request_id: int, deadline_reached: bool) -> None:
+        """Seal the slot's verdict and drop its reports."""
+        reports = self.reports.pop(request_id, {})  # none if the run ends before any report
         membership_size = max(1, len(self.view.alive))  # group may have emptied before a halt
-        verdict = decide(ledger, membership_size, self.policy)
-        ledger.verdict = verdict
-        self.undecided.pop(ledger.request_id, None)
-        dissent = verdict if self.policy == STRICT else decide(ledger, membership_size, STRICT)
+        verdict = self.verdicts[request_id] = decide(reports, membership_size, self.policy)
+        dissent = verdict if self.policy == STRICT else decide(reports, membership_size, STRICT)
         if isinstance(dissent, Anomaly):
             fields = verdict_fields(dissent)
-            outputs = Counter(a.output for a in ledger.reports.values())
-            self.bus.log("AnomalyReport", req=ledger.request_id, dissenting=fields["dissenting"],
+            outputs = Counter(a.output for a in reports.values())
+            self.bus.log("AnomalyReport", req=request_id, dissenting=fields["dissenting"],
                          states=fields["states"], outputs=_counts_text(outputs))
-        self.bus.log("Verdict", req=ledger.request_id, verdict=verdict.kind,
+        self.bus.log("Verdict", req=request_id, verdict=verdict.kind,
                      membership=membership_size, deadline=1 if deadline_reached else 0,
                      **verdict_fields(verdict))
         if isinstance(verdict, Consensus):
-            self.bus.send(ClientResponse(request_id=ledger.request_id, output=verdict.output),
+            self.bus.send(ClientResponse(request_id=request_id, output=verdict.output),
                           self.client_id)
         self.on_verdict()
 

@@ -146,8 +146,6 @@ def _quote_text(text: str) -> str:
 
 def format_value(value) -> str:
     """Render a field value for a log line; free text goes through _quote_text."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, ProposalNumber)):
         return str(value)
     return _quote_text(str(value))

@@ -43,17 +43,14 @@ STAR = None
 class TransitionRule:
     source: str
     target: str
-    output_regex: str
-    input_regex: str | None       # None matches any input
+    output: re.Pattern            # compiled output_regex; .pattern is its text
+    input: re.Pattern | None      # compiled input_regex; None matches any input
     threshold: int | None         # None is STAR
-    # Compiled patterns, filled in by compile_machine; not part of identity.
-    _output_pat: re.Pattern | None = field(compare=False, repr=False, default=None)
-    _input_pat: re.Pattern | None = field(compare=False, repr=False, default=None)
 
     def matches(self, input_text: str, output_text: str) -> bool:
-        if self._input_pat is not None and not self._input_pat.fullmatch(input_text):
+        if self.input is not None and not self.input.fullmatch(input_text):
             return False
-        return self._output_pat.fullmatch(output_text) is not None
+        return self.output.fullmatch(output_text) is not None
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,6 @@ class StateMachineDef:
     states: tuple[str, ...]
     start: str
     rules: tuple[TransitionRule, ...]
-
-    def rules_from(self, state: str) -> list[tuple[int, TransitionRule]]:
-        return [(i, r) for i, r in enumerate(self.rules) if r.source == state]
 
 
 @dataclass(frozen=True)
@@ -82,9 +76,8 @@ class RuntimeState:
 class AppModel:
     """Deterministic application: first fully-matching pattern wins, else default."""
 
-    entries: tuple[tuple[str, str], ...]
+    entries: tuple[tuple[re.Pattern, str], ...]  # (compiled request pattern, output)
     default_output: str
-    _patterns: tuple[re.Pattern, ...] = field(compare=False, repr=False, default=())
 
 
 def _compile_pattern(text: str, where: str) -> re.Pattern:
@@ -154,17 +147,14 @@ def compile_machine(section: dict) -> StateMachineDef:
         input_regex = raw.get("input_regex")
         if input_regex is not None:
             input_regex = _text(input_regex, f"{where}.input_regex")
-        rule = TransitionRule(
+        rules.append(TransitionRule(
             source=source,
             target=target,
-            output_regex=output_regex,
-            input_regex=input_regex,
-            threshold=threshold,
-            _output_pat=_compile_pattern(output_regex, f"{where}.output_regex"),
-            _input_pat=_compile_pattern(input_regex, f"{where}.input_regex")
+            output=_compile_pattern(output_regex, f"{where}.output_regex"),
+            input=_compile_pattern(input_regex, f"{where}.input_regex")
             if input_regex is not None else None,
-        )
-        rules.append(rule)
+            threshold=threshold,
+        ))
 
     return StateMachineDef(states=states, start=start, rules=tuple(rules))
 
@@ -181,16 +171,12 @@ def apply(definition: StateMachineDef, rs: RuntimeState, input_text: str, output
     consecutive match; any non-matching step resets every counter. A STAR
     rule leaves the state untouched.
     """
-    active = None
-    for idx, rule in definition.rules_from(rs.current):
-        if rule.matches(input_text, output_text):
-            active = (idx, rule)
+    for idx, rule in enumerate(definition.rules):
+        if rule.source == rs.current and rule.matches(input_text, output_text):
             break
-
-    if active is None:
+    else:
         return RuntimeState(current=rs.current, counters={})
 
-    idx, rule = active
     if rule.threshold is STAR:
         return rs
     count = rs.counters.get(idx, 0)
@@ -202,7 +188,6 @@ def apply(definition: StateMachineDef, rs: RuntimeState, input_text: str, output
 def compile_app_model(section: dict) -> AppModel:
     """Build the application table: list of {request, output} plus default_output."""
     entries = []
-    patterns = []
     for idx, raw in enumerate(_list(section, "outputs")):
         raw = _mapping(raw, f"outputs[{idx}]")
         for key in ("request", "output"):
@@ -210,18 +195,16 @@ def compile_app_model(section: dict) -> AppModel:
                 raise MachineError(f"outputs[{idx}].{key}: missing")
         pattern, output = (_text(raw[key], f"outputs[{idx}].{key}")
                            for key in ("request", "output"))
-        patterns.append(_compile_pattern(pattern, f"outputs[{idx}].request"))
-        entries.append((pattern, output))
+        entries.append((_compile_pattern(pattern, f"outputs[{idx}].request"), output))
     return AppModel(
         entries=tuple(entries),
         default_output=_text(section.get("default_output", ""), "default_output"),
-        _patterns=tuple(patterns),
     )
 
 
 def execute(model: AppModel, request: ClientRequest) -> str:
     """Deterministic application output for a request payload."""
-    for pattern, (_, output) in zip(model._patterns, model.entries):
+    for pattern, output in model.entries:
         if pattern.fullmatch(request.payload):
             return output
     return model.default_output

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from paxsim import ClientRequest, load_scenario, parse_scenario, run
 from paxsim.eventlog import dump_records
-from paxsim.learner import Anomaly, Consensus, Inconclusive, InstanceLedger, decide
+from paxsim.learner import Anomaly, Consensus, Inconclusive, decide
 from paxsim.logcheck import check_proposal_numbers
 from paxsim.messages import Accepted, ProposalNumber
 from paxsim.proposer import majority_threshold
@@ -306,15 +306,15 @@ def test_criterion_8_learner_oracle_equivalence():
     mismatches = 0
     for n_nodes in range(1, 8):
         for combo in itertools.product(options, repeat=n_nodes):
-            ledger = InstanceLedger(request_id=0)
+            reports = {}
             pairs = {}
             for node, pair in enumerate(combo):
                 if pair is None:
                     continue
                 pairs[node] = pair
-                ledger.record(Accepted(n=ProposalNumber(0, 0), request_id=0,
-                                       output=pair[0], new_state=pair[1]), node)
-            got = decide(ledger, membership_size=n_nodes)
+                reports[node] = Accepted(n=ProposalNumber(0, 0), request_id=0,
+                                         output=pair[0], new_state=pair[1])
+            got = decide(reports, membership_size=n_nodes)
             want = _brute_force_verdict(pairs, n_nodes)
             checked += 1
             if got != want:

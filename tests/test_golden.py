@@ -21,7 +21,7 @@ from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 from paxsim.messages import ProposalNumber
-from test_harness import COMPROMISE, LOSSY_MAJORITY, MIXED_ROUND
+from test_harness import COMPROMISE, CRASHED_LEADER, LOSSY_MAJORITY, MIXED_ROUND
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,7 +29,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_CRASH = (SCENARIO_DIR / "all_crash.scenario").read_text(encoding="utf-8")
 
 INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
-          "LOSSY_MAJORITY": LOSSY_MAJORITY, "ALL_CRASH": ALL_CRASH}
+          "LOSSY_MAJORITY": LOSSY_MAJORITY, "ALL_CRASH": ALL_CRASH,
+          "CRASHED_LEADER": CRASHED_LEADER}
 
 GOLDEN = {
     ("baseline", 0): "52715657e0c4fb4dfbb16212076d198dabef7450ab37d6ed28d07072ecc4adf7",
@@ -258,3 +259,22 @@ def leadership_violations(records) -> list[str]:
 @pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
 def test_only_the_leader_proposes_in_its_epoch(name, seed):
     assert leadership_violations(golden_run(name, seed).records) == []
+
+
+def proposals_after_crash(records) -> list[str]:
+    """Propose, Repropose and MajorityReached records from a node after its Crash."""
+    problems = []
+    crashed = set()
+    for record in records:
+        if record.kind == "Crash":
+            crashed.add(int(record.fields["node"]))
+        elif (record.kind in ("Propose", "Repropose", "MajorityReached")
+              and int(record.fields["from"]) in crashed):
+            problems.append(f"t={record.time} seq={record.seq} {record.kind}: "
+                            f"from {record.fields['from']}, which has crashed")
+    return problems
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS + [("CRASHED_LEADER", None)])
+def test_no_crashed_node_proposes(name, seed):
+    assert proposals_after_crash(golden_run(name, seed).records) == []

@@ -126,6 +126,21 @@ def test_replay_reproduces_verdicts_in_memory_and_from_file(tmp_path):
         assert checked == len(res.report.verdicts) and diffs == [], name
 
 
+@pytest.mark.parametrize("name", ["baseline", "lossy_pull"])
+def test_replay_reports_a_second_verdict_for_a_slot(tmp_path, name):
+    # The learner logs one Verdict per slot, so a repeated one is a mismatch, not a recheck.
+    records = run(load_scenario(SCENARIO_DIR / f"{name}.scenario")).records
+    slots = [record.fields["req"] for record in records if record.kind == "Verdict"]
+    log_path = tmp_path / "run.log"
+    write_log(records, log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    log_path.write_text("".join(line * (2 if " kind=Verdict " in line else 1) for line in lines),
+                        encoding="utf-8")
+    checked, diffs = replay_verdicts(read_log(log_path))
+    assert checked == 2 * len(slots)
+    assert diffs == [f"req {rid}: a second Verdict" for rid in slots]
+
+
 # Three replicas, leader crash at tick 4: every slot ends Consensus. Slot 0 has reports
 # from nodes 1 and 2 only, and node 0's Failure leaves them covering the group.
 MIXED_ROUND = """
@@ -332,7 +347,7 @@ def test_the_infra_node_credits_each_packet_to_its_delivery_src():
     report = Accepted(n=ProposalNumber(0, 0), request_id=0, output="OK", new_state="S0")
     infra.on_packet(report, 3, 4)
     infra.on_packet(report, 1, 4)
-    assert cluster.learner.ledgers[0].reports == {3: report, 1: report}
+    assert cluster.learner.reports[0] == {3: report, 1: report}
     infra.on_packet(Heartbeat(seq=0), 2, 9)
     assert cluster.membership.view.last_heartbeat == {0: 0, 1: 0, 2: 9, 3: 0, 4: 0}
 
@@ -401,6 +416,27 @@ def test_crash_and_arrival_in_one_tick_log_the_crash_first():
     assert tick == ["Crash", "ClientArrival"]
     # The arrival already sees its leader crashed, so node 0 never proposes it.
     assert all(r.fields["from"] != 0 for r in records if r.kind == "Propose")
+
+
+# Node 0 crashes at t=40, undetected until its Failure at t=55, and a request arrives at t=41.
+CRASHED_LEADER = (SCENARIO_DIR / "baseline.scenario").read_text(encoding="utf-8").replace(
+    '  - {at: 24, payload: "GET /health"}\n',
+    '  - {at: 24, payload: "GET /health"}\n  - {at: 41, payload: "PUT /x"}\n').replace(
+    "faults: []", "faults: [{at: 40, target: 0, kind: crash}]")
+
+
+def test_an_arrival_at_a_crashed_leader_waits_for_the_election():
+    # The view still names node 0 leader at t=41, so only the crash guard keeps it from proposing.
+    result = run(parse_scenario(CRASHED_LEADER))
+    seen = [(r.time, r.kind, {k: str(v) for k, v in r.fields.items()}) for r in result.records
+            if r.kind in ("ClientArrival", "Propose", "Election", "Verdict")
+            and str(r.fields.get("req", 3)) == "3"]
+    assert seen[0] == (41, "ClientArrival", {"req": "3", "to": "0", "payload": "PUT /x"})
+    assert [(time, kind) for time, kind, _ in seen] == [
+        (41, "ClientArrival"), (55, "Election"), (55, "ClientArrival"), (55, "Propose"),
+        (65, "Verdict")]
+    assert seen[2][2]["redispatch"] == "1" and seen[3][2]["from"] == "1"
+    assert seen[4][2]["verdict"] == "Consensus"
 
 
 def test_a_fault_past_the_horizon_never_fires():
@@ -677,6 +713,23 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "all reproduced" in out
+
+
+def test_cli_exit_code_signals_livelock(tmp_path, capsys):
+    # The third request arrives at t=24, so a horizon of 25 leaves it undecided.
+    text = (SCENARIO_DIR / "baseline.scenario").read_text(encoding="utf-8")
+    scenario_path = tmp_path / "short.scenario"
+    scenario_path.write_text(text.replace("horizon: 500", "horizon: 25"), encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(scenario_path)]) == cli.EXIT_LIVELOCK
+    assert capsys.readouterr().out.endswith("  flags: horizon_reached, livelock\n")
+
+
+def test_cli_replay_reports_a_missing_log(tmp_path, capsys):
+    log_path = tmp_path / "absent.log"
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read log: ") and str(log_path) in captured.err
+    assert captured.out == ""
 
 
 def test_cli_determinism_byte_identical_logs(tmp_path):

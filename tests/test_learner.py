@@ -1,4 +1,4 @@
-"""Learner ledger upkeep and the verdict decision table."""
+"""Learner report upkeep and the verdict decision table."""
 
 import itertools
 import random
@@ -9,7 +9,6 @@ from paxsim.learner import (
     Anomaly,
     Consensus,
     Inconclusive,
-    InstanceLedger,
     Learner,
     MAJORITY,
     STRICT,
@@ -24,41 +23,42 @@ def accepted(output="OK", state="S1", round_=0, rid=0):
     return Accepted(n=ProposalNumber(round_, 0), request_id=rid, output=output, new_state=state)
 
 
-def filled_ledger(reports, rid=0):
-    ledger = InstanceLedger(request_id=rid)
-    for sender, (output, state, round_) in reports.items():
-        ledger.record(accepted(output=output, state=state, round_=round_), sender)
-    return ledger
+def filled_reports(triples, rid=0):
+    return {sender: accepted(output=output, state=state, round_=round_, rid=rid)
+            for sender, (output, state, round_) in triples.items()}
 
 
 def test_first_tuple_recorded():
     # A sender's first report stands, whatever rounds its later ones carry.
-    ledger = InstanceLedger(request_id=0)
-    ledger.record(accepted(output="first", round_=0), 1)
-    ledger.record(accepted(output="later", round_=2), 1)
-    assert {node: a.output for node, a in ledger.reports.items()} == {1: "first"}
-    ledger.verdict = Consensus(output="first", state="S1")
-    ledger.record(accepted(), 2)  # after a Consensus
-    assert set(ledger.reports) == {1}
+    learner, _ = make_learner(STRICT)
+    learner.on_accepted(accepted(output="first", round_=0), 1)
+    learner.on_accepted(accepted(output="later", round_=2), 1)
+    assert {node: a.output for node, a in learner.reports[0].items()} == {1: "first"}
+    # A decided slot keeps only its verdict, and a later report changes nothing.
+    feed(learner, {n: ("first", "S1", 0) for n in range(5)})
+    verdict = Consensus(output="first", state="S1")
+    assert learner.verdicts == {0: verdict} and learner.reports == {}
+    learner.on_accepted(accepted(output="late", state="S7"), 2)
+    assert learner.verdicts == {0: verdict} and learner.reports == {}
 
 
 def test_duplicate_tuple_ignored():
-    ledger = InstanceLedger(request_id=0)
-    ledger.record(accepted(), 1)
-    ledger.record(accepted(), 1)
-    assert len(ledger.reports) == 1
+    learner, _ = make_learner(STRICT)
+    learner.on_accepted(accepted(), 1)
+    learner.on_accepted(accepted(), 1)
+    assert len(learner.reports[0]) == 1
 
 
 def test_unanimous_majority_is_consensus():
-    ledger = filled_ledger({i: ("OK", "S1", 0) for i in range(5)})
-    verdict = decide(ledger, membership_size=5)
+    reports = filled_reports({i: ("OK", "S1", 0) for i in range(5)})
+    verdict = decide(reports, membership_size=5)
     assert verdict == Consensus(output="OK", state="S1")
 
 
 def test_single_divergent_replica_is_anomaly():
     reports = {i: ("OK", "S1", 0) for i in range(4)}
     reports[4] = ("OK", "S7", 0)
-    verdict = decide(filled_ledger(reports), membership_size=5)
+    verdict = decide(filled_reports(reports), membership_size=5)
     assert isinstance(verdict, Anomaly)
     assert verdict.dissenting == frozenset({4})
     assert verdict.agreeing == frozenset({0, 1, 2, 3})
@@ -66,31 +66,31 @@ def test_single_divergent_replica_is_anomaly():
 
 
 def test_too_few_tuples_is_inconclusive():
-    ledger = filled_ledger({i: ("OK", "S1", 0) for i in range(2)})
-    verdict = decide(ledger, membership_size=5)
+    reports = filled_reports({i: ("OK", "S1", 0) for i in range(2)})
+    verdict = decide(reports, membership_size=5)
     assert verdict == Inconclusive(received=2, needed=3)
 
 
 def test_empty_ledger_is_inconclusive_zero():
-    verdict = decide(InstanceLedger(request_id=0), membership_size=5)
+    verdict = decide({}, membership_size=5)
     assert verdict == Inconclusive(received=0, needed=3)
 
 
 def test_reports_of_every_round_are_compared():
     reports = {0: ("old", "S0", 0), 1: ("new", "S1", 3), 2: ("new", "S1", 3)}
-    verdict = decide(filled_ledger(reports), membership_size=3)
+    verdict = decide(filled_reports(reports), membership_size=3)
     # Node 0's report came under an older round, and it still dissents.
     assert verdict == Anomaly(agreeing=frozenset({1, 2}), dissenting=frozenset({0}),
                               states_seen=(("S0", 1), ("S1", 2)))
 
 
 def test_a_forged_round_does_not_hide_a_liar():
-    reports = {i: ("OK", "S1", 1) for i in range(4)}
-    reports[4] = ("Error", "S7", 99)
-    ledger = filled_ledger(reports)
-    verdict = decide(ledger, membership_size=5, policy=STRICT)
+    triples = {i: ("OK", "S1", 1) for i in range(4)}
+    triples[4] = ("Error", "S7", 99)
+    reports = filled_reports(triples)
+    verdict = decide(reports, membership_size=5, policy=STRICT)
     assert isinstance(verdict, Anomaly) and verdict.dissenting == frozenset({4})
-    assert decide(ledger, 5, policy=MAJORITY) == Consensus(output="OK", state="S1")
+    assert decide(reports, 5, policy=MAJORITY) == Consensus(output="OK", state="S1")
 
 
 def brute_force_decision(pairs_by_node, membership_size):
@@ -114,8 +114,8 @@ def brute_force_decision(pairs_by_node, membership_size):
 
 
 def assert_matches_oracle(pairs_by_node, membership_size):
-    ledger = filled_ledger({n: (p[0], p[1], 0) for n, p in pairs_by_node.items()})
-    verdict = decide(ledger, membership_size=membership_size)
+    reports = filled_reports({n: (p[0], p[1], 0) for n, p in pairs_by_node.items()})
+    verdict = decide(reports, membership_size=membership_size)
     expected = brute_force_decision(pairs_by_node, membership_size)
     if expected[0] == "Consensus":
         assert verdict == Consensus(output=expected[1], state=expected[2])
@@ -145,41 +145,41 @@ def test_any_divergence_beats_any_count_under_strict_policy():
         pairs = {node: rng.choice(palette) for node in range(size)}
         if len(set(pairs.values())) < 2:
             pairs[0] = ("zzz", "Z")
-        ledger = filled_ledger({n: (p[0], p[1], 0) for n, p in pairs.items()})
-        verdict = decide(ledger, membership_size=size, policy=STRICT)
+        reports = filled_reports({n: (p[0], p[1], 0) for n, p in pairs.items()})
+        verdict = decide(reports, membership_size=size, policy=STRICT)
         assert isinstance(verdict, Anomaly)
 
 
 def test_majority_policy_sides_with_majority_group():
-    reports = {i: ("OK", "S1", 0) for i in range(4)}
-    reports[4] = ("Error", "S7", 0)
-    ledger = filled_ledger(reports)
-    assert decide(ledger, 5, policy=MAJORITY) == Consensus(output="OK", state="S1")
+    triples = {i: ("OK", "S1", 0) for i in range(4)}
+    triples[4] = ("Error", "S7", 0)
+    reports = filled_reports(triples)
+    assert decide(reports, 5, policy=MAJORITY) == Consensus(output="OK", state="S1")
     # Without a majority group the anomaly stands even in majority mode.
-    split = filled_ledger({0: ("a", "X", 0), 1: ("b", "Y", 0), 2: ("c", "Z", 0),
+    split = filled_reports({0: ("a", "X", 0), 1: ("b", "Y", 0), 2: ("c", "Z", 0),
                            3: ("a", "X", 0), 4: ("b", "Y", 0)})
     assert isinstance(decide(split, 5, policy=MAJORITY), Anomaly)
 
 
 def test_anomaly_tie_breaks_toward_smallest_state_name():
-    ledger = filled_ledger({0: ("x", "S2", 0), 1: ("x", "S1", 0)})
-    verdict = decide(ledger, membership_size=2)
+    reports = filled_reports({0: ("x", "S2", 0), 1: ("x", "S1", 0)})
+    verdict = decide(reports, membership_size=2)
     assert verdict.agreeing == frozenset({1})  # S1 sorts before S2
     assert verdict.dissenting == frozenset({0})
 
 
 def test_decide_is_pure():
-    ledger = filled_ledger({i: ("OK", "S1", 0) for i in range(3)})
-    first = decide(ledger, 5)
-    second = decide(ledger, 5)
+    reports = filled_reports({i: ("OK", "S1", 0) for i in range(3)})
+    first = decide(reports, 5)
+    second = decide(reports, 5)
     assert first == second
-    assert set(ledger.reports) == {0, 1, 2}
+    assert set(reports) == {0, 1, 2}
 
 
 def test_needed_tracks_membership_size():
-    ledger = filled_ledger({0: ("OK", "S1", 0)})
+    reports = filled_reports({0: ("OK", "S1", 0)})
     for size in range(1, 8):
-        verdict = decide(ledger, membership_size=size)
+        verdict = decide(reports, membership_size=size)
         if size <= 1:
             assert verdict == Consensus(output="OK", state="S1")
         else:
@@ -253,7 +253,7 @@ def test_a_departure_that_completes_a_slots_reports_decides_it():
     learner.on_membership_change()  # a decided slot is not decided again
     assert bus.logs == [("Verdict", {"req": 0, "verdict": "Consensus", "membership": 2,
                                      "deadline": 0, "output": "OK", "state": "S1"})]
-    assert list(learner.undecided) == [1]
+    assert list(learner.verdicts) == [0] and list(learner.reports) == [1]
 
 
 def test_one_deadline_timer_per_slot_however_many_reports():

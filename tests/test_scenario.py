@@ -114,6 +114,41 @@ def test_a_mapping_or_list_where_text_belongs_is_invalid(tmp_path, capsys, old, 
     assert_invalid(tmp_path, capsys, MINIMAL.replace(old, new), field_name, detail)
 
 
+@pytest.mark.parametrize("old, new, field_name, detail", [
+    ("acceptors: 3", "acceptors: five", "acceptors", "expected an integer, got 'five'"),
+    ("requests: []", "net: 5", "net", "expected a mapping, got int"),
+    ("requests: []", "net: {speed: 1}", "net.speed", "unknown key"),
+    ("requests: []", "timing: {pace: 1}", "timing.pace", "unknown key"),
+    ("requests: []", "requests: [{at: 0}]", "requests[0].payload", "missing payload"),
+    ("requests: []", "faults: [{at: 0, target: 1, kind: reboot}]", "faults[0].kind",
+     "expected crash or compromise, got 'reboot'"),
+    ('states: ["S"]', "states: []", "machine", "machine declares no states"),
+    ("rules: []", 'rules: [{from: "T", to: "S"}]', "machine",
+     "rules[0].from: 'T' is not a declared state"),
+], ids=["acceptors-text", "net-int", "net-unknown-key", "timing-unknown-key",
+        "request-without-payload", "fault-kind-unknown", "no-states", "rule-from-undeclared"])
+def test_a_scenario_that_breaks_a_rule_is_invalid(tmp_path, capsys, old, new, field_name, detail):
+    assert old in MINIMAL
+    assert_invalid(tmp_path, capsys, MINIMAL.replace(old, new), field_name, detail)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("", "empty document"),
+    ("- acceptors: 3\n", "top level must be a mapping"),
+    (None, "[Errno 2] No such file or directory"),
+], ids=["empty-document", "top-level-list", "missing-file"])
+def test_a_scenario_that_cannot_be_read_is_invalid(tmp_path, capsys, text, detail):
+    path = tmp_path / "bad.scenario"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_scenario(path)
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_INVALID
+    message = capsys.readouterr().err
+    assert message.startswith(f"invalid scenario: {path}: ") and detail in message
+    assert "Traceback" not in message
+
+
 def test_fault_target_out_of_range_names_the_field():
     text = MINIMAL + "faults: [{at: 0, target: 3, kind: crash}]\n"
     with pytest.raises(ValidationError) as err:

@@ -162,6 +162,17 @@ def test_full_match_not_substring():
     assert rs.current == "A"
 
 
+def test_a_rule_whose_input_regex_misses_does_not_fire():
+    machine = compile_machine({
+        "states": ["A", "B"], "start": "A",
+        "rules": [{"from": "A", "to": "B", "output_regex": "Error", "input_regex": "PUT .*",
+                   "threshold": 0}]})
+    assert machine.rules[0].input.pattern == "PUT .*"
+    rs = apply(machine, initial_state(machine), "GET /x", "Error")
+    assert rs.current == "A"
+    assert apply(machine, rs, "PUT /x", "Error").current == "B"
+
+
 def test_first_declared_rule_wins():
     machine = compile_machine({
         "states": ["A", "B", "C"], "start": "A",
