@@ -23,11 +23,17 @@ back costs little more than a live one. The kinds are shared through a dict
 local to the call, not sys.intern, which on Python 3.12 makes a string
 immortal: a log with many junk kinds would stay in memory for the life of the
 process.
+read_log runs with the cyclic collector paused (collector_paused), as the
+simulation's event loop does: a record is ints and strs and joins no cycle,
+so reference counting frees all either loop drops, and a collection there
+would only walk the records read so far.
 """
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
@@ -40,6 +46,18 @@ from .messages import NodeId, Packet, format_value, packet_fields, packet_text, 
 # Such a line tokenizes as the full-line parse does and passes all its checks.
 _LINE = re.compile(r'time=([0-9]+) seq=([0-9]+) kind=(\w+)'
                    r'((?: (?!(?:time|seq|kind)=)\w+=(?:"[^"\\\x00-\x1f]*"|[^\s"]+))*)\n?')
+
+
+@contextmanager
+def collector_paused():
+    """Turn the cyclic collector off for the block; on after it only if it was on before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(slots=True)
@@ -145,7 +163,7 @@ def read_log(path) -> list[Record | LineRecord]:
     kinds: dict[str, str] = {}
     records = []
     time = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, collector_paused():
         try:
             for line in fh:
                 if not line.isspace():  # skips blank lines as strip() would, with no copy

@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 NodeId = int
 
@@ -19,9 +20,12 @@ _BARE_VALUE = re.compile(r"[A-Za-z0-9_.:*,\-/]+\Z")
 _FIELD = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|\S+)')
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class ProposalNumber:
-    """Totally ordered proposal identity: lexicographic on (round, proposer)."""
+class ProposalNumber(NamedTuple):
+    """Totally ordered proposal identity: lexicographic on (round, proposer).
+
+    A tuple, so that it compares and hashes in C; it therefore also equals the
+    plain tuple (round, proposer), which no code compares it with.
+    """
 
     round: int
     proposer: NodeId

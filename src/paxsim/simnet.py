@@ -5,7 +5,10 @@ delivery is (time, seq, dst, packet, src) and a node's timer is
 (time, seq, owner, None, tag). seq is assigned at scheduling time and is
 unique, so the comparison never reaches the third field. The simulation
 owns the event loop: run(horizon) steps through the queue until it drains
-or its next event lies past the horizon.
+or its next event lies past the horizon. The loop runs with the cyclic
+collector paused: its events, packets and records are acyclic, so reference
+counting frees all it drops, and the caller's collector state comes back
+when it returns or raises.
 
 Simulated time is integer-valued and all randomness flows from one seeded
 generator with a fixed draw order: draws happen only inside send(), first
@@ -23,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .eventlog import Delivery, Record
+from .eventlog import Delivery, Record, collector_paused
 from .messages import NodeId, Packet
 
 
@@ -125,8 +128,9 @@ class Simulation:
         """Step event by event; True when stopped at an event past horizon, False when drained."""
         queue = self._queue
         step = self.step
-        while queue:
-            if queue[0][0] > horizon:
-                return True
-            step()
+        with collector_paused():
+            while queue:
+                if queue[0][0] > horizon:
+                    return True
+                step()
         return False

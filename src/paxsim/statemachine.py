@@ -174,8 +174,8 @@ def apply(definition: StateMachineDef, rs: RuntimeState, input_text: str, output
     for idx, rule in enumerate(definition.rules):
         if rule.source == rs.current and rule.matches(input_text, output_text):
             break
-    else:
-        return RuntimeState(current=rs.current, counters={})
+    else:  # no rule matches: every counter resets
+        return rs if not rs.counters else RuntimeState(current=rs.current, counters={})
 
     if rule.threshold is STAR:
         return rs

@@ -278,3 +278,21 @@ def proposals_after_crash(records) -> list[str]:
 @pytest.mark.parametrize("name, seed", INVARIANT_RUNS + [("CRASHED_LEADER", None)])
 def test_no_crashed_node_proposes(name, seed):
     assert proposals_after_crash(golden_run(name, seed).records) == []
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_a_run_and_its_log_read_back_leave_no_cyclic_garbage(tmp_path, name, seed):
+    # The event loop and read_log pause the cyclic collector; this is what makes that safe.
+    path = tmp_path / "run.log"
+    gc.disable()
+    try:
+        gc.collect()
+        result = golden_run(name, seed)
+        write_log(result.records, path)
+        del result
+        after_run = gc.collect()
+        replay_verdicts(read_log(path))
+        after_read = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_run, after_read) == (0, 0)

@@ -1,5 +1,6 @@
 """Whole-cluster runs: packet accounting, fault handling, replay, CLI."""
 
+import gc
 import json
 import re
 import tracemalloc
@@ -315,6 +316,7 @@ def test_a_log_of_both_routes_and_blank_lines_reads_and_fails_as_before(tmp_path
     log_path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^line {len(lines)}: Invalid \\escape: "):
         read_log(log_path)
+    assert gc.isenabled()  # the collector paused for the read is on again
 
 
 def test_write_log_in_small_chunks_writes_the_same_bytes(tmp_path, monkeypatch):

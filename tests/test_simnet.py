@@ -1,5 +1,6 @@
 """Event loop ordering, seeded loss/delay, and crashed-node handling."""
 
+import gc
 import random
 
 import pytest
@@ -128,6 +129,42 @@ def test_run_lets_a_handler_exception_propagate():
     with pytest.raises(EmptyGroup):
         sim.run(10)
     assert sim.now == 1 and sim.pending() == 1 and nodes[0].timers == []
+    assert gc.isenabled()  # the collector paused for the run is on again
+
+
+class CollectorProbe(Sink):
+    """Notes whether the cyclic collector is on at each timer it handles."""
+
+    def __init__(self):
+        super().__init__()
+        self.collector = []
+
+    def on_timer(self, tag, now):
+        self.collector.append(gc.isenabled())
+
+
+def test_run_pauses_the_collector_and_turns_it_back_on():
+    sim, _ = make_sim()
+    sim.nodes[0] = probe = CollectorProbe()
+    sim.set_timer(0, ("a",), 1)
+    sim.set_timer(0, ("b",), 2)
+    assert gc.isenabled()
+    assert sim.run(10) is False
+    assert probe.collector == [False, False]
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_paused_collector_paused():
+    sim, _ = make_sim()
+    sim.nodes[0] = probe = CollectorProbe()
+    sim.set_timer(0, ("a",), 1)
+    gc.disable()
+    try:
+        sim.run(10)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert probe.collector == [False]
 
 
 def test_identical_seed_identical_records():

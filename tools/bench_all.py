@@ -22,10 +22,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("stream", "lossy", "sweep")
 
 
-def bench(workload: str, seed: int, seconds: float) -> dict:
+def bench(workload: str, seed: int, seconds: float, root: Path = ROOT) -> dict:
+    """The JSON line that bench/run.py prints last, run in the checkout at root."""
     command = [sys.executable, "bench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=False)
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
     try:
