@@ -11,6 +11,7 @@ import sys
 
 from .eventlog import read_log, write_log
 from .harness import replay_verdicts, run
+from .logcheck import check_proposal_numbers
 from .scenario import MAX_SEED, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -48,7 +49,8 @@ def main(argv=None) -> int:
     p_validate = sub.add_parser("validate", help="check a scenario file")
     p_validate.add_argument("--scenario", required=True)
 
-    p_replay = sub.add_parser("replay", help="recompute verdicts from an event log and diff")
+    p_replay = sub.add_parser("replay", help="recompute verdicts from an event log and diff, "
+                                             "and check its proposal numbers")
     p_replay.add_argument("--log", required=True)
 
     args = parser.parse_args(argv)
@@ -87,20 +89,24 @@ def _cmd_validate(scenario) -> int:
 
 def _cmd_replay(args) -> int:
     try:
-        checked, diffs = replay_verdicts(read_log(args.log))
+        records = read_log(args.log)
+        checked, diffs = replay_verdicts(records)
+        problems = check_proposal_numbers(records)
     except OSError as exc:
         print(f"cannot read log: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ValueError as exc:
         print(f"invalid log: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if diffs:
-        for diff in diffs:
-            print(f"mismatch: {diff}")
-        print(f"{checked} verdicts checked, {len(diffs)} mismatches")
-        return EXIT_INVALID
-    print(f"{checked} verdicts checked, all reproduced")
-    return EXIT_OK
+    for diff in diffs:
+        print(f"mismatch: {diff}")
+    for problem in problems:
+        print(f"proposal numbers: {problem}")
+    print(f"{checked} verdicts checked, "
+          + (f"{len(diffs)} mismatches" if diffs else "all reproduced"))
+    if problems:
+        print(f"{len(problems)} proposal-number violations")
+    return EXIT_INVALID if diffs or problems else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,12 +11,17 @@ returns them. A broadcast delivers one packet object to several nodes, so
 ``dump_records`` renders each packet object's text once per call, however
 many recipients it has. Every other live record is a ``Record`` with a field
 mapping.
-Reading a line takes one of two routes. A line in the grammar ``write_log``
-writes (``_LINE``) becomes a ``LineRecord``: its time, seq and kind are
-parsed at read, and its other fields are kept as text and parsed on each
-read of ``fields``. Any other line is parsed whole into a ``Record``, which
-checks its head and every quoted value, so a malformed line fails at read
-even if no reader opens its fields.
+read_log reads the file READ_CHUNK characters at a time, each chunk extended
+to the end of its last line, and parses each line by one of two routes,
+chosen per chunk. A line in the grammar ``write_log`` writes (``_LINE``)
+becomes a ``LineRecord``: its time, seq and kind are parsed at read, and its
+other fields are kept as text and parsed on each read of ``fields``. A chunk
+with no backslash is matched by one ``_LINE.findall``; if the matches' lengths
+add up to the chunk's, every line in it is one whole match (see read_log), and
+each match becomes a LineRecord. Any other chunk goes line by line through
+``parse_record``, where a line outside the grammar is parsed whole into a
+``Record``, which checks its head and every quoted value, so a malformed line
+fails at read even if no reader opens its fields.
 The records of one read_log call share one str per distinct kind and one int
 per run of lines with equal time, as a live run's records do, so a record read
 back costs little more than a live one. The kinds are shared through a dict
@@ -35,7 +40,7 @@ import gc
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 from .messages import NodeId, Packet, format_value, packet_fields, packet_text, parse_fields
@@ -44,8 +49,10 @@ from .messages import NodeId, Packet, format_value, packet_fields, packet_text, 
 # key is no head key again (the later one would win), each value bare or
 # quoted without escapes or control characters, which is always valid JSON.
 # Such a line tokenizes as the full-line parse does and passes all its checks.
+# A match ends at a newline or at the end of the text, so that read_log can
+# find a chunk's lines with it as parse_record matches one line.
 _LINE = re.compile(r'time=([0-9]+) seq=([0-9]+) kind=(\w+)'
-                   r'((?: (?!(?:time|seq|kind)=)\w+=(?:"[^"\\\x00-\x1f]*"|[^\s"]+))*)\n?')
+                   r'((?: (?!(?:time|seq|kind)=)\w+=(?:"[^"\\\x00-\x1f]*"|[^\s"]+))*)(\n|\Z)')
 
 
 @contextmanager
@@ -130,6 +137,12 @@ def parse_record(line: str) -> Record | LineRecord:
     return Record(time=time, seq=seq, kind=kind, fields=fields)
 
 
+def record_error(record: Record | Delivery | LineRecord, exc: KeyError | ValueError) -> ValueError:
+    """A ValueError naming the record a reader found a field missing (KeyError) or malformed in."""
+    problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"time={record.time} seq={record.seq} kind={record.kind}: {problem}")
+
+
 def dump_records(records: Iterable[Record | Delivery | LineRecord]) -> str:
     """The records' lines, each packet object's text rendered once for all its deliveries."""
     # id(packet) -> (packet, text): holding the packet keeps its id from being
@@ -149,6 +162,7 @@ def dump_records(records: Iterable[Record | Delivery | LineRecord]) -> str:
 
 
 WRITE_CHUNK = 4096  # records formatted per write: the whole log's text is never held
+READ_CHUNK = 65536  # characters read per chunk, then the rest of its last line
 
 
 def write_log(records: Iterable[Record], path) -> None:
@@ -165,9 +179,19 @@ def read_log(path) -> list[Record | LineRecord]:
     time = None
     with open(path, "r", encoding="utf-8") as fh, collector_paused():
         try:
-            for line in fh:
-                if not line.isspace():  # skips blank lines as strip() would, with no copy
-                    record = parse_record(line)
+            while chunk := fh.read(READ_CHUNK):
+                chunk += fh.readline()  # to the end of the chunk's last line
+                found = [] if "\\" in chunk else _LINE.findall(chunk)
+                # A match is "time= seq= kind=" (16 characters) and its groups. Matches
+                # never overlap, start with "time=" and hold no newline but the one that
+                # ends them, so if their lengths add up to the chunk's, each line is one.
+                if 16 * len(found) + sum(map(len, chain.from_iterable(found))) == len(chunk):
+                    parsed = [LineRecord(int(t), int(s), kind, tail)
+                              for t, s, kind, tail, _ in found]
+                else:  # not str.splitlines, which also breaks at \x0b, \x85 and more
+                    parsed = [parse_record(line) for line in chunk.split("\n")
+                              if line and not line.isspace()]  # blank lines are skipped
+                for record in parsed:
                     # Keep the first str of each kind and int of each tick; new copies die here.
                     record.kind = kinds.setdefault(record.kind, record.kind)
                     if record.time == time:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 from .acceptor import Acceptor
-from .eventlog import Delivery, LineRecord, Record
+from .eventlog import Delivery, LineRecord, Record, record_error
 from .learner import MAJORITY, STRICT, Anomaly, Consensus, Learner, decide, verdict_fields
 from .membership import EmptyGroup, MembershipService, MembershipView
 from .messages import (
@@ -475,8 +475,6 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
                 if expected != actual:
                     diffs.append(f"req {rid}: recomputed {expected} != logged {actual}")
     except (KeyError, ValueError) as exc:
-        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"time={record.time} seq={record.seq} kind={record.kind}: "
-                         f"{problem}") from exc
+        raise record_error(record, exc) from exc
     return checked, diffs
 

@@ -4,13 +4,15 @@ Checks, from an event log alone, that every proposer's rounds strictly
 increase across its Propose/Repropose records and that every re-proposal
 exceeds every round that proposer had observed beforehand (its own prior
 proposals plus the n and last-served values of promises delivered to it).
+A record lacking a field the check reads, or holding a malformed one, raises
+ValueError naming the record, as replay_verdicts does.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .eventlog import Delivery, LineRecord, Record
+from .eventlog import Delivery, LineRecord, Record, record_error
 from .messages import ProposalNumber
 
 
@@ -20,28 +22,31 @@ def check_proposal_numbers(records: Iterable[Record | Delivery | LineRecord]) ->
     last_round: dict[int, int] = {}
     observed: dict[int, int] = {}  # the highest round each node has proposed or been promised
 
-    for record in records:
-        if record.kind in ("Propose", "Repropose"):
-            fields = record.fields  # parsed on each read for a LineRecord
-            proposer = int(fields["from"])
-            round_ = ProposalNumber.parse(str(fields["n"])).round
-            if proposer in last_round and round_ <= last_round[proposer]:
-                problems.append(
-                    f"t={record.time}: proposer {proposer} round {round_} "
-                    f"does not exceed its previous round {last_round[proposer]}")
-            ceiling = observed.get(proposer)
-            if record.kind == "Repropose" and ceiling is not None and round_ <= ceiling:
-                problems.append(
-                    f"t={record.time}: re-proposal round {round_} by proposer "
-                    f"{proposer} does not exceed observed round {ceiling}")
-            last_round[proposer] = round_
-            _observe(observed, proposer, round_)
-        elif record.kind == "Promise":
-            fields = record.fields  # built on each read for a Delivery or a LineRecord
-            to = int(fields["to"])
-            _observe(observed, to, ProposalNumber.parse(fields["n"]).round)
-            if "last" in fields:
-                _observe(observed, to, ProposalNumber.parse(fields["last"]).round)
+    try:
+        for record in records:
+            if record.kind in ("Propose", "Repropose"):
+                fields = record.fields  # parsed on each read for a LineRecord
+                proposer = int(fields["from"])
+                round_ = ProposalNumber.parse(str(fields["n"])).round
+                if proposer in last_round and round_ <= last_round[proposer]:
+                    problems.append(
+                        f"t={record.time}: proposer {proposer} round {round_} "
+                        f"does not exceed its previous round {last_round[proposer]}")
+                ceiling = observed.get(proposer)
+                if record.kind == "Repropose" and ceiling is not None and round_ <= ceiling:
+                    problems.append(
+                        f"t={record.time}: re-proposal round {round_} by proposer "
+                        f"{proposer} does not exceed observed round {ceiling}")
+                last_round[proposer] = round_
+                _observe(observed, proposer, round_)
+            elif record.kind == "Promise":
+                fields = record.fields  # built on each read for a Delivery or a LineRecord
+                to = int(fields["to"])
+                _observe(observed, to, ProposalNumber.parse(fields["n"]).round)
+                if "last" in fields:
+                    _observe(observed, to, ProposalNumber.parse(fields["last"]).round)
+    except (KeyError, ValueError) as exc:
+        raise record_error(record, exc) from exc
     return problems
 
 

@@ -9,10 +9,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from paxsim import ClusterRun, cli, load_scenario, parse_scenario, run
-from paxsim.eventlog import (Delivery, LineRecord, Record, dump_records, parse_record, read_log,
-                             write_log)
+from paxsim import ClusterRun, cli, eventlog, load_scenario, parse_scenario, run
+from paxsim.eventlog import (Delivery, LineRecord, Record, dump_records, format_record,
+                             parse_record, read_log, write_log)
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
 from paxsim.messages import Accepted, Heartbeat, ProposalNumber
@@ -273,14 +274,14 @@ LATE_LOSSY = re.sub(r"at: (\d+), payload", lambda m: f"at: {int(m[1]) + 300}, pa
                     LOSSY_MAJORITY)
 
 
-def assert_shared(records):
+def assert_shared(records, least=101):
     """One kind object per kind, and one time object per run of records at one tick;
-    returns the pairs of consecutive records at one tick past 256."""
+    returns the pairs of consecutive records at one tick past 256, at least `least` of them."""
     kinds = {}
     for record in records:
         assert kinds.setdefault(record.kind, record.kind) is record.kind
     late = [(a, b) for a, b in zip(records, records[1:]) if a.time == b.time > 256]
-    assert len(late) > 100
+    assert len(late) >= least
     assert all(a.time is b.time for a, b in late)
     return late
 
@@ -320,12 +321,76 @@ def test_a_log_of_both_routes_and_blank_lines_reads_and_fails_as_before(tmp_path
 
 
 def test_write_log_in_small_chunks_writes_the_same_bytes(tmp_path, monkeypatch):
-    from paxsim import eventlog
     monkeypatch.setattr(eventlog, "WRITE_CHUNK", 7)
     records = baseline_result().records
     log_path = tmp_path / "chunked.log"
     write_log(records, log_path)
     assert log_path.read_text(encoding="utf-8") == dump_records(records)
+
+
+def test_read_log_in_small_chunks_reads_the_same_records(tmp_path, monkeypatch):
+    monkeypatch.setattr(eventlog, "READ_CHUNK", 7)
+    log_path = tmp_path / "chunked.log"
+    write_log(run(parse_scenario(LATE_LOSSY)).records, log_path)
+    text = log_path.read_text(encoding="utf-8")
+    records = read_log(log_path)
+    assert records == [parse_record(line) for line in text.splitlines()]
+    assert_shared(records)
+    assert dump_records(records) == text
+
+
+READ_CHUNKS = (1, 7, 64, eventlog.READ_CHUNK)
+
+# Log lines of every shape read_log meets: lines write_log writes, with and
+# without JSON escapes (in the grammar or not), blank and all-space lines, a
+# line whose grammar match starts mid-line, a line longer than the default
+# chunk, and a line that str.splitlines would break but reading by lines
+# does not.
+written_lines = st.builds(
+    lambda time, seq, kind, fields: format_record(Record(time, seq, kind, fields)),
+    st.integers(250, 262), st.integers(0, 99), st.sampled_from(["Verdict", "Drop", "A"]),
+    st.dictionaries(st.sampled_from(["req", "note", "from", "x_1"]),
+                    st.one_of(st.integers(0, 9), st.text(max_size=8)), max_size=3))
+odd_lines = st.sampled_from([
+    "", " ", " \t \x0b", "note=1 time=5 seq=1 kind=A",
+    "time=257 seq=0 kind=Long note=" + "a" * (eventlog.READ_CHUNK + 10),
+    "time=258 seq=1 kind=A x=a\x0bb\x1c \x85c\u2028 y=\"z\"",
+])
+
+
+@given(st.lists(st.one_of(written_lines, odd_lines), max_size=30), st.booleans())
+@example(["time=257 seq=0 kind=A", "", "time=257 seq=1 kind=A x=\"\\\"\"",
+          "time=257 seq=2 kind=A"], True)
+def test_read_log_equals_parsing_each_line_at_every_chunk_size(tmp_path_factory, lines, final):
+    text = "\n".join(lines) + ("\n" if final else "")
+    expected = [parse_record(line) for line in text.split("\n") if line and not line.isspace()]
+    log_path = tmp_path_factory.getbasetemp() / "drawn.log"
+    log_path.unlink(missing_ok=True)
+    log_path.write_text(text, encoding="utf-8")
+    for size in READ_CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eventlog, "READ_CHUNK", size)
+            records = read_log(log_path)
+        assert records == expected, size
+        assert_shared(records, least=0)
+
+
+@pytest.mark.parametrize("size", READ_CHUNKS)
+@pytest.mark.parametrize("bad, message", [
+    ("hello world\n", "missing field 'time'"),
+    ('time=999 seq=0 kind=Verdict note="\\q"\n', "Invalid \\escape: "),
+    ("time=9x seq=0 kind=A\n", "invalid literal for int"),
+])
+def test_a_malformed_line_is_named_at_every_chunk_size(tmp_path, monkeypatch, size, bad, message):
+    monkeypatch.setattr(eventlog, "READ_CHUNK", size)
+    log_path = tmp_path / "bad.log"
+    write_log(run(parse_scenario(LATE_LOSSY)).records, log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = len(lines) // 2
+    lines[at:at] = [bad]
+    log_path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^line {at + 1}: {re.escape(message)}"):
+        read_log(log_path)
 
 
 def test_report_counts_agree_with_log():
@@ -455,7 +520,8 @@ def test_proposal_number_discipline_on_bundled_scenarios():
         assert check_proposal_numbers(result.records) == []
 
 
-def test_proposal_number_violations_are_named():
+def forged_proposals():
+    """Proposal records that break the discipline three times, and the violations named."""
     def record(seq, kind, **fields):
         return Record(time=seq, seq=seq, kind=kind, fields=fields)
 
@@ -468,11 +534,28 @@ def test_proposal_number_violations_are_named():
         record(5, "Promise", to=2, n="0.2"),
         record(6, "Repropose", **{"from": 2, "n": "0.2"}),  # round 0 is observed too
     ]
-    assert check_proposal_numbers(records) == [
+    return records, [
         "t=2: re-proposal round 4 by proposer 0 does not exceed observed round 5",
         "t=3: proposer 0 round 4 does not exceed its previous round 4",
         "t=6: re-proposal round 0 by proposer 2 does not exceed observed round 0",
     ]
+
+
+def test_proposal_number_violations_are_named():
+    records, violations = forged_proposals()
+    assert check_proposal_numbers(records) == violations
+
+
+def test_cli_replay_names_proposal_number_violations(tmp_path, capsys):
+    records, violations = forged_proposals()
+    init = Record(time=0, seq=0, kind="Init",
+                  fields={"acceptors": 3, "leader": 0, "epoch": 0, "policy": "strict", "seed": 1})
+    log_path = tmp_path / "forged.log"
+    write_log([init, *records], log_path)
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().out == "".join(
+        [f"proposal numbers: {violation}\n" for violation in violations]
+        + ["0 verdicts checked, all reproduced\n", "3 proposal-number violations\n"])
 
 
 def test_heartbeat_only_scenario_runs_to_horizon():
@@ -819,6 +902,27 @@ def test_cli_replay_names_a_record_with_a_malformed_field(tmp_path, capsys):
                                           r"\1 n=x.y")
     assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Accepted: "
                    "invalid literal for int() with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize("pattern, replacement, problem", [
+    (r"(kind=Propose) from=\d+", r"\1", "missing field 'from'"),
+    (r"(kind=Promise from=\d+ to=\d+ n=)\S+", r"\g<1>7", "not enough values to unpack "
+     "(expected 2, got 1)"),
+])
+def test_cli_replay_names_a_record_the_proposal_check_cannot_read(tmp_path, capsys, pattern,
+                                                                   replacement, problem):
+    record, err = replay_error_after_edit(tmp_path, capsys, pattern, replacement)
+    assert err == (f"invalid log: time={record.time} seq={record.seq} kind={record.kind}: "
+                   f"{problem}\n")
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scenario")), ids=lambda p: p.stem)
+def test_cli_replays_every_bundled_scenarios_log_clean(tmp_path, capsys, path):
+    log_path = tmp_path / "run.log"
+    cli.main(["run", "--scenario", str(path), "--log", str(log_path)])
+    capsys.readouterr()
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith(" verdicts checked, all reproduced\n")
 
 
 @pytest.mark.parametrize("pattern, replacement, problem", [
