@@ -35,8 +35,12 @@ class ProposalNumber(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "ProposalNumber":
-        r, p = text.split(".")
-        return cls(int(r), int(p))
+        """Read the round.proposer form __str__ writes; raise ValueError naming it otherwise."""
+        try:
+            round_, proposer = map(int, text.split("."))
+        except ValueError:  # not two parts, or a part that is not an int
+            raise ValueError(f"expected a proposal number round.proposer, got {text!r}") from None
+        return cls(round_, proposer)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,16 +1,21 @@
 """Leader-side protocol logic: numbering, quorum counting, retry.
 
 Each replica holds one proposer for the whole run; only the membership
-view's leader is handed requests. The proposer converts each client request
-into a numbered proposal, broadcasts Prepare to every member of the view's
-alive set (itself included), issues AcceptRequest once a majority of that
-set has promised, and retries with a strictly higher number when a phase
-times out without reaching majority. Each in-flight proposal keeps one vote
-set, its promises while preparing and its acceptances once accepting, and
-one majority check drives both phase changes. Requests are driven one slot
-at a time, in slot order; the client submits each request once per
-election. Rounds only grow past the highest the node has proposed or seen,
-so none is ever reused.
+view's leader is handed requests. The proposer runs phase 1 once per epoch:
+for the epoch's first request it takes a new number, broadcasts Prepare
+(carrying that request) to every member of the view's alive set (itself
+included), and once a majority of that set has promised it keeps the number
+as the epoch's promised one. Every request, the first included, then goes to
+phase 2: an AcceptRequest broadcast under the promised number, done once a
+majority of the set has accepted it. A phase that times out without reaching
+majority opens phase 1 again under a strictly higher number, and an election
+drops the promised number with everything else. Each in-flight proposal
+keeps one vote set, its promises while preparing and its acceptances once
+accepting, and one majority check drives both phase changes. An acceptance
+counts only for its own slot, since one number spans all of the epoch's
+slots. Requests are driven one slot at a time, in slot order; the client
+submits each request once per election. Rounds only grow past the highest
+the node has proposed or seen, so none is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
 with the surface: send(packet, dst), set_timer(tag, delay),
@@ -69,6 +74,7 @@ class Proposer:
         self.bus = bus
         self.timeout = timeout
         self.highest_round = -1  # the highest round this node has proposed or seen
+        self.promised: ProposalNumber | None = None  # what a majority promised in this epoch
         self.in_flight: InFlight | None = None
         self.pending: list[ClientRequest] = []  # a list: an idle one costs little
 
@@ -77,8 +83,9 @@ class Proposer:
             self.highest_round = round_
 
     def stand_down(self) -> None:
-        """Drop every request on an election; the client re-submits them to the new leader."""
+        """Drop every request and the promised number on an election; the client re-submits."""
         self.in_flight = None
+        self.promised = None
         self.pending.clear()
 
     # -- client side -------------------------------------------------------
@@ -87,15 +94,19 @@ class Proposer:
         if self.in_flight is not None:
             self.pending.append(request)
         else:
-            self._propose(request, "Propose")
+            self._start(request)
 
     # -- packet handlers ----------------------------------------------------
 
     def on_promise(self, p: Promise, src: NodeId) -> None:
-        self._vote(p, src, PREPARING)
+        self._vote(p.n, src, PREPARING)
 
     def on_accepted(self, a: Accepted, src: NodeId) -> None:
-        self._vote(a, src, ACCEPTING)
+        flight = self.in_flight
+        # The promised number spans the epoch's slots: a late acceptance of an
+        # earlier slot carries this slot's n too.
+        if flight is not None and a.request_id == flight.request.request_id:
+            self._vote(a.n, src, ACCEPTING)
 
     # -- timers and membership ----------------------------------------------
 
@@ -123,14 +134,28 @@ class Proposer:
 
     # -- internals -----------------------------------------------------------
 
+    def _start(self, request: ClientRequest) -> None:
+        """Send a request to phase 2 under the promised number, or to phase 1 for one."""
+        if self.promised is None:
+            self._propose(request, "Propose")
+        else:
+            self._accept(request)
+
     def _propose(self, request: ClientRequest, kind: str) -> None:
-        """Start (kind Propose) or restart (kind Repropose) a request's Prepare phase."""
+        """Open phase 1 for a request under a new number: kind Propose, or Repropose after a
+        timeout."""
         self.highest_round += 1
         n = ProposalNumber(self.highest_round, self.id)
+        self.promised = None
         self.in_flight = InFlight(request=request, n=n)
         self.bus.log(kind, **{"from": self.id, "req": request.request_id,
                               "n": n, "epoch": self.view.epoch})
         self._broadcast(Prepare(n=n, request=request, epoch=self.view.epoch))
+
+    def _accept(self, request: ClientRequest) -> None:
+        """Open phase 2 for a request under the promised number."""
+        self.in_flight = InFlight(request=request, n=self.promised, phase=ACCEPTING)
+        self._broadcast(AcceptRequest(n=self.promised, request=request, epoch=self.view.epoch))
 
     def _broadcast(self, packet: Prepare | AcceptRequest) -> None:
         """Send to every alive member, then arm the in-flight phase's timeout."""
@@ -140,9 +165,9 @@ class Proposer:
         self.bus.set_timer(("phase", flight.request.request_id, flight.n.round, flight.phase),
                            self.timeout)
 
-    def _vote(self, reply: Promise | Accepted, src: NodeId, phase: str) -> None:
+    def _vote(self, n: ProposalNumber, src: NodeId, phase: str) -> None:
         flight = self.in_flight
-        if (flight is None or flight.phase != phase or reply.n != flight.n
+        if (flight is None or flight.phase != phase or n != flight.n
                 or src not in self.view.alive):
             return  # stale, foreign or from a non-member
         flight.votes.add(src)
@@ -157,10 +182,9 @@ class Proposer:
             self.bus.log("MajorityReached", **{"from": self.id, "req": flight.request.request_id,
                                                "n": flight.n, "promises": len(flight.votes),
                                                "membership": membership})
-            flight.phase, flight.votes = ACCEPTING, set()
-            self._broadcast(AcceptRequest(n=flight.n, request=flight.request,
-                                          epoch=self.view.epoch))
+            self.promised = flight.n
+            self._accept(flight.request)
         else:
             self.in_flight = None
             if self.pending:
-                self._propose(self.pending.pop(0), "Propose")
+                self._start(self.pending.pop(0))

@@ -209,10 +209,16 @@ def test_no_propose_follows_a_slots_verdict_in_mixed_round():
     for record in records:
         if record.kind == "Verdict":
             sealed.add(record.fields["req"])
-        elif record.kind in ("Propose", "Repropose"):
-            assert record.fields["req"] not in sealed, record
+        elif record.kind in ("Propose", "Repropose", "AcceptRequest"):
+            assert int(record.fields["req"]) not in sealed, record
     assert sealed == {0, 1, 2}
-    assert sum(record.kind == "Propose" for record in records) == 3
+    # One phase 1 per epoch: node 0's for slot 0, node 1's for the retried slot 1;
+    # slot 2 goes straight to phase 2 under node 1's number.
+    proposals = [(r.fields["epoch"], r.fields["req"], str(r.fields["n"])) for r in records
+                 if r.kind in ("Propose", "Repropose")]
+    assert proposals == [(0, 0, "0.0"), (1, 1, "1.1")]
+    accepts = {(r.fields["req"], r.fields["n"]) for r in records if r.kind == "AcceptRequest"}
+    assert accepts == {("0", "0.0"), ("1", "1.1"), ("2", "1.1")}
 
 
 def liveness_scenario(seed: int, loss_rate: float) -> str:

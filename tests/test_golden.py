@@ -33,22 +33,22 @@ INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
           "CRASHED_LEADER": CRASHED_LEADER}
 
 GOLDEN = {
-    ("baseline", 0): "52715657e0c4fb4dfbb16212076d198dabef7450ab37d6ed28d07072ecc4adf7",
-    ("baseline", 1): "dfa7c015d27d713649c640d29fa93487acd7b2015989ba733d5419ef42d6f7d2",
-    ("baseline", 2): "84d45c453dbfe8c9f741112996491299e6dcd1e5edd14a622e4ea0c0c376c75a",
-    ("baseline", 3): "c5a6b4cb785615b01e491923f039bf87e72bf1fe524d62806dda715d9e996664",
-    ("baseline", 4): "baf822c47fd6e4aa0ff7d282bb574a0a50c4d26e5a039b553c9a23ef7759bf82",
-    ("baseline", 5): "4b1f99ed9974b210da9ad2e1905d35d1c4ab8253d17fcdcf7033ea095ae595df",
-    ("baseline", 6): "c9a1af67478cf70f782409f63796fd81f3d37daf0477e55312ea0720f48360aa",
-    ("baseline", 7): "effca2727e98a7f60a40bbc80de8f60bd2441cab30b17329e2f85fa4b8e68f28",
-    ("error_streak", 0): "ce5b6c60d1c0b8a9b6705a1d3e392a9687845dcb712469c187cb549ddd6d02df",
-    ("error_streak", 1): "7c8d19dc915bb9420928d672c6e43bb186a082d95e901ae4c99c31a136a01fbd",
-    ("error_streak", 2): "3dc0ba418c3ce971e9f8d02ac8ec2839e80c3671269197d38d8d16bb07687131",
-    ("error_streak", 3): "a1210bdd6c15eadf9ea3ba858f34a018b39e2a68f96eddacf450a5fedf3fb16f",
-    ("error_streak", 4): "5885211b8d92038efd0b6df29adc6cc88377b1f342734105307fd7dd3165e0bb",
-    ("error_streak", 5): "90974814ef63d8a32d7d3f0b66c471d82db172e83168426c44f0f8bd0b513fc5",
-    ("error_streak", 6): "ac7664e6beb447b264db808a739dc0a8bd37eebf4e2edd2b68a0f9723f71fe63",
-    ("error_streak", 7): "06a5562a55d9fc2dea05f9b9ce8962ac10b5d0f384b02042645e1f119f997932",
+    ("baseline", 0): "ba2fe30529c45af1321ec6d8b0eabf59761f7cf55f13facc222fb710780e41d3",
+    ("baseline", 1): "4d6e0ba730b59edf576ed5c8ce910266d9009e4be5144cbe71a46709ee7145fc",
+    ("baseline", 2): "ad4f8631bfdbd5a7ceacd190748f4a91d9c750d1a75b12acb45904a980d71a49",
+    ("baseline", 3): "e1227953ba24d4351de7e75e6b1eb36723f716ff091b3eda1cacaec3dd1bf9fc",
+    ("baseline", 4): "efca74810d21aff42f7821db43deb30a5eb4a9975861bc4ec4e1efd77f03b561",
+    ("baseline", 5): "ea8733f365304526cfd13e402a68e6309ff937b25ca8b9aea4079c716c17a568",
+    ("baseline", 6): "5c8e228c750e8ee2ef5fec1a882dc481b9184d3642572683e94560c5da2fd6d9",
+    ("baseline", 7): "015720f2f70856c6a8272f5ed7d4532a98077669ea48c42705040e3a55c1e97c",
+    ("error_streak", 0): "22f45fbf21f99c78e31b911d68409488de2acbcd121fe67f893a95a1611e59c3",
+    ("error_streak", 1): "214f433de435ab5a991e1ea9cd9c423876bee03a090fe489bf955e30d94b4682",
+    ("error_streak", 2): "e501b1d09916df8d13a43a4856a5e06d1ace42e860d17a640f4f7fe0fec340f7",
+    ("error_streak", 3): "f45d4c16f730dec96bf8766efb853a278ea2346ba3ae5ffd5ee47c9206b6dc07",
+    ("error_streak", 4): "bdd4401008353ac641a05b6ac782fe5cc49e60a7333f7ddfd542e324ec191701",
+    ("error_streak", 5): "06e561407b82bd0b140be4e81557916a4e6811829c30da546fd4d03248c3df8f",
+    ("error_streak", 6): "c5c4abee1e47bd22359224b9ef3907dc20c9012035baccf5f87ca931409e7337",
+    ("error_streak", 7): "570037060c3440994cd31ec4366f15a07c3b08d5665b58171a57f59f227dab61",
     ("stale_count", 0): "9861275ad296a903b784912ca9ee3d49c33b956c5a885be69551d7c5d6bffd03",
     ("stale_count", 1): "baa813809d974a9337c1d404aa63c0f1e1200cd0ef35e2072180b266768a4155",
     ("stale_count", 2): "382fffe7e7efc2865069d09293a4e2a6af704020e97d3c4986892fc8a074bae0",
@@ -57,46 +57,46 @@ GOLDEN = {
     ("stale_count", 5): "a603e247489b609652e8c800a076e33235ad36fa57dce2f465fe00b833a59e1e",
     ("stale_count", 6): "72dc9ba570ef53c036e33723417df0779b485f307c6c054a6060c602fdda7bf5",
     ("stale_count", 7): "3034fb9d57f3bce6c9b23d6e04081d3c2e8fc572beeb9c42ce44fd2588dd4bf1",
-    ("COMPROMISE", None): "f7fa4dfeb50768bcd033c1daf68137c9b0e1d8db6870223917c9a9dfde39c790",
-    ("MIXED_ROUND", None): "215dbdb47e05ad649976810bc3cea1ca8786215ef7c16ffef38cf4e851ab48f4",
-    ("LOSSY_MAJORITY", None): "ea8eab508e65fcae2a06764535c2a23dbaf8704b89203e33e29b0d28a6ab4a89",
-    ("lossy_pull", None): "0b645d6f20f1809c4401d0e78e6fb3e3a46064a722f1ca79d108a4a691fe673c",
+    ("COMPROMISE", None): "6629559e5c24d4bd388ad55b6bf9011bb1d1eef833eb11f6ee2a5d96b1b43a19",
+    ("MIXED_ROUND", None): "07c1d12d8706123ceb3ee2b235e3924ff02f07377852be69d62f61511709042e",
+    ("LOSSY_MAJORITY", None): "7230a802b8c42ad4f3290267d961f0329edeec6734f7350a619b245a299a6ca6",
+    ("lossy_pull", None): "67d969509d9fa01aa55dcb3c7cc6ff219701b4bed457d2b7c3d1e8e6b4110c9d",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
 GOLDEN_REPORTS = {
-    ("baseline", 0): ("cca30432add137b892636251883650fecb44efa05d6a8a58e70d8cbbc5695ce3",
-                       "7fc58db46611cab62ca78d87d1e0421bc5a0fdd92238ebfd6b59ab6402aa20a5"),
-    ("baseline", 1): ("608486d71dd69c0b2bafa834aedc3a4962acf62d0c742292fe08d51ed06f0662",
-                       "b32380f075b86da69c9b33efdee1c285b33c33ac56e0d1d544836e412a265424"),
-    ("baseline", 2): ("4cdadfd782e1d252483c7f408c54559bb50189c26927f538195e21b5e2c3d9a4",
-                       "d81d78796cf0aab67bb89f90c6559afebc1e9b67cb4a8cd1d7724d4b777a6026"),
-    ("baseline", 3): ("6766c526273fd6e401f3cd8f02125f50d5fc7d549a3ee1ef281dbfef8b823274",
-                       "1e3135cf33c9612ffa69e0d2a3dd5246a79d584703113a42882f2eb42e9506aa"),
-    ("baseline", 4): ("c06fe6dad5e06d8c240db1b82507a37281647c07bb6b68e79ad72ecb86a6680e",
-                       "5e7159b9dddd2f345738d88b98a38e864e447af1a2dd07f8e24278e05939e962"),
-    ("baseline", 5): ("dd3c3b34c047e33e5d5a0e14e95043e6c5e2451d30f7eb3737536ae02263f8e4",
-                       "280ea7830469c29ddd4cae1f087d0f5ce86709a192fd7164b2c7f2521b34dc8b"),
-    ("baseline", 6): ("88de71233418878d8f4723cbd1e9ce9fcd8a2fb044d912d2f09dffbe739f4ac2",
-                       "e9df7773469919b94934a1b8892dd77862d97871b561a00719dd8e3cb925ec5c"),
-    ("baseline", 7): ("653d05b002a7c9dbf3fa542e640c906f02517d2fe178b9ff19f12f6c1df13ddc",
-                       "6dc04a9f618bae220a403977d51bd238b4807825a3c96fd3986ba5a14992fd55"),
-    ("error_streak", 0): ("71755ad1f2ae310f4e3cac2e66fe74ae9150747a0b7987e6403c798d58c5db6a",
-                           "45fb244c0c013780bceda2da792537451beb72e6c2369ae8550dd76e1aaecd76"),
-    ("error_streak", 1): ("2f9a5132f6f7fb6a4be6caf568a25790a8f89c6776bdc7bd9d817932d252bf73",
-                           "6ad38df657137c3cbf1e2109cd5f0a56237d82057850fb827540fa7041b9c86c"),
-    ("error_streak", 2): ("6c03d66135f54f693badc8eb5f3729e4b6557b1ebf1c5da1d833e42da38a6057",
-                           "ee6b48a5a443720a52b8e7c0755a4e7e6887a3081e1ce4f9cf722e67d4c0e8c4"),
-    ("error_streak", 3): ("0070ec80d47be61ce34c28f51813dcc76a5113ba469a072760d48ecefec5cec4",
-                           "99488f173ddd005a1a685aadb8592615318c0bfd05960e7431695285a78a59d4"),
-    ("error_streak", 4): ("13bda5d99d0ec8006faff03fefc40c987945ac8be970f6a8ddc60f7e8d9f5d55",
-                           "dd3d2b205cb6f6413eda42baebd68f2f8e629921e0a40aefb8017f17fd9c5f8b"),
-    ("error_streak", 5): ("a7e35bf4de388737ebbddffa5514456ab38b59aecc6dd70a91ae59ebe3c004b8",
-                           "4468e0a87be0581f7b2c4a6ef879cfc51010bd0834d31c9435515c762438e1ff"),
-    ("error_streak", 6): ("30596f0ad11d2a103d4f2d6ca05ee7b5c24fa562e3a7834acbaf1078cb97913c",
-                           "ffc256004b6a6b0d399fe4ad1e2dd6d7b1abbdc7e153be920ca14f3be678d693"),
-    ("error_streak", 7): ("126fe1ebf1d653b089b7dd255222b24a9a48ef28e6f855436e480e32fd60b747",
-                           "828f23c6e52ea145cc8d2838e89283d0f0699597fb6b492468f86eb0984e91a3"),
+    ("baseline", 0): ("c114eefe8f9ac25ab4367fb2bbdbe115c4d1ab2ebb09971604feab1ddac88b3d",
+                       "1c10a716ca10064358446745f6def38fc2bd82eb9fd72d43479b1e507098b225"),
+    ("baseline", 1): ("e0e758e28f6107d737c71f10341a3b789c0701e74bdc9bdaee0987f30134220a",
+                       "a00e8f625acffbc45bea3dfbefb054e4eec0868843703a7f971e4ffdfda850b8"),
+    ("baseline", 2): ("968110c5c8dd62793fb3d6bcee54a8bc94d3bfad47aed9a2ab58e963ce2b9631",
+                       "8e2b8a509d8e88cb2755a4337803793d1ba2b9772260f609b385fc0af9152fe2"),
+    ("baseline", 3): ("0605612c4401d6239ffccd15b89781f23148840e6ab95158b480c94d04bdef83",
+                       "8d5490ac6caa907638db18e5997460efeb4bf44c39b5e6b64dbf5b402c626fe9"),
+    ("baseline", 4): ("982e2819b8b9fad759f7c50fac6168b8e5c588d1c918167f0c610cb9947fafc1",
+                       "cfafaa3e8a77e4e2307d63a76a708600fcb9efd101d27253d12e21fe3668e0c6"),
+    ("baseline", 5): ("21b535186bb4a3efc77ec25423275be34c5f555ebf3d3db998f5fb25e385ad89",
+                       "0fafdf67bfa5a8eb280e9bab65c8299c5cee842ae510a64562d8ffe24c3d220f"),
+    ("baseline", 6): ("3bd09878d19b3b4533511257963aa2ac078e4ffd99be4c288efca5321d065ee3",
+                       "04a6a56c84ea893f3a7e574bd10a994032314be7deb95bace9661299854f3891"),
+    ("baseline", 7): ("b57d93f65d58a52257d38c81465ae03ca658195ff823db0d05d06cc0998cf1ed",
+                       "5f24e36373ea06391ac694dfd2ab8600073e442112665f86f26ba142fc38740a"),
+    ("error_streak", 0): ("cc573d8c94c92cb0e8bb1b14ece165b225c74440e56241f3c4e999ca4f286d58",
+                           "698fd82bf992205edf9d6ef73c02a51d3da61ce9b45c9b95cea34bd9fc23a734"),
+    ("error_streak", 1): ("23867a8d4fe578a80485266b2d0f57b06345c28697a1dc8e641e27ff33153259",
+                           "e90f9c66240f1fcae8d0fbfa62e966889e954ab5e7a174dbfa2615a2546240c3"),
+    ("error_streak", 2): ("6736ab9da4c703126e287e22d091251a51f01a677da02d25f9db12b4687ae4ea",
+                           "0d4373d2551252ce09a3ef2b2845d6675cef3aac5930fc7f72e6ed528ecff405"),
+    ("error_streak", 3): ("fe868cec59dc48e193840477c44ba98791cff8eac27f9bd758459125d2f6b499",
+                           "1cd8f8b033ab2e7a9f2423cd73a8901939dea2b5375157a7bfbf958ed7223c46"),
+    ("error_streak", 4): ("569bd7f0a9227cd10db418756d337116f7c4aed1c809c84a1ca52a6a3911faa3",
+                           "c3ddc1b5ecdcaa5c1ffb87a742b34d71ab334832df236816c6e05a67c14781ed"),
+    ("error_streak", 5): ("722ddf6df01dc529572679b511e6b0d6e3126c9882ee4613921979ba4166d0c3",
+                           "83cd3f282bf6836c3814b811668711360f9b5cdc4faad2616ca3020b92d2e40f"),
+    ("error_streak", 6): ("ca24bd169da30b047fc8ab23bff5d8bee5d821f3d35c59ca25eb8cb3a1040a78",
+                           "0daa1e5bd28640f3bdc6a9b3c76c8223b092795b8cdc0766245e3d16f166e084"),
+    ("error_streak", 7): ("3e911c5d9aa391e4f7b86eddc66698a046cedaf87a890f6a3a192c0e06477d38",
+                           "bf49dd2f485dde3a61dc12b7e3ebf1279d1b302f29e3c41b22cd1afb0910b397"),
     ("stale_count", 0): ("dd32409b01e6d786e474f41b7a1fe26a357b76b9d155fb29b1d19433371f1c37",
                           "b82a9aa95073f4ace6b1a44533171f30ea03cb3211983a43b2f981a0ec93018a"),
     ("stale_count", 1): ("a2071e121199a035358a39968ffc56606b644ec21d5e7716c55151d455401adc",
@@ -113,14 +113,14 @@ GOLDEN_REPORTS = {
                           "e1c6526c5b406be7204b2115d3185493d5d4ced15a8f8287c7232adbc508b5bb"),
     ("stale_count", 7): ("4972b1491dc3247d24ca12ad2b94fba7480171e004c518c52531dba5a2f1be9a",
                           "df8ecca5432ceee582c63a8ce9dd210b76066e8937bfecdbeb951f36b348a4c6"),
-    ("COMPROMISE", None): ("057bba6febb17f3075e013c7cf6e36adb02e629fd5c9d99b5e264b21abd90391",
-                            "b4e90d3ef62b1c900c1e69151c609717b12bc8fed59723b36ad4391863aafa38"),
-    ("MIXED_ROUND", None): ("fafb25328ca95fcec77ab449bd64be4c5f2880a94d73fe662bc249463db973e1",
-                             "4526ec922fad2ebc995ba57846781b24b18f49eeccc9e986b92fa2136e1d3ea1"),
-    ("LOSSY_MAJORITY", None): ("1a9c101221dc5437cfd698fb07ae0581562a3085fe63b2f5024dd5277dd219c2",
-                                "c2e800945a2bff76f2f9113786fdc743aed3b3dadb03e50eee754ed4b8bcca9f"),
-    ("lossy_pull", None): ("07b00baf5d04c5d8957078fd6c6298b3ad5ea50db1e54428b689b74cde576b81",
-                            "664363a38da9b196aca61c7713a9ad230520f6ac30d8dec41b15501b8c899def"),
+    ("COMPROMISE", None): ("2cb9ec6fb21912f91442364d2dcc94143b67ecea0e24a4c3b7240c9472dddb32",
+                            "e083cee1c8689925c349c41d5c7d98b481c7758933b7cc010f9ef69581feec8a"),
+    ("MIXED_ROUND", None): ("e883f6774e967a8a18deba80e0143a489752817101273693cd9ec10d226a49ee",
+                             "fbc2810f9a84452210e68d4b8d44bc14c34886fc0871036a878b02ad517712b1"),
+    ("LOSSY_MAJORITY", None): ("7de39d3af1cfea91959cf5f0830e2a5c561c127765ecdea3199e4ced0667f70f",
+                                "7be1f846efad4279ba112de7d46f55c3a6508d6639340723fb51148928e43a97"),
+    ("lossy_pull", None): ("083d9579a9dc27a7ad3317cb41524162ca32aa2238a40cbfba2a0537d22feb39",
+                            "de647f57129b299c8ec9c683acf424f43c211a38f839af322c927d6033811ff0"),
 }
 
 
@@ -259,6 +259,33 @@ def leadership_violations(records) -> list[str]:
 @pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
 def test_only_the_leader_proposes_in_its_epoch(name, seed):
     assert leadership_violations(golden_run(name, seed).records) == []
+
+
+def unprepared_accepts(records) -> list[str]:
+    """AcceptRequest deliveries whose n no MajorityReached by their sender in their epoch
+    logged before them: phase 2 runs only under a number a majority promised."""
+    problems = []
+    epoch = None
+    prepared = set()  # (sender, epoch, n) of each MajorityReached so far
+    for record in records:
+        kind = record.kind
+        if kind in ("Init", "Election"):
+            epoch = int(record.fields["epoch"])
+        elif kind == "MajorityReached":
+            fields = record.fields
+            prepared.add((int(fields["from"]), epoch, str(fields["n"])))
+        elif kind == "AcceptRequest":
+            fields = record.fields
+            if (int(fields["from"]), int(fields["epoch"]), fields["n"]) not in prepared:
+                problems.append(f"t={record.time} seq={record.seq} AcceptRequest: from "
+                                f"{fields['from']} in epoch {fields['epoch']} under "
+                                f"{fields['n']}, which no majority promised it")
+    return problems
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_every_accept_request_follows_its_senders_majority_in_its_epoch(name, seed):
+    assert unprepared_accepts(golden_run(name, seed).records) == []
 
 
 def proposals_after_crash(records) -> list[str]:

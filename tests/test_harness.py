@@ -53,21 +53,23 @@ def test_baseline_verdicts_and_counts():
 
 
 def test_baseline_packet_accounting():
-    # Lossless five-node run: per request 5 Prepare, 5 Promise,
-    # 5 AcceptRequest and 10 Accepted deliveries (proposer + learner).
+    # Lossless five-node run: one phase 1 (5 Prepare, 5 Promise) for the
+    # epoch's first request, then per request 5 AcceptRequest under its
+    # number and 10 Accepted deliveries (proposer + learner).
     result = baseline_result()
     per_request = {0: Counter(), 1: Counter(), 2: Counter()}
-    promise_counts = Counter()
+    numbers = Counter()
     for record in result.records:
         if record.kind in ("Prepare", "AcceptRequest", "Accepted"):
             per_request[int(record.fields["req"])][record.kind] += 1
-        elif record.kind == "Promise":
-            promise_counts[ProposalNumber.parse(record.fields["n"]).round] += 1
+        if record.kind in ("Prepare", "Promise", "AcceptRequest", "Accepted"):
+            numbers[record.kind, record.fields["n"]] += 1
     for rid, counts in per_request.items():
-        assert counts["Prepare"] == 5, (rid, counts)
+        assert counts["Prepare"] == (5 if rid == 0 else 0), (rid, counts)
         assert counts["AcceptRequest"] == 5
         assert counts["Accepted"] == 10
-    assert all(count == 5 for count in promise_counts.values())
+    assert numbers == {("Prepare", "0.0"): 5, ("Promise", "0.0"): 5,
+                       ("AcceptRequest", "0.0"): 15, ("Accepted", "0.0"): 30}
     responses = [int(r.fields["req"]) for r in result.records if r.kind == "ClientResponse"]
     assert sorted(responses) == [0, 1, 2]  # exactly one response per consensus
 
@@ -162,8 +164,9 @@ faults:
 
 # Five replicas at 10% loss under the majority policy, one of them lying:
 # drops, AnomalyReports, queries and catch-ups in one run. Replica 0 misses
-# slots 0-2 and fetches them from its peers, and a query reveals replica 1's
-# trailing gap at slot 5; every slot ends Consensus before its deadline.
+# slot 0 and fetches slots 0-1 from its peers; replicas 3 and 4 miss slot 4,
+# which slot 5's AcceptRequest reveals (and a query, to 4); every slot ends
+# Consensus before its deadline.
 LOSSY_MAJORITY = """
 name: lossy_majority
 acceptors: 5
@@ -501,9 +504,13 @@ def test_an_arrival_at_a_crashed_leader_waits_for_the_election():
     assert seen[0] == (41, "ClientArrival", {"req": "3", "to": "0", "payload": "PUT /x"})
     assert [(time, kind) for time, kind, _ in seen] == [
         (41, "ClientArrival"), (55, "Election"), (55, "ClientArrival"), (55, "Propose"),
-        (65, "Verdict")]
+        (64, "Verdict")]
     assert seen[2][2]["redispatch"] == "1" and seen[3][2]["from"] == "1"
     assert seen[4][2]["verdict"] == "Consensus"
+    # Node 1 runs phase 1 for the first request of its epoch, then phase 2 under that number.
+    accepts = {(r.fields["from"], r.fields["epoch"], r.fields["n"]) for r in result.records
+               if r.kind == "AcceptRequest" and r.fields["req"] == "3"}
+    assert accepts == {("1", "1", seen[3][2]["n"])}
 
 
 def test_a_fault_past_the_horizon_never_fires():
@@ -657,7 +664,12 @@ faults:
     assert [v["verdict"] for v in result.report.verdicts] == ["Consensus", "Consensus"]
     proposals = [(r.fields["from"], r.fields["req"]) for r in result.records
                  if r.kind == "Propose"]
-    assert proposals == [(1, 0), (1, 1)]  # new leader works the slots in order
+    assert proposals == [(1, 0)]  # one phase 1, for the epoch's first request
+    # The new leader works the slots in order: every AcceptRequest for slot 0
+    # is delivered before any for slot 1.
+    slots = [(r.fields["from"], r.fields["req"]) for r in result.records
+             if r.kind == "AcceptRequest"]
+    assert slots == [("1", "0")] * 2 + [("1", "1")] * 2
     assert not result.report.livelock
 
 
@@ -901,13 +913,13 @@ def test_cli_replay_names_a_record_with_a_malformed_field(tmp_path, capsys):
     record, err = replay_error_after_edit(tmp_path, capsys, r"(kind=Accepted from=\d+ to=5) n=\S+",
                                           r"\1 n=x.y")
     assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Accepted: "
-                   "invalid literal for int() with base 10: 'x'\n")
+                   "expected a proposal number round.proposer, got 'x.y'\n")
 
 
 @pytest.mark.parametrize("pattern, replacement, problem", [
     (r"(kind=Propose) from=\d+", r"\1", "missing field 'from'"),
-    (r"(kind=Promise from=\d+ to=\d+ n=)\S+", r"\g<1>7", "not enough values to unpack "
-     "(expected 2, got 1)"),
+    (r"(kind=Promise from=\d+ to=\d+ n=)\S+", r"\g<1>7",
+     "expected a proposal number round.proposer, got '7'"),
 ])
 def test_cli_replay_names_a_record_the_proposal_check_cannot_read(tmp_path, capsys, pattern,
                                                                    replacement, problem):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import typing
 
 import pytest
@@ -60,6 +61,13 @@ def test_compare_matches_brute_force_enumeration():
 
 
 proposals = st.builds(ProposalNumber, st.integers(0, 1000), st.integers(0, 20))
+
+
+@pytest.mark.parametrize("text", ["7", "x.y", "1.2.3", "1.", ""])
+def test_a_malformed_proposal_number_names_the_expected_form(text):
+    expected = f"expected a proposal number round.proposer, got {text!r}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        ProposalNumber.parse(text)
 
 
 @given(proposals, proposals, proposals)

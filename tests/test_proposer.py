@@ -63,8 +63,8 @@ def promise(n):
     return Promise(n=n, last_served=None)
 
 
-def accepted(n):
-    return Accepted(n=n, request_id=0, output="o", new_state="s")
+def accepted(n, slot=0):
+    return Accepted(n=n, request_id=slot, output="o", new_state="s")
 
 
 @pytest.mark.parametrize("size,expected", [(6, 4), (5, 3), (1, 1), (2, 2), (9, 5)])
@@ -86,17 +86,91 @@ def test_first_request_broadcasts_round_zero_to_all_members_including_self():
     assert bus.sent[0][0].n == ProposalNumber(0, 0)
 
 
+def reach_majority(p, n, voters=(0, 1, 2)):
+    for node in voters:
+        p.on_promise(promise(n), node)
+
+
+def accept(p, n, slot, voters=(0, 1, 2)):
+    for node in voters:
+        p.on_accepted(accepted(n, slot), node)
+
+
 def test_rounds_strictly_increase_across_requests():
+    # Phase 1 runs once per epoch; each new one, after a timeout or an election, takes
+    # a higher round, and a request in between goes to phase 2 under the last one.
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "a"))
-    # Decide instance 0 quickly.
-    for node in range(3):
-        p.on_promise(promise(ProposalNumber(0, 0)), node)
-    for node in range(3):
-        p.on_accepted(accepted(ProposalNumber(0, 0)), node)
+    reach_majority(p, ProposalNumber(0, 0))
+    accept(p, ProposalNumber(0, 0), 0)
+    p.submit(ClientRequest(1, "b"))
+    p.on_phase_timeout(1, 0, ACCEPTING)
+    p.stand_down()
     p.submit(ClientRequest(1, "b"))
     rounds = [pkt.n.round for pkt, _ in bus.sent if pkt.kind == "Prepare"]
-    assert rounds == [0] * 5 + [1] * 5
+    assert rounds == [0] * 5 + [1] * 5 + [2] * 5
+
+
+def test_after_a_majority_promised_the_next_request_goes_straight_to_phase_two():
+    p, bus = make_proposer()
+    p.submit(ClientRequest(0, "a"))
+    reach_majority(p, ProposalNumber(0, 0))
+    accept(p, ProposalNumber(0, 0), 0)
+    bus.sent.clear()
+    bus.logs.clear()
+    bus.timers.clear()
+    p.submit(ClientRequest(1, "b"))
+    assert [(pkt.kind, pkt.n, pkt.request, dst) for pkt, dst in bus.sent] == [
+        ("AcceptRequest", ProposalNumber(0, 0), ClientRequest(1, "b"), dst) for dst in range(5)]
+    assert bus.logs == []  # neither Propose nor MajorityReached
+    assert bus.timers == [(("phase", 1, 0, ACCEPTING), 10)]
+    accept(p, ProposalNumber(0, 0), 1)
+    assert p.in_flight is None
+
+
+def test_a_late_acceptance_of_an_earlier_slot_does_not_count_for_the_next():
+    # Slots 0 and 1 share the number 0.0, so only the slot tells their acceptances apart.
+    p, _ = make_proposer()
+    p.submit(ClientRequest(0, "a"))
+    p.submit(ClientRequest(1, "b"))  # pending behind slot 0
+    reach_majority(p, ProposalNumber(0, 0))
+    accept(p, ProposalNumber(0, 0), 0)
+    assert p.in_flight.request.request_id == 1 and p.in_flight.n == ProposalNumber(0, 0)
+    accept(p, ProposalNumber(0, 0), 0, voters=(3, 4))  # slot 0's, arriving late
+    p.on_accepted(accepted(ProposalNumber(0, 0), 1), 0)
+    assert p.in_flight.votes == {0} and p.in_flight.phase == ACCEPTING
+    accept(p, ProposalNumber(0, 0), 1, voters=(1, 2))
+    assert p.in_flight is None
+
+
+def test_a_repropose_forces_a_fresh_phase_one_under_a_higher_round():
+    p, bus = make_proposer()
+    p.submit(ClientRequest(0, "a"))
+    reach_majority(p, ProposalNumber(0, 0))
+    accept(p, ProposalNumber(0, 0), 0)
+    p.submit(ClientRequest(1, "b"))
+    bus.sent.clear()
+    p.on_phase_timeout(1, 0, ACCEPTING)  # slot 1's phase 2 under 0.0 stalls
+    assert [k for k, _ in bus.logs][-1] == "Repropose"
+    assert {(pkt.kind, pkt.n) for pkt, _ in bus.sent} == {("Prepare", ProposalNumber(1, 0))}
+    assert p.promised is None and p.in_flight.phase == PREPARING
+    reach_majority(p, ProposalNumber(1, 0))
+    accept(p, ProposalNumber(1, 0), 1)
+    bus.sent.clear()
+    p.submit(ClientRequest(2, "c"))
+    assert {(pkt.kind, pkt.n) for pkt, _ in bus.sent} == {("AcceptRequest", ProposalNumber(1, 0))}
+
+
+def test_stand_down_forces_a_fresh_phase_one_under_a_higher_round():
+    p, bus = make_proposer()
+    p.submit(ClientRequest(0, "a"))
+    reach_majority(p, ProposalNumber(0, 0))
+    accept(p, ProposalNumber(0, 0), 0)
+    p.stand_down()  # an election; this node is later re-elected
+    bus.sent.clear()
+    p.submit(ClientRequest(1, "b"))
+    assert [k for k, _ in bus.logs][-1] == "Propose"
+    assert {(pkt.kind, pkt.n) for pkt, _ in bus.sent} == {("Prepare", ProposalNumber(1, 0))}
 
 
 def test_third_distinct_promise_of_five_triggers_accept_broadcast():
