@@ -1,6 +1,6 @@
 """Replica-side protocol logic: the promise rule plus request execution.
 
-An acceptor answers Prepare with Promise when the incoming number beats
+An acceptor answers Prepare with Promise(n) when the incoming number n beats
 everything it has promised before (refusal is silence), and on AcceptRequest
 executes the request, steps its state machine, and reports the result triple
 to both the proposer and the learner.
@@ -30,7 +30,6 @@ class Acceptor:
     definition: StateMachineDef
     model: AppModel
     highest_promised: ProposalNumber | None = None
-    last_served: ProposalNumber | None = None
     machine: RuntimeState = None  # type: ignore[assignment]
     output_override: dict[str, str] = field(default_factory=dict)
     # Execution cursor and per-slot cache: (the packet the slot was executed from, which
@@ -45,9 +44,8 @@ class Acceptor:
     def on_prepare(self, p: Prepare) -> Promise | None:
         """Promise iff p.n beats the highest number promised so far; else stay silent."""
         if self.highest_promised is None or p.n > self.highest_promised:
-            promise = Promise(n=p.n, last_served=self.last_served)
             self.highest_promised = p.n
-            return promise
+            return Promise(n=p.n)
         return None
 
     def on_accept_request(self, a: AcceptRequest) -> Accepted | None:
@@ -69,7 +67,6 @@ class Acceptor:
 
         if slot == self.next_slot:
             self._execute(a)
-        self.last_served = a.n
         return self._report(a.n, slot)
 
     def on_decided(self, d: Decided) -> Accepted | None:

@@ -125,8 +125,7 @@ class Replica:
             if not self.bus.shutting_down:
                 self.bus.set_timer(("hb",), self.timing.heartbeat_interval)
         elif tag[0] == "phase":
-            _, request_id, round_, phase = tag
-            self.proposer.on_phase_timeout(request_id, round_, phase)
+            self.proposer.on_phase_timeout(tag[1])
 
 
 class InfraNode:
@@ -264,7 +263,7 @@ class ClusterRun:
         # this tick can jump the queue ahead of an older unfinished slot.
         self.learner.on_membership_change()
         for rid in sorted(self.seen):
-            if not isinstance(self._verdict_of(rid), Consensus):
+            if not isinstance(self.learner.verdicts.get(rid), Consensus):
                 self._on_arrival(self.seen[rid], redispatch=True)
 
     def _on_arrival(self, request: ClientRequest, redispatch: bool = False) -> None:
@@ -274,7 +273,7 @@ class ClusterRun:
             fields["redispatch"] = 1
         self.sim.log("ClientArrival", **fields)
         self.seen[request.request_id] = request
-        if isinstance(self._verdict_of(request.request_id), Consensus):
+        if isinstance(self.learner.verdicts.get(request.request_id), Consensus):
             return
         if leader in self.sim.crashed:
             return  # lost until the next election retries it
@@ -324,7 +323,7 @@ class ClusterRun:
             self.halted = True
 
         undecided = [r.request_id for r in self.requests
-                     if self._verdict_of(r.request_id) is None]
+                     if self.learner.verdicts.get(r.request_id) is None]
         if horizon_reached and undecided:
             self.sim.log("Horizon", at=horizon)
         for rid in undecided:
@@ -337,13 +336,10 @@ class ClusterRun:
         self.learner.on_verdict = self.membership.on_change = self.membership.on_election = None
         return RunResult(report=report, records=self.sim.records)
 
-    def _verdict_of(self, request_id: int):
-        return self.learner.verdicts.get(request_id)
-
     def _build_report(self, horizon_reached: bool, livelock: bool) -> Report:
         verdicts = []
         for request in self.requests:
-            verdict = self._verdict_of(request.request_id)
+            verdict = self.learner.verdicts.get(request.request_id)
             verdicts.append({"request_id": request.request_id, "verdict": verdict.kind,
                              **_report_fields(verdict)})
         verdict_kinds = Counter(entry["verdict"].lower() for entry in verdicts)

@@ -3,7 +3,9 @@
 Checks, from an event log alone, that every proposer's rounds strictly
 increase across its Propose/Repropose records and that every re-proposal
 exceeds every round that proposer had observed beforehand (its own prior
-proposals plus the n and last-served values of promises delivered to it).
+proposals plus the n of each promise delivered to it). An older log's
+last-served field on a Promise is not read: an acceptor promises only above
+every number it has served, so it never raised that ceiling.
 A record lacking a field the check reads, or holding a malformed one, raises
 ValueError naming the record, as replay_verdicts does.
 """
@@ -41,10 +43,7 @@ def check_proposal_numbers(records: Iterable[Record | Delivery | LineRecord]) ->
                 _observe(observed, proposer, round_)
             elif record.kind == "Promise":
                 fields = record.fields  # built on each read for a Delivery or a LineRecord
-                to = int(fields["to"])
-                _observe(observed, to, ProposalNumber.parse(fields["n"]).round)
-                if "last" in fields:
-                    _observe(observed, to, ProposalNumber.parse(fields["last"]).round)
+                _observe(observed, int(fields["to"]), ProposalNumber.parse(fields["n"]).round)
     except (KeyError, ValueError) as exc:
         raise record_error(record, exc) from exc
     return problems

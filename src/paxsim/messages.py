@@ -62,10 +62,9 @@ class Prepare:
 
 @dataclass(frozen=True, slots=True)
 class Promise:
-    """An acceptor's pledge to serve proposal n, echoing its last served number."""
+    """An acceptor's pledge to serve proposal n and refuse every lower number."""
 
     n: ProposalNumber
-    last_served: ProposalNumber | None
 
     kind = "Promise"
 
@@ -180,9 +179,7 @@ def packet_text(packet: Packet) -> str:
         return (f"epoch={packet.epoch} n={packet.n} req={packet.request.request_id} "
                 f"payload={_quote_text(packet.request.payload)}")
     if cls is Promise:
-        if packet.last_served is None:
-            return f"n={packet.n}"
-        return f"n={packet.n} last={packet.last_served}"
+        return f"n={packet.n}"
     if cls is Heartbeat:
         return f"hb_seq={packet.seq}"
     if cls is ClientResponse:
@@ -203,9 +200,8 @@ def packet_from_fields(kind: str, fields: dict[str, str]) -> Packet:
         cls = Prepare if kind == "Prepare" else AcceptRequest
         return cls(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),
                    request=ClientRequest(int(fields["req"]), fields["payload"]))
-    if kind == "Promise":
-        last = ProposalNumber.parse(fields["last"]) if "last" in fields else None
-        return Promise(n=ProposalNumber.parse(fields["n"]), last_served=last)
+    if kind == "Promise":  # an older log's last= field is ignored
+        return Promise(n=ProposalNumber.parse(fields["n"]))
     if kind == "Accepted":
         return Accepted(n=ProposalNumber.parse(fields["n"]), request_id=int(fields["req"]),
                         output=fields["output"], new_state=fields["state"])

@@ -9,13 +9,15 @@ as the epoch's promised one. Every request, the first included, then goes to
 phase 2: an AcceptRequest broadcast under the promised number, done once a
 majority of the set has accepted it. A phase that times out without reaching
 majority opens phase 1 again under a strictly higher number, and an election
-drops the promised number with everything else. Each in-flight proposal
-keeps one vote set, its promises while preparing and its acceptances once
-accepting, and one majority check drives both phase changes. An acceptance
-counts only for its own slot, since one number spans all of the epoch's
-slots. Requests are driven one slot at a time, in slot order; the client
-submits each request once per election. Rounds only grow past the highest
-the node has proposed or seen, so none is ever reused.
+drops the promised number with everything else. The in-flight proposal is
+in phase 2 exactly when the promised number is set. It keeps one vote set,
+promises in phase 1 and acceptances in phase 2, and one majority check
+drives both phase changes. An acceptance counts only for its own slot, since
+one number spans all of the epoch's slots. A phase timeout holds the
+in-flight proposal it guards and re-proposes only while that one is current.
+Requests are driven one slot at a time, in slot order; the client submits
+each request once per election. Rounds only grow past the highest the node
+has proposed or seen, so none is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
 with the surface: send(packet, dst), set_timer(tag, delay),
@@ -48,16 +50,11 @@ def majority_threshold(membership_size: int) -> int:
     return membership_size // 2 + 1
 
 
-PREPARING = "preparing"
-ACCEPTING = "accepting"
-
-
 @dataclass
 class InFlight:
     request: ClientRequest
     n: ProposalNumber
-    phase: str = PREPARING
-    votes: set[NodeId] = field(default_factory=set)  # promises, then acceptances
+    votes: set[NodeId] = field(default_factory=set)  # promises, or acceptances once promised
 
 
 class Proposer:
@@ -99,26 +96,24 @@ class Proposer:
     # -- packet handlers ----------------------------------------------------
 
     def on_promise(self, p: Promise, src: NodeId) -> None:
-        self._vote(p.n, src, PREPARING)
+        # Once promised, a late promise for the promised number is no acceptance.
+        if self.promised is None:
+            self._vote(p.n, src)
 
     def on_accepted(self, a: Accepted, src: NodeId) -> None:
         flight = self.in_flight
         # The promised number spans the epoch's slots: a late acceptance of an
-        # earlier slot carries this slot's n too.
+        # earlier slot carries this slot's n too. No acceptance carries a phase-1
+        # flight's n, which no AcceptRequest has carried yet.
         if flight is not None and a.request_id == flight.request.request_id:
-            self._vote(a.n, src, ACCEPTING)
+            self._vote(a.n, src)
 
     # -- timers and membership ----------------------------------------------
 
-    def on_phase_timeout(self, request_id: int, round_: int, phase: str) -> None:
-        flight = self.in_flight
-        if flight is None or flight.request.request_id != request_id:
-            return
-        if flight.n.round != round_ or flight.phase != phase:
-            return
-        if self.bus.shutting_down:
-            return
-        self._propose(flight.request, "Repropose")
+    def on_phase_timeout(self, flight: InFlight) -> None:
+        """Re-propose the flight's request, unless the flight has ended or been superseded."""
+        if flight is self.in_flight and not self.bus.shutting_down:
+            self._propose(flight.request, "Repropose")
 
     def on_membership_change(self) -> None:
         """Re-evaluate the majority against the view's changed alive set immediately.
@@ -154,7 +149,7 @@ class Proposer:
 
     def _accept(self, request: ClientRequest) -> None:
         """Open phase 2 for a request under the promised number."""
-        self.in_flight = InFlight(request=request, n=self.promised, phase=ACCEPTING)
+        self.in_flight = InFlight(request=request, n=self.promised)
         self._broadcast(AcceptRequest(n=self.promised, request=request, epoch=self.view.epoch))
 
     def _broadcast(self, packet: Prepare | AcceptRequest) -> None:
@@ -162,13 +157,11 @@ class Proposer:
         flight = self.in_flight
         for member in sorted(self.view.alive):
             self.bus.send(packet, member)
-        self.bus.set_timer(("phase", flight.request.request_id, flight.n.round, flight.phase),
-                           self.timeout)
+        self.bus.set_timer(("phase", flight), self.timeout)
 
-    def _vote(self, n: ProposalNumber, src: NodeId, phase: str) -> None:
+    def _vote(self, n: ProposalNumber, src: NodeId) -> None:
         flight = self.in_flight
-        if (flight is None or flight.phase != phase or n != flight.n
-                or src not in self.view.alive):
+        if flight is None or n != flight.n or src not in self.view.alive:
             return  # stale, foreign or from a non-member
         flight.votes.add(src)
         self._check_majority()
@@ -178,7 +171,7 @@ class Proposer:
         membership = len(self.view.alive)
         if len(flight.votes) < majority_threshold(membership):
             return
-        if flight.phase == PREPARING:
+        if self.promised is None:
             self.bus.log("MajorityReached", **{"from": self.id, "req": flight.request.request_id,
                                                "n": flight.n, "promises": len(flight.votes),
                                                "membership": membership})

@@ -3,7 +3,7 @@
 import random
 
 from paxsim.acceptor import Acceptor
-from paxsim.messages import AcceptRequest, ClientRequest, Decided, Prepare, ProposalNumber
+from paxsim.messages import AcceptRequest, ClientRequest, Decided, Prepare, Promise, ProposalNumber
 from paxsim.statemachine import compile_app_model, compile_machine
 
 MACHINE = compile_machine({
@@ -33,8 +33,7 @@ def test_fresh_acceptor_promises_with_empty_history():
     a = make_acceptor()
     p = a.on_prepare(prepare(ProposalNumber(1, 0)))
     assert p is not None
-    assert p.n == ProposalNumber(1, 0)
-    assert p.last_served is None
+    assert p == Promise(n=ProposalNumber(1, 0))
 
 
 def test_promise_rule_matches_brute_force():
@@ -60,20 +59,11 @@ def test_refusal_is_silent():
     assert a.highest_promised == ProposalNumber(3, 0)
 
 
-def test_promise_echoes_last_served():
-    a = make_acceptor()
-    a.highest_promised = ProposalNumber(3, 0)
-    a.last_served = ProposalNumber(3, 0)
-    p = a.on_prepare(prepare(ProposalNumber(4, 0)))
-    assert p.last_served == ProposalNumber(3, 0)
-
-
 def test_honest_execution_emits_result_triple():
     a = make_acceptor()
     n = ProposalNumber(0, 0)
     out = a.on_accept_request(accept(n))
     assert (out.n, out.output, out.new_state) == (n, "OK", "S0")
-    assert a.last_served == n
 
 
 def test_stale_accept_request_dropped_silently():
@@ -82,7 +72,7 @@ def test_stale_accept_request_dropped_silently():
     before = a.machine
     assert a.on_accept_request(accept(ProposalNumber(4, 0))) is None
     assert a.machine == before
-    assert a.last_served is None
+    assert a.next_slot == 0 and a.executed == {}
 
 
 def test_compromised_output_diverges_exactly_when_rule_changes():
@@ -167,8 +157,8 @@ def test_on_decided_executes_only_the_next_slot():
     assert (out.n, out.request_id, out.output, out.new_state) == (
         ProposalNumber(0, 0), 0, "Error", "S1")
     assert a.next_slot == 1
-    # A Decided moves no promise, and is no accepted proposal.
-    assert a.highest_promised == ProposalNumber(9, 1) and a.last_served is None
+    # A Decided moves no promise.
+    assert a.highest_promised == ProposalNumber(9, 1)
     machine = a.machine
     assert a.on_decided(decided(0, payload="boom")) is None  # behind the cursor
     assert a.machine == machine and a.next_slot == 1

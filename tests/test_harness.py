@@ -534,7 +534,7 @@ def forged_proposals():
 
     records = [
         record(0, "Propose", **{"from": 0, "n": "1.0"}),
-        record(1, "Promise", to=0, n="3.1", last="5.2"),
+        record(1, "Promise", to=0, n="5.2"),  # forged: only proposer 2 is promised 5.2
         record(2, "Repropose", **{"from": 0, "n": "4.0"}),  # below the promised 5
         record(3, "Propose", **{"from": 0, "n": "4.0"}),  # not above its own 4
         record(4, "Repropose", **{"from": 1, "n": "0.1"}),  # nothing observed yet
@@ -935,6 +935,28 @@ def test_cli_replays_every_bundled_scenarios_log_clean(tmp_path, capsys, path):
     capsys.readouterr()
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_OK
     assert capsys.readouterr().out.endswith(" verdicts checked, all reproduced\n")
+
+
+# An older log: a Promise then echoed the acceptor's last served number as last=.
+LAST_SERVED_LOG = """\
+time=0 seq=0 kind=Init acceptors=3 leader=0 epoch=0 policy=strict seed=1
+time=1 seq=1 kind=Propose from=0 req=0 n=0.0 epoch=0
+time=2 seq=2 kind=Promise from=1 to=0 n=0.0
+time=3 seq=3 kind=Accepted from=1 to=3 n=0.0 req=0 output=OK state=S
+time=4 seq=4 kind=Repropose from=0 req=0 n=1.0 epoch=0
+time=5 seq=5 kind=Promise from=1 to=0 n=1.0 last=0.0
+time=6 seq=6 kind=Accepted from=0 to=3 n=1.0 req=0 output=OK state=S
+time=6 seq=7 kind=Accepted from=2 to=3 n=1.0 req=0 output=OK state=S
+time=7 seq=8 kind=Verdict req=0 verdict=Consensus membership=3 deadline=0 output=OK state=S
+"""
+
+
+def test_cli_replays_an_older_log_whose_promise_carries_last_clean(tmp_path, capsys):
+    log_path = tmp_path / "older.log"
+    log_path.write_text(LAST_SERVED_LOG, encoding="utf-8")
+    assert check_proposal_numbers(read_log(log_path)) == []
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "1 verdicts checked, all reproduced\n"
 
 
 @pytest.mark.parametrize("pattern, replacement, problem", [

@@ -9,7 +9,7 @@ from paxsim import load_scenario, parse_scenario, run
 from paxsim.harness import Replica
 from paxsim.membership import MembershipView
 from paxsim.messages import Accepted, ClientRequest, Prepare, Promise, ProposalNumber
-from paxsim.proposer import ACCEPTING, PREPARING, Proposer, ZeroMembership, majority_threshold
+from paxsim.proposer import Proposer, ZeroMembership, majority_threshold
 from paxsim.simnet import NetConfig, Simulation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,7 +60,7 @@ def proposed_rounds(sim):
 
 
 def promise(n):
-    return Promise(n=n, last_served=None)
+    return Promise(n=n)
 
 
 def accepted(n, slot=0):
@@ -104,7 +104,7 @@ def test_rounds_strictly_increase_across_requests():
     reach_majority(p, ProposalNumber(0, 0))
     accept(p, ProposalNumber(0, 0), 0)
     p.submit(ClientRequest(1, "b"))
-    p.on_phase_timeout(1, 0, ACCEPTING)
+    p.on_phase_timeout(p.in_flight)
     p.stand_down()
     p.submit(ClientRequest(1, "b"))
     rounds = [pkt.n.round for pkt, _ in bus.sent if pkt.kind == "Prepare"]
@@ -123,7 +123,8 @@ def test_after_a_majority_promised_the_next_request_goes_straight_to_phase_two()
     assert [(pkt.kind, pkt.n, pkt.request, dst) for pkt, dst in bus.sent] == [
         ("AcceptRequest", ProposalNumber(0, 0), ClientRequest(1, "b"), dst) for dst in range(5)]
     assert bus.logs == []  # neither Propose nor MajorityReached
-    assert bus.timers == [(("phase", 1, 0, ACCEPTING), 10)]
+    (tag, delay), = bus.timers
+    assert tag[0] == "phase" and tag[1] is p.in_flight and delay == 10
     accept(p, ProposalNumber(0, 0), 1)
     assert p.in_flight is None
 
@@ -138,7 +139,7 @@ def test_a_late_acceptance_of_an_earlier_slot_does_not_count_for_the_next():
     assert p.in_flight.request.request_id == 1 and p.in_flight.n == ProposalNumber(0, 0)
     accept(p, ProposalNumber(0, 0), 0, voters=(3, 4))  # slot 0's, arriving late
     p.on_accepted(accepted(ProposalNumber(0, 0), 1), 0)
-    assert p.in_flight.votes == {0} and p.in_flight.phase == ACCEPTING
+    assert p.in_flight.votes == {0} and p.promised == ProposalNumber(0, 0)
     accept(p, ProposalNumber(0, 0), 1, voters=(1, 2))
     assert p.in_flight is None
 
@@ -150,10 +151,10 @@ def test_a_repropose_forces_a_fresh_phase_one_under_a_higher_round():
     accept(p, ProposalNumber(0, 0), 0)
     p.submit(ClientRequest(1, "b"))
     bus.sent.clear()
-    p.on_phase_timeout(1, 0, ACCEPTING)  # slot 1's phase 2 under 0.0 stalls
+    p.on_phase_timeout(p.in_flight)  # slot 1's phase 2 under 0.0 stalls
     assert [k for k, _ in bus.logs][-1] == "Repropose"
     assert {(pkt.kind, pkt.n) for pkt, _ in bus.sent} == {("Prepare", ProposalNumber(1, 0))}
-    assert p.promised is None and p.in_flight.phase == PREPARING
+    assert p.promised is None and p.in_flight.n == ProposalNumber(1, 0)
     reach_majority(p, ProposalNumber(1, 0))
     accept(p, ProposalNumber(1, 0), 1)
     bus.sent.clear()
@@ -197,15 +198,15 @@ def test_promise_for_decided_or_foreign_proposal_ignored():
     assert p.in_flight.votes == set()
     for node in (1, 2, 3):
         p.on_promise(promise(ProposalNumber(0, 0)), node)
-    assert p.in_flight.phase == ACCEPTING
-    p.on_promise(promise(ProposalNumber(0, 0)), 4)  # late: phase guard
+    assert p.promised == ProposalNumber(0, 0)
+    p.on_promise(promise(ProposalNumber(0, 0)), 4)  # late: promised already
     assert 4 not in p.in_flight.votes
 
 
 def test_timeout_with_no_promises_bumps_round_by_one():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
-    p.on_phase_timeout(0, 0, PREPARING)
+    p.on_phase_timeout(p.in_flight)
     reproposals = [f for k, f in bus.logs if k == "Repropose"]
     assert len(reproposals) == 1
     assert reproposals[0]["n"] == ProposalNumber(1, 0)
@@ -218,7 +219,7 @@ def test_repropose_exceeds_every_observed_round():
     # A peer's Prepare is numbered, and the replica notes its round.
     replica.on_packet(Prepare(n=ProposalNumber(7, 1), request=ClientRequest(0, "q"), epoch=0),
                       1, 0)
-    replica.on_timer(("phase", 0, 0, PREPARING), 10)
+    replica.on_timer(("phase", replica.proposer.in_flight), 10)
     assert proposed_rounds(sim) == [0, 8]
 
 
@@ -230,21 +231,51 @@ def test_reelected_leader_never_reuses_a_round():
     assert proposed_rounds(sim) == [0, 1]
 
 
+def superseded_flight():
+    """An in-flight proposal that a timeout and a re-proposal have replaced."""
+    p, _ = make_proposer()
+    p.submit(ClientRequest(0, "q"))
+    flight = p.in_flight
+    p.on_phase_timeout(flight)
+    assert p.in_flight is not flight
+    return flight
+
+
 def test_a_replica_that_does_not_lead_stays_idle():
     replica, sim = make_replica(node_id=1)  # the view's leader is 0
     replica.on_packet(promise(ProposalNumber(0, 1)), 2, 0)
     replica.on_packet(accepted(ProposalNumber(0, 1)), 2, 0)
-    replica.on_timer(("phase", 0, 0, PREPARING), 10)
+    replica.on_timer(("phase", superseded_flight()), 10)  # another proposer's flight
     assert sim.records == [] and sim.pending() == 0
 
 
 def test_stale_timer_is_ignored():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
-    p.on_phase_timeout(0, 0, ACCEPTING)   # wrong phase
-    p.on_phase_timeout(0, 3, PREPARING)   # wrong round
-    p.on_phase_timeout(9, 0, PREPARING)   # wrong request
-    assert [k for k, _ in bus.logs if k == "Repropose"] == []
+    first = p.in_flight
+    p.on_phase_timeout(first)  # Repropose under 1.0
+    second = p.in_flight
+    reach_majority(p, ProposalNumber(1, 0))  # phase 2 for the same request under 1.0
+    third = p.in_flight
+    p.on_phase_timeout(first)   # superseded by the re-proposal
+    p.on_phase_timeout(second)  # superseded by phase 2
+    p.on_phase_timeout(superseded_flight())  # another proposer's
+    accept(p, ProposalNumber(1, 0), 0)
+    p.on_phase_timeout(third)   # ended: its request was accepted
+    assert [k for k, _ in bus.logs if k == "Repropose"] == ["Repropose"]
+
+
+def test_a_first_requests_phase_one_timer_is_ignored_once_it_reached_phase_two():
+    # Phase 2 runs the same request under the same number: only identity tells
+    # the phase-1 flight from the phase-2 one.
+    p, bus = make_proposer()
+    p.submit(ClientRequest(0, "q"))
+    (phase_one_tag, _), = bus.timers
+    reach_majority(p, ProposalNumber(0, 0))
+    assert p.in_flight.request == ClientRequest(0, "q") and p.in_flight.n == ProposalNumber(0, 0)
+    p.on_phase_timeout(phase_one_tag[1])
+    assert [k for k, _ in bus.logs] == ["Propose", "MajorityReached"]
+    assert p.in_flight.votes == set() and p.promised == ProposalNumber(0, 0)
 
 
 def test_membership_shrink_unblocks_pending_majority():
@@ -253,10 +284,10 @@ def test_membership_shrink_unblocks_pending_majority():
     bus.sent.clear()
     for node in (0, 1, 2):
         p.on_promise(promise(ProposalNumber(0, 0)), node)
-    assert p.in_flight.phase == PREPARING  # 3 of 6 is not a majority
+    assert p.promised is None  # 3 of 6 is not a majority
     p.view.alive.discard(5)
     p.on_membership_change()
-    assert p.in_flight.phase == ACCEPTING  # 3 of 5 is
+    assert p.promised == ProposalNumber(0, 0)  # 3 of 5 is
     accepts = [dst for pkt, dst in bus.sent if pkt.kind == "AcceptRequest"]
     assert accepts == [0, 1, 2, 3, 4]
 
@@ -281,7 +312,7 @@ def test_a_node_added_to_the_view_gets_the_next_broadcast_and_its_vote_counts():
     bus.sent.clear()
     for node in (3, 0):
         p.on_promise(promise(ProposalNumber(0, 0)), node)
-    assert p.in_flight.votes == {0, 3} and p.in_flight.phase == PREPARING  # 2 of 4
+    assert p.in_flight.votes == {0, 3} and p.promised is None  # 2 of 4
     p.on_promise(promise(ProposalNumber(0, 0)), 1)
     assert [dst for pkt, dst in bus.sent if pkt.kind == "AcceptRequest"] == [0, 1, 2, 3]
     majority = [f for k, f in bus.logs if k == "MajorityReached"]
@@ -293,7 +324,7 @@ def test_departed_promises_discarded_before_threshold_check():
     p.submit(ClientRequest(0, "q"))
     for node in (0, 1, 4):
         p.on_promise(promise(ProposalNumber(0, 0)), node)
-    assert p.in_flight.phase == PREPARING  # 3 of 7 is not a majority
+    assert p.promised is None  # 3 of 7 is not a majority
     # Membership collapses to three nodes, two of which promised.
     p.view.alive &= {0, 1, 3}
     p.on_membership_change()
@@ -308,7 +339,7 @@ def test_promises_never_count_as_acceptances():
         p.on_promise(promise(ProposalNumber(0, 0)), node)
     for node in (3, 4):
         p.on_accepted(accepted(ProposalNumber(0, 0)), node)
-    assert p.in_flight.phase == ACCEPTING  # 2 of 5 acceptances is not a majority
+    assert p.in_flight.votes == {3, 4}  # 2 of 5 acceptances is not a majority
 
 
 def test_exactly_one_accept_broadcast_per_round():
