@@ -67,11 +67,9 @@ class Replica:
         self.bus = NodeBus(sim, node_id)
         self.learner_id = learner_id
         self.view = view
-        self.timing = scenario.timing
         self.acceptor = Acceptor(definition=scenario.machine, model=scenario.app_model)
         self.proposer = Proposer(node_id=node_id, view=view, bus=self.bus,
                                  timeout=scenario.timing.prepare_timeout)
-        self.heartbeat_seq = 0
         self.group_size = scenario.acceptors
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
@@ -119,12 +117,7 @@ class Replica:
             self.bus.send(ask, (self.id + 1 + i % (n - 1)) % n)  # the i-th peer on the ring
 
     def on_timer(self, tag: tuple, now: int) -> None:
-        if tag[0] == "hb":
-            self.bus.send(Heartbeat(seq=self.heartbeat_seq), self.learner_id)
-            self.heartbeat_seq += 1
-            if not self.bus.shutting_down:
-                self.bus.set_timer(("hb",), self.timing.heartbeat_interval)
-        elif tag[0] == "phase":
+        if tag[0] == "phase":
             self.proposer.on_phase_timeout(tag[1])
 
 
@@ -197,7 +190,8 @@ class ClusterRun:
     """One scenario execution: builds the nodes, drives the loop, reports.
 
     It is also the client node: it receives the ClientResponses, and its own
-    timers deliver each scheduled arrival and fault.
+    timers deliver each scheduled arrival and fault and keep the group's
+    heartbeat clock.
     """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
@@ -241,8 +235,28 @@ class ClusterRun:
     def on_timer(self, tag: tuple, now: int) -> None:
         if tag[0] == "arrival":
             self._on_arrival(tag[1])
+        elif tag[0] == "hb":
+            self._beat(tag[1])
         elif tag[0] == "fault":
             self._on_fault(tag[1])
+
+    def _beat(self, seq: int) -> None:
+        """Send each replica's Heartbeat number seq to the learner, in id order, and re-arm.
+
+        One clock for the group stands in for a timer per replica, each armed
+        at tick 0 and re-armed every heartbeat_interval: the sends and their
+        draws come in the same order, and a crashed replica sends nothing
+        either way. Same-tick order can differ only where a heartbeat's delay
+        equals the interval exactly: a timer per replica would interleave the
+        previous beat's deliveries with this beat's sends, where the one
+        clock runs after all of them.
+        """
+        heartbeat = Heartbeat(seq=seq)
+        for replica in self.replicas:
+            self.sim.send(heartbeat, replica.id, self.learner_id)
+        if not self.sim.shutting_down:
+            self.sim.set_timer(self.client_id, ("hb", seq + 1),
+                               self.scenario.timing.heartbeat_interval)
 
     # -- callbacks ---------------------------------------------------------------
 
@@ -309,8 +323,7 @@ class ClusterRun:
         # Same-tick events run in push order, so this order is part of the log.
         for fault in self.faults:
             self.sim.set_timer(self.client_id, ("fault", fault), fault.at)
-        for replica in self.replicas:
-            self.sim.set_timer(replica.id, ("hb",), 0)
+        self.sim.set_timer(self.client_id, ("hb", 0), 0)
         self.sim.set_timer(self.learner_id, ("detect",), scenario.timing.heartbeat_interval)
         for request, (at, _) in zip(self.requests, scenario.requests):
             self.sim.set_timer(self.client_id, ("arrival", request), at)
