@@ -468,9 +468,11 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
                     continue
                 decided.add(rid)
                 slot_reports = reports.pop(rid, {})
-                verdict = decide(slot_reports, max(1, membership_size), policy)
                 alive = n - len(departed)
-                tracked = max(1, alive)  # as the learner logs it once the group has emptied
+                # As in the learner, a slot sealed once the group has emptied is never
+                # Consensus, though its Verdict logs membership 1.
+                verdict = decide(slot_reports, max(1, membership_size) if alive else 0, policy)
+                tracked = max(1, alive)
                 if membership_size != tracked:
                     diffs.append(f"req {rid}: logged membership {membership_size} "
                                  f"!= tracked {tracked}")

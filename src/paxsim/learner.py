@@ -71,14 +71,20 @@ def _groups(reports: dict[NodeId, Accepted]) -> list[tuple[tuple[str, str], list
 
 def decide(reports: dict[NodeId, Accepted], membership_size: int,
            policy: str = STRICT) -> Verdict:
-    """Pure decision function over a slot's reports (node -> its first) and the membership size."""
-    needed = majority_threshold(membership_size)
+    """Pure decision function over a slot's reports (node -> its first) and the membership size.
+
+    A membership of 0, a group that emptied before the run halted, has no
+    majority: its slot is never Consensus, and it counts as needing the one
+    report a membership of 1 would.
+    """
+    needed = majority_threshold(max(1, membership_size))
     if not reports:
         return Inconclusive(received=0, needed=needed)
 
     groups = _groups(reports)
     (output, state), winners = groups[0]
-    if len(winners) >= needed and (len(groups) == 1 or policy == MAJORITY):
+    if (membership_size and len(winners) >= needed
+            and (len(groups) == 1 or policy == MAJORITY)):
         return Consensus(output=output, state=state)
     if len(groups) == 1:
         return Inconclusive(received=len(reports), needed=needed)
@@ -154,7 +160,7 @@ class Learner:
     def _decide(self, request_id: int, deadline_reached: bool) -> None:
         """Seal the slot's verdict and drop its reports."""
         reports = self.reports.pop(request_id, {})  # none if the run ends before any report
-        membership_size = max(1, len(self.view.alive))  # group may have emptied before a halt
+        membership_size = len(self.view.alive)  # 0 if the group emptied before a halt
         verdict = self.verdicts[request_id] = decide(reports, membership_size, self.policy)
         dissent = verdict if self.policy == STRICT else decide(reports, membership_size, STRICT)
         if isinstance(dissent, Anomaly):
@@ -163,7 +169,7 @@ class Learner:
             self.bus.log("AnomalyReport", req=request_id, dissenting=fields["dissenting"],
                          states=fields["states"], outputs=_counts_text(outputs))
         self.bus.log("Verdict", req=request_id, verdict=verdict.kind,
-                     membership=membership_size, deadline=1 if deadline_reached else 0,
+                     membership=max(1, membership_size), deadline=1 if deadline_reached else 0,
                      **verdict_fields(verdict))
         if isinstance(verdict, Consensus):
             self.bus.send(ClientResponse(request_id=request_id, output=verdict.output),

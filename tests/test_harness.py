@@ -215,6 +215,43 @@ def test_replay_reports_a_forged_verdict(tmp_path, rid, key, forged):
     assert replay_verdicts(read_log(log_path)) == (checked, diffs)
 
 
+# all_crash with jitter and its three crashes at t=8: a report of slot 0 reaches
+# the learner before the group empties, and the slot is sealed at the halt.
+LATE_ALL_CRASH = """
+name: late_all_crash
+acceptors: 3
+net: {seed: 6, base_delay: 1, jitter: 3}
+machine: {states: ["S"], start: "S", rules: []}
+app_model: {outputs: [], default_output: "OK"}
+requests:
+  - {at: 2, payload: "a"}
+faults:
+  - {at: 8, target: 0, kind: crash}
+  - {at: 8, target: 1, kind: crash}
+  - {at: 8, target: 2, kind: crash}
+"""
+
+
+def test_an_emptied_group_seals_no_consensus_and_replay_agrees(tmp_path):
+    result = run(parse_scenario(LATE_ALL_CRASH))
+    assert result.report.halted
+    [verdict] = result.report.verdicts
+    assert verdict["verdict"] == "Inconclusive" and verdict["received"] >= 1
+    records = list(result.records)
+    at =next(i for i, r in enumerate(records) if r.kind == "Verdict")
+    assert records[at - 1].kind == "Halt" and records[at].fields["membership"] == 1
+    assert replay_verdicts(records) == (1, [])
+    # The Consensus a single report used to seal: replay names it a mismatch.
+    fields = {k: v for k, v in records[at].fields.items() if k not in ("received", "needed")}
+    records[at] = replace(records[at], fields={**fields, "verdict": "Consensus",
+                                               "output": "OK", "state": "S"})
+    log_path = tmp_path / "consensus.log"
+    write_log(records, log_path)
+    for logged in (records, read_log(log_path)):
+        checked, diffs = replay_verdicts(logged)
+        assert checked == 1 and len(diffs) == 1 and diffs[0].startswith("req 0: recomputed")
+
+
 # Replica 2 crash-stops before the only request, and failure detection is
 # slower than the slot's deadline. The learner does not query a member it has
 # not heard from within Q ticks, so the slot waits for its deadline with 2 of

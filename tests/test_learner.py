@@ -186,6 +186,14 @@ def test_needed_tracks_membership_size():
             assert verdict.needed == majority_threshold(size)
 
 
+def test_an_emptied_group_has_no_majority():
+    # Membership 0: every replica failed before the run halted. No report is a majority of it.
+    one = filled_reports({2: ("OK", "S1", 0)})
+    assert decide(one, 0) == Inconclusive(received=1, needed=1)
+    split = filled_reports({0: ("a", "X", 0), 1: ("a", "X", 0), 2: ("b", "Y", 0)})
+    assert isinstance(decide(split, 0, policy=MAJORITY), Anomaly)
+
+
 class View:
     def __init__(self, alive):
         self.alive = set(alive)
@@ -254,6 +262,16 @@ def test_a_departure_that_completes_a_slots_reports_decides_it():
     assert bus.logs == [("Verdict", {"req": 0, "verdict": "Consensus", "membership": 2,
                                      "deadline": 0, "output": "OK", "state": "S1"})]
     assert list(learner.verdicts) == [0] and list(learner.reports) == [1]
+
+
+def test_a_slot_finalized_after_the_group_emptied_is_inconclusive():
+    learner, bus = make_learner(STRICT, members=range(3))
+    feed(learner, {2: ("OK", "S1", 0)})
+    learner.view.alive.clear()
+    learner.finalize(0)
+    assert bus.logs == [("Verdict", {"req": 0, "verdict": "Inconclusive", "membership": 1,
+                                     "deadline": 1, "received": "1", "needed": "1"})]
+    assert bus.sent == []  # no ClientResponse
 
 
 def test_one_deadline_timer_per_slot_however_many_reports():
