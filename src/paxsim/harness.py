@@ -3,8 +3,10 @@
 Node ids in a run with n replicas: replicas are 0..n-1 (node 0 starts as
 leader), the learner lives at id n (and hosts the membership watch), and
 the ClusterRun itself is the client at id n+1, whose timers deliver the
-scenario's arrivals and faults. Every packet, including a leader's messages
-to itself, travels through the simulated network.
+scenario's arrivals and faults. A packet between two nodes travels through
+the simulated network. A node's packet to itself, such as the leader's own
+Prepare, Promise, AcceptRequest and Accepted, is an in-node hand-off: it
+runs later in the same tick, with no loss or delay draw and no record.
 
 A ClusterRun runs once. At the end of run() it unlinks its node graph, so
 that dropping it and its RunResult frees the whole run by reference counting.

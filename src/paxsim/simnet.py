@@ -1,9 +1,11 @@
 """Deterministic discrete-event network: packets and timers, nothing else.
 
 The queue is a heap of plain tuples ordered by (time, seq): a packet
-delivery is (time, seq, dst, packet, src) and a node's timer is
-(time, seq, owner, None, tag). seq is assigned at scheduling time and is
-unique, so the comparison never reaches the third field. The simulation
+delivery is (time, seq, dst, packet, src), a node's timer is
+(time, seq, owner, None, tag), and a packet a node sends itself is an
+in-node hand-off, (now, seq, node, packet, None). seq is assigned at
+scheduling time and is unique, so the comparison never reaches the third
+field. The simulation
 owns the event loop: run(horizon) steps through the queue until it drains
 or its next event lies past the horizon. The loop runs with the cyclic
 collector paused: its events, packets and records are acyclic, so reference
@@ -11,9 +13,9 @@ counting frees all it drops, and the caller's collector state comes back
 when it returns or raises.
 
 Simulated time is integer-valued and all randomness flows from one seeded
-generator with a fixed draw order: draws happen only inside send(), first
-the loss draw, then (for surviving packets, when jitter > 0) the extra-delay
-draw. Identical (scenario, seed) pairs therefore produce byte-identical
+generator with a fixed draw order: draws happen only on network sends, in
+send(), first the loss draw, then (for surviving packets, when jitter > 0)
+the extra-delay draw. A hand-off makes no draw. Identical (scenario, seed) pairs therefore produce byte-identical
 event logs. The extra delay is drawn as randint(0, jitter) draws it:
 getrandbits of (jitter + 1).bit_length() bits, redrawn while it exceeds
 jitter. send() makes those calls itself, so the stream is the same.
@@ -47,7 +49,8 @@ class Simulation:
 
     Nodes implement on_packet(packet, src, now) and on_timer(tag, now).
     Nodes listed in crashed (the caller fills it) send nothing and silently
-    lose their timers; deliveries to them are logged as DiscardCrashed.
+    lose their timers and hand-offs; deliveries to them are logged as
+    DiscardCrashed.
     """
 
     def __init__(self, config: NetConfig):
@@ -76,8 +79,17 @@ class Simulation:
     # -- scheduling ------------------------------------------------------------
 
     def send(self, packet: Packet, src: NodeId, dst: NodeId) -> None:
-        """Schedule delivery with seeded loss and delay; crashed senders emit nothing."""
+        """Schedule delivery with seeded loss and delay; crashed senders emit nothing.
+
+        A packet to src itself never touches the network: it is handed off at
+        this tick, after the events already queued for it, with no draw and
+        no Delivery record.
+        """
         if src in self.crashed:
+            return
+        if src == dst:
+            heappush(self._queue, (self.now, self._seq, dst, packet, None))
+            self._seq += 1
             return
         if self.rng.random() < self.loss_rate:
             self.log("Drop", pkt=packet.kind, **{"from": src, "to": dst})
@@ -117,6 +129,9 @@ class Simulation:
         if packet is None:  # a timer; info is its tag
             if node not in self.crashed:
                 self.nodes[node].on_timer(info, time)
+        elif info is None:  # a hand-off from the node to itself
+            if node not in self.crashed:
+                self.nodes[node].on_packet(packet, node, time)
         elif node in self.crashed:  # info is the sender
             self.log("DiscardCrashed", pkt=packet.kind, **{"from": info, "to": node})
         else:

@@ -33,44 +33,44 @@ INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
           "CRASHED_LEADER": CRASHED_LEADER}
 
 GOLDEN = {
-    ("baseline", 0): "ba2fe30529c45af1321ec6d8b0eabf59761f7cf55f13facc222fb710780e41d3",
-    ("baseline", 1): "4d6e0ba730b59edf576ed5c8ce910266d9009e4be5144cbe71a46709ee7145fc",
-    ("baseline", 2): "ad4f8631bfdbd5a7ceacd190748f4a91d9c750d1a75b12acb45904a980d71a49",
-    ("baseline", 3): "e1227953ba24d4351de7e75e6b1eb36723f716ff091b3eda1cacaec3dd1bf9fc",
-    ("baseline", 4): "efca74810d21aff42f7821db43deb30a5eb4a9975861bc4ec4e1efd77f03b561",
-    ("baseline", 5): "ea8733f365304526cfd13e402a68e6309ff937b25ca8b9aea4079c716c17a568",
-    ("baseline", 6): "5c8e228c750e8ee2ef5fec1a882dc481b9184d3642572683e94560c5da2fd6d9",
-    ("baseline", 7): "015720f2f70856c6a8272f5ed7d4532a98077669ea48c42705040e3a55c1e97c",
-    ("error_streak", 0): "22f45fbf21f99c78e31b911d68409488de2acbcd121fe67f893a95a1611e59c3",
-    ("error_streak", 1): "214f433de435ab5a991e1ea9cd9c423876bee03a090fe489bf955e30d94b4682",
-    ("error_streak", 2): "e501b1d09916df8d13a43a4856a5e06d1ace42e860d17a640f4f7fe0fec340f7",
-    ("error_streak", 3): "f45d4c16f730dec96bf8766efb853a278ea2346ba3ae5ffd5ee47c9206b6dc07",
-    ("error_streak", 4): "bdd4401008353ac641a05b6ac782fe5cc49e60a7333f7ddfd542e324ec191701",
-    ("error_streak", 5): "06e561407b82bd0b140be4e81557916a4e6811829c30da546fd4d03248c3df8f",
-    ("error_streak", 6): "c5c4abee1e47bd22359224b9ef3907dc20c9012035baccf5f87ca931409e7337",
-    ("error_streak", 7): "570037060c3440994cd31ec4366f15a07c3b08d5665b58171a57f59f227dab61",
-    ("stale_count", 0): "1338c236667e630a41319339dfaeda9a56a5d71253f2af3b66c555e77c315c1a",
-    ("stale_count", 1): "8fec3cf2b229977bfb2e2db8a8d3580b46f13c2790e0f36a698daca098a2cd8e",
-    ("stale_count", 2): "8500f5da3c65ab0bb44d23e035ed28b724945466ac8d9ca2642e52d57a13e59b",
-    ("stale_count", 3): "7116e26414d61ed711fdab4ab963ff867b3808938dfdf1fb098b482b56825bfe",
-    ("stale_count", 4): "404e2e1d3adce75c48deda6e368dbe000b8aad64eaa7018d16c5c385c0e930e9",
-    ("stale_count", 5): "1590ab54e7b6adcca858c1185ab3480defa3108b443d38787cf0df514a2cccd0",
-    ("stale_count", 6): "63be79a23af7a0259c1ea1cfff8dd089be115d97a85c359205f027f75e170d88",
-    ("stale_count", 7): "4a3483f68efe7569f56e8aa81823a559da4fdf3a2565ed7f86083729834009ab",
-    ("COMPROMISE", None): "6629559e5c24d4bd388ad55b6bf9011bb1d1eef833eb11f6ee2a5d96b1b43a19",
-    ("MIXED_ROUND", None): "1374660f4379a72da9f6ae596a1420f15ada9e60c40746a9574e66ca03c1aaec",
-    ("LOSSY_MAJORITY", None): "7230a802b8c42ad4f3290267d961f0329edeec6734f7350a619b245a299a6ca6",
-    ("lossy_pull", None): "8b6187aa8e85b7120510908efa2d967bab5520e83354c44146671dd811b8c835",
+    ("baseline", 0): "63ba8bee512451ae230c6459c43b1ea5f252ba3f3db7fb58b931c13ba938a3b2",
+    ("baseline", 1): "c675268b028318b45fe2876e5e3257047875509af57b425bc4c57bd677ce006d",
+    ("baseline", 2): "cbf3088f64d7d1bc7076d60ac9460c3fc1d267789bfaf96e6da56d098d29c66f",
+    ("baseline", 3): "814489e3bac117ec67d36d71b688e57c663d31fe9031ab64f14c84a85a40b3aa",
+    ("baseline", 4): "595d28c6fb6af54d6322fd7d5e32ee4aea2b67015650c196135c5684f3f3c576",
+    ("baseline", 5): "0a0af98cc61bc9de05e534071f60fa9e4a424668a2ec00d7c3c1b946f9982481",
+    ("baseline", 6): "07f9426175953b3dfb65cde6768117425e645cd341054806ba14581d454fa861",
+    ("baseline", 7): "6db16d23eff4369636627b17c1488be2c198c12139c0fa0ed95509169e188324",
+    ("error_streak", 0): "5b2e818b65d8e8f7ce041e3a2d84faf68d5998cd5a246f6ccb7ed0f2b0208567",
+    ("error_streak", 1): "8ee427d95eeb848d83b550adcd47cb7940d6d822f391efe2b3b81a505b636614",
+    ("error_streak", 2): "3d501fc2b2afefec455c0bb37bba82e78aaa9dd67823b3a710dfc3d529d692fa",
+    ("error_streak", 3): "bb1f4c5089aaa1362d8a671c0f4c691047ac687e03c763f5afa54f41b33b0e72",
+    ("error_streak", 4): "4b0c82d2c0b8bb679400bda4d4c66110f001b80ed563cfcf4c5cfcaeb914615a",
+    ("error_streak", 5): "7ccfdd1711f6aa37746782a4de958431fa80af74f8b4f964c7a363132f9c4613",
+    ("error_streak", 6): "1b11ed8e2f017e9bb007f211c787854bbcfcd4670c90ef6cd929a2e36ce6b6e2",
+    ("error_streak", 7): "6a3fae7d69fff3c1dcd72f10068134ac273b411a60b78e956a880a74d46e4ca6",
+    ("stale_count", 0): "88723d7057b4c672e454f7dc7aa75f6d04c36b239b6bcd8cbdff8e5998f524da",
+    ("stale_count", 1): "285c63999e16cf2b028db267700eeae95e567da2344942236f69ce1c9d038c5f",
+    ("stale_count", 2): "ff6b0bec2313702527ac69d394cc5cba4b593b65137d1e45e58b3756b956e066",
+    ("stale_count", 3): "845ba2aab053d968c107bcf7e83691ff44436089c9b732c7f3b3e18f691ad20f",
+    ("stale_count", 4): "772c8045c3e16c60c1ff167490e84276c67718d1b430ddd202237db62677676e",
+    ("stale_count", 5): "436ce28a83eefe85deb8c7e6dd15d2d784a4b21294c00f2ab3c91f7c09e14de3",
+    ("stale_count", 6): "f9803c2cd5a30efc811e69d5c9005ae1469b3fee2f8210ffa1a53a418567fec5",
+    ("stale_count", 7): "4915968f0a5881291f9c9ee288cf1f1c091df5a1a3e259cb1f3e96b4d224ef8d",
+    ("COMPROMISE", None): "d7527f6d84293652fc006ab838cd68a1cfe54fd89e25896eb2861454521442d4",
+    ("MIXED_ROUND", None): "78456b65946c00364acec980011174240aab2c74a28eda29493ab97ad8546db3",
+    ("LOSSY_MAJORITY", None): "2da7ca56b19a5991cc3a97f50eb2b82a192f198e19c05eaee04a61315f654bc1",
+    ("lossy_pull", None): "fdf2dca1e425e3128f742bfe18f59d17494957ee5f545612d6d845e37f8a2513",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
 GOLDEN_REPORTS = {
-    ("baseline", 0): ("c114eefe8f9ac25ab4367fb2bbdbe115c4d1ab2ebb09971604feab1ddac88b3d",
-                       "1c10a716ca10064358446745f6def38fc2bd82eb9fd72d43479b1e507098b225"),
-    ("baseline", 1): ("e0e758e28f6107d737c71f10341a3b789c0701e74bdc9bdaee0987f30134220a",
-                       "a00e8f625acffbc45bea3dfbefb054e4eec0868843703a7f971e4ffdfda850b8"),
-    ("baseline", 2): ("968110c5c8dd62793fb3d6bcee54a8bc94d3bfad47aed9a2ab58e963ce2b9631",
-                       "8e2b8a509d8e88cb2755a4337803793d1ba2b9772260f609b385fc0af9152fe2"),
+    ("baseline", 0): ("44d67daf15b5e9a39b58d0d891e7f22b1e056d2061889885d08169aaf2a0c0db",
+                       "097af3a25e112dddbf6772177dacea1ba8d7575179154ddc01620b57be2540f3"),
+    ("baseline", 1): ("568cdf9ce7d4fd3e8376f66b7cd33e2a4d9f48e613437499bc7a8e95f6e36563",
+                       "39a2561fd88b8e4be236306dfc1294405dbe5b0ad792518dbfed0b1a720db6ac"),
+    ("baseline", 2): ("98bef862f2fd1def4ceb59a0874bc8e36ca562f8cc3bc4ee9aed8d8d7e4a8533",
+                       "d81a2bc031be3efba226fcc9d4ffa2a1b66d0687fdc9357c51666923ebab991a"),
     ("baseline", 3): ("0605612c4401d6239ffccd15b89781f23148840e6ab95158b480c94d04bdef83",
                        "8d5490ac6caa907638db18e5997460efeb4bf44c39b5e6b64dbf5b402c626fe9"),
     ("baseline", 4): ("982e2819b8b9fad759f7c50fac6168b8e5c588d1c918167f0c610cb9947fafc1",
@@ -83,44 +83,44 @@ GOLDEN_REPORTS = {
                        "5f24e36373ea06391ac694dfd2ab8600073e442112665f86f26ba142fc38740a"),
     ("error_streak", 0): ("cc573d8c94c92cb0e8bb1b14ece165b225c74440e56241f3c4e999ca4f286d58",
                            "698fd82bf992205edf9d6ef73c02a51d3da61ce9b45c9b95cea34bd9fc23a734"),
-    ("error_streak", 1): ("23867a8d4fe578a80485266b2d0f57b06345c28697a1dc8e641e27ff33153259",
-                           "e90f9c66240f1fcae8d0fbfa62e966889e954ab5e7a174dbfa2615a2546240c3"),
-    ("error_streak", 2): ("6736ab9da4c703126e287e22d091251a51f01a677da02d25f9db12b4687ae4ea",
-                           "0d4373d2551252ce09a3ef2b2845d6675cef3aac5930fc7f72e6ed528ecff405"),
-    ("error_streak", 3): ("fe868cec59dc48e193840477c44ba98791cff8eac27f9bd758459125d2f6b499",
-                           "1cd8f8b033ab2e7a9f2423cd73a8901939dea2b5375157a7bfbf958ed7223c46"),
-    ("error_streak", 4): ("569bd7f0a9227cd10db418756d337116f7c4aed1c809c84a1ca52a6a3911faa3",
-                           "c3ddc1b5ecdcaa5c1ffb87a742b34d71ab334832df236816c6e05a67c14781ed"),
-    ("error_streak", 5): ("722ddf6df01dc529572679b511e6b0d6e3126c9882ee4613921979ba4166d0c3",
-                           "83cd3f282bf6836c3814b811668711360f9b5cdc4faad2616ca3020b92d2e40f"),
+    ("error_streak", 1): ("66583ef15e466b6170e11ecefa1101f9713ffae9a2186476f6ac4e75a72f40c8",
+                           "adb9efbcb89eba24dc2b2e66d4f7fddbe17dc25ab1547e4779908bd2e5ea0592"),
+    ("error_streak", 2): ("b304e66e0ebc9ab4ac558787c01f195de5cdb948a9dd7d2dbd44f4b2f5302b87",
+                           "f70b9a8e24d5b976aeffeeecc2e8e37d822a1f2e706152c3e1053bcdc98b8c21"),
+    ("error_streak", 3): ("22e4d5e46ee32758165614c68c8ce03d3bfcc9b2e0cffba2c03542b934f46ca0",
+                           "7d640a39c6f9f71224379c338e374242868c6a7bd4dff33d4ca00ef62c14eaa5"),
+    ("error_streak", 4): ("cc999f47173d1f779beedc9b6a58a3c957903b6e41f3f70b1896c4c824290b59",
+                           "2f53341c97755bcde938f4a8d64067ecc62636296ea2d140c2080dc9423890f6"),
+    ("error_streak", 5): ("92f1a16c695437076be1ccb0b4d2486d5f622f847cc6d46048e243cd82ce10dc",
+                           "cddaa38ecdc31b58efaaee4e7f5ff892575f6d031b7cd6d2ce3836a641267540"),
     ("error_streak", 6): ("ca24bd169da30b047fc8ab23bff5d8bee5d821f3d35c59ca25eb8cb3a1040a78",
                            "0daa1e5bd28640f3bdc6a9b3c76c8223b092795b8cdc0766245e3d16f166e084"),
-    ("error_streak", 7): ("3e911c5d9aa391e4f7b86eddc66698a046cedaf87a890f6a3a192c0e06477d38",
-                           "bf49dd2f485dde3a61dc12b7e3ebf1279d1b302f29e3c41b22cd1afb0910b397"),
-    ("stale_count", 0): ("dd32409b01e6d786e474f41b7a1fe26a357b76b9d155fb29b1d19433371f1c37",
-                          "b82a9aa95073f4ace6b1a44533171f30ea03cb3211983a43b2f981a0ec93018a"),
-    ("stale_count", 1): ("a2071e121199a035358a39968ffc56606b644ec21d5e7716c55151d455401adc",
-                          "385b873d62e5537e0ef127ca5e647bf62cf15622bb6ee3098be2778dd91df738"),
-    ("stale_count", 2): ("c44338079abfce68660dca0a4877d92f46f4e30dc642cec9a65ce068ce18b170",
-                          "7a8d125560758e5eca312efb72c24a9216e1568765d55cdcbe1501d423a01f6c"),
-    ("stale_count", 3): ("ad590332c8a405446198d6732caf909b7e01b07a19111389b7fd272c68277748",
-                          "4f03bf6457fd56ddd331e4be0a4f19cc35898d7d14e935332bce16dcd6bc1416"),
-    ("stale_count", 4): ("0d83c6f1b7c8191b10b4cd70682f8218ba26849cc6de0b963ed9106faa734a6a",
-                          "f59d16eb572903d3648c28a0b241380a833603bdec0ea1ec22c51be6ffe0d07e"),
-    ("stale_count", 5): ("d08552a648afd1d7c13698611d975af0429714875bd1b3a098c2f3979fbe6828",
-                          "6eef7ab4e981856991139a31151a2511016f7d0fd3f6026993f120dc98b07c40"),
-    ("stale_count", 6): ("3fb3c769d6599c26c8fa37caaed181202c170b8355226c9b72ba5bedd5c8f4a1",
-                          "e1c6526c5b406be7204b2115d3185493d5d4ced15a8f8287c7232adbc508b5bb"),
-    ("stale_count", 7): ("4972b1491dc3247d24ca12ad2b94fba7480171e004c518c52531dba5a2f1be9a",
-                          "df8ecca5432ceee582c63a8ce9dd210b76066e8937bfecdbeb951f36b348a4c6"),
+    ("error_streak", 7): ("d96e840793f2358eb1ed77645c1ff62e509928d2e39d6e043caf98fcf72622fc",
+                           "f63b151424dcbab99c048dbdade6ae619943aca7aed5630cd66377a643550e05"),
+    ("stale_count", 0): ("38f8e8ad06d21cc2368941d057c3f6c51527dd004d28f1e5ca0b7a16e16e3c2b",
+                          "7ab162eb74324bf76fe55a3c8a5767a93790435d884e256fb5e4e9ddb0ad5400"),
+    ("stale_count", 1): ("2625a103b0ea2c993dd1e21f7aa8c7e5bc88c56a370ccf6d4c1343fe428d529c",
+                          "c22401063252d99d5cda3e7e561681f56016f00c5e84c49489bc7f8457bd75bf"),
+    ("stale_count", 2): ("8d0ab2b195a61ef896ae67e251ec08dbf5fb21dbf67fc005f5b0fc236c306de4",
+                          "3927e5f1d22f3306042e22b857844c3135707e2760fd76debb9c93efc0c560a6"),
+    ("stale_count", 3): ("933745fef1a83c59e124dc2e1f96ba181bd44357cd0b2130bbb4e4c55bd3ddad",
+                          "1fbe3ce900c0ffce68453b203165ddf1f470b136d811b6ba68126c710221d490"),
+    ("stale_count", 4): ("5333c7e3f29758755b450076f7bd4280d9f9eb1998521b163be4b7e75ce83d20",
+                          "e15800d3c2b24c18c0bf88482459f25e27831394ccdf43019d46ab406de7bee8"),
+    ("stale_count", 5): ("852f0296bd65cf03d7d56e6f7f1b25d21a8feed01eaa8b3be2f20f7502534f9a",
+                          "37308e7d5c75ebd59d2871dcc280ae05f51cca34c03c8f3b24312cdf6de05469"),
+    ("stale_count", 6): ("b988537d13997aeb1779563e9f65283e953f1172f30cc05137d82c81a8e7610e",
+                          "bdb27f6f0e97d7ccb7258a1bc0d9120db750ab6ad06958c72f9e1b55bb612aa9"),
+    ("stale_count", 7): ("d6de7e831fa70278c0a2e8bb2b0accaae3645b6335e7511e76e331d686a1e7b9",
+                          "7069fd94233250d891084d94b96f4155384bec60a0487b748141f31ef0319874"),
     ("COMPROMISE", None): ("2cb9ec6fb21912f91442364d2dcc94143b67ecea0e24a4c3b7240c9472dddb32",
                             "e083cee1c8689925c349c41d5c7d98b481c7758933b7cc010f9ef69581feec8a"),
-    ("MIXED_ROUND", None): ("e883f6774e967a8a18deba80e0143a489752817101273693cd9ec10d226a49ee",
-                             "fbc2810f9a84452210e68d4b8d44bc14c34886fc0871036a878b02ad517712b1"),
-    ("LOSSY_MAJORITY", None): ("7de39d3af1cfea91959cf5f0830e2a5c561c127765ecdea3199e4ced0667f70f",
-                                "7be1f846efad4279ba112de7d46f55c3a6508d6639340723fb51148928e43a97"),
-    ("lossy_pull", None): ("083d9579a9dc27a7ad3317cb41524162ca32aa2238a40cbfba2a0537d22feb39",
-                            "de647f57129b299c8ec9c683acf424f43c211a38f839af322c927d6033811ff0"),
+    ("MIXED_ROUND", None): ("1e4cbe326f854ec2e3a022ea76326538990892549ec406424d2238252e2bbcff",
+                             "d2c212ff6b5ccb85f4f36596cfc484511dba8b96c65791cedeaf8b047c2ab3d2"),
+    ("LOSSY_MAJORITY", None): ("4d0c62897cba28d07cf0aaeb1d7923426a76a60e566ae63a441b58515b1a93cd",
+                                "9c448ef4bd89b6c46103b9d6c87c1cf10f49f3d89cca8bd68e275be84a77662c"),
+    ("lossy_pull", None): ("bd14ba3d3eef3afd82ab20b5951be630d06ccf2830690707c38597a416d968bd",
+                            "fce1000d1296aa25540e8f7beb77e6f4ac4e6c27f6c4d050f40bce3518ba2879"),
 }
 
 
@@ -232,6 +232,15 @@ def test_every_promise_is_delivered_to_the_proposer_its_number_names(name, seed)
     promises = [r.fields for r in golden_run(name, seed).records if r.kind == "Promise"]
     assert promises
     assert [f for f in promises if ProposalNumber.parse(f["n"]).proposer != int(f["to"])] == []
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_no_node_sends_itself_a_packet_over_the_network(name, seed):
+    # A node's messages to itself are in-node hand-offs: no Delivery, Drop or DiscardCrashed.
+    routed = [r.fields for r in golden_run(name, seed).records
+              if "from" in r.fields and "to" in r.fields]
+    assert routed
+    assert [f for f in routed if int(f["from"]) == int(f["to"])] == []
 
 
 def leadership_violations(records) -> list[str]:

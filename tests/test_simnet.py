@@ -92,6 +92,46 @@ def test_crashed_sender_emits_nothing():
     assert sim.records == []
 
 
+class SelfSender(Sink):
+    """Logs its timers and packets in one list; its ("send",) timer sends it a Heartbeat."""
+
+    def __init__(self, sim, node_id):
+        super().__init__()
+        self.sim = sim
+        self.id = node_id
+        self.events = []
+
+    def on_timer(self, tag, now):
+        self.events.append((now, tag))
+        if tag == ("send",):
+            self.sim.send(Heartbeat(seq=now), self.id, self.id)
+
+    def on_packet(self, packet, src, now):
+        self.events.append((now, packet, src))
+
+
+def test_a_send_to_self_is_handed_off_this_tick_after_the_events_queued_for_it():
+    sim, _ = make_sim(jitter=3, loss_rate=0.5)
+    sim.nodes[0] = node = SelfSender(sim, 0)
+    sim.set_timer(0, ("send",), 2)
+    sim.set_timer(0, ("queued",), 2)
+    sim.set_timer(0, ("next tick",), 3)
+    state = sim.rng.getstate()
+    sim.run(FOREVER)
+    assert node.events == [(2, ("send",)), (2, ("queued",)), (2, Heartbeat(seq=2), 0),
+                           (3, ("next tick",))]
+    assert sim.rng.getstate() == state  # neither a loss nor a jitter draw
+    assert sim.records == []  # no Delivery
+
+
+def test_a_hand_off_to_a_node_that_crashed_meanwhile_is_dropped_silently():
+    sim, nodes = make_sim()
+    sim.send(Heartbeat(seq=0), 0, 0)
+    sim.crashed.add(0)
+    sim.run(FOREVER)
+    assert nodes[0].packets == [] and sim.records == [] and sim.pending() == 0
+
+
 def test_step_on_empty_queue_raises():
     sim, _ = make_sim()
     with pytest.raises(QueueEmpty):
