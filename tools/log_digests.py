@@ -19,7 +19,9 @@ fails.
 
 With ``--sends`` it prints, in place of the digests, each workload's packet
 sends per request over all its cases and seeds, for every kind in
-``messages.Packet``: delivered, dropped, or discarded at a crashed node.
+``messages.Packet``: delivered, dropped, or discarded at a crashed node. A
+node's packet to itself is an in-node hand-off, not a send, and the log has
+no record of it.
 Heartbeats are set apart from the ``total``, as the benchmark's
 ``packets_per_request`` sets them apart, since their count follows the run's
 length, not its requests.
