@@ -119,8 +119,7 @@ class Replica:
             self.bus.send(ask, (self.id + 1 + i % (n - 1)) % n)  # the i-th peer on the ring
 
     def on_timer(self, tag: tuple, now: int) -> None:
-        if tag[0] == "phase":
-            self.proposer.on_phase_timeout(tag[1])
+        self.proposer.on_phase_timeout(tag[1])  # a replica's one timer: ("phase", flight)
 
 
 class InfraNode:

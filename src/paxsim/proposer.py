@@ -4,8 +4,9 @@ Each replica holds one proposer for the whole run; only the membership
 view's leader is handed requests. The proposer runs phase 1 once per epoch:
 for the epoch's first request it takes a new number, broadcasts Prepare
 (carrying that request) to every member of the view's alive set (itself
-included, as an in-node hand-off that never touches the network), and once a majority of that set has promised it keeps the number
-as the epoch's promised one. Every request, the first included, then goes to
+included, as an in-node hand-off that never touches the network), and once
+a majority of that set has promised it keeps the number as the epoch's
+promised one. Every request, the first included, then goes to
 phase 2: an AcceptRequest broadcast under the promised number, done once a
 majority of the set has accepted it. A phase that times out without reaching
 majority opens phase 1 again under a strictly higher number, and an election

@@ -5,20 +5,20 @@ delivery is (time, seq, dst, packet, src), a node's timer is
 (time, seq, owner, None, tag), and a packet a node sends itself is an
 in-node hand-off, (now, seq, node, packet, None). seq is assigned at
 scheduling time and is unique, so the comparison never reaches the third
-field. The simulation
-owns the event loop: run(horizon) steps through the queue until it drains
-or its next event lies past the horizon. The loop runs with the cyclic
-collector paused: its events, packets and records are acyclic, so reference
-counting frees all it drops, and the caller's collector state comes back
-when it returns or raises.
+field. The simulation owns the event loop: run(horizon) steps through the
+queue until it drains or its next event lies past the horizon. The loop
+runs with the cyclic collector paused: its events, packets and records are
+acyclic, so reference counting frees all it drops, and the caller's
+collector state comes back when it returns or raises.
 
 Simulated time is integer-valued and all randomness flows from one seeded
 generator with a fixed draw order: draws happen only on network sends, in
 send(), first the loss draw, then (for surviving packets, when jitter > 0)
-the extra-delay draw. A hand-off makes no draw. Identical (scenario, seed) pairs therefore produce byte-identical
-event logs. The extra delay is drawn as randint(0, jitter) draws it:
-getrandbits of (jitter + 1).bit_length() bits, redrawn while it exceeds
-jitter. send() makes those calls itself, so the stream is the same.
+the extra-delay draw. A hand-off makes no draw. Identical (scenario, seed)
+pairs therefore produce byte-identical event logs. The extra delay is drawn
+as randint(0, jitter) draws it: getrandbits of (jitter + 1).bit_length()
+bits, redrawn while it exceeds jitter. send() makes those calls itself, so
+the stream is the same.
 """
 
 from __future__ import annotations
