@@ -3,7 +3,7 @@
 An acceptor answers Prepare with Promise(n) when the incoming number n beats
 everything it has promised before (refusal is silence), and on AcceptRequest
 executes the request, steps its state machine, and reports the result triple
-to both the proposer and the learner.
+to the learner only: the proposer does not wait for acceptances.
 
 Requests are executed strictly in slot order, each at most once. Each
 executed slot keeps the number and request it was executed under beside its
@@ -52,9 +52,10 @@ class Acceptor:
         """Execute the request (or answer from cache) and report the result triple.
 
         Stale accept-requests (numbered below the current promise) are dropped.
-        Slots ahead of the execution cursor are also dropped: executing them
-        would skip requests this replica never saw. The caller learns of such
-        a gap from next_slot, and fills it from its peers with Decided packets.
+        Slots ahead of the execution cursor are also refused: executing them
+        would skip requests this replica never saw. The caller holds such a
+        request, and hands it over once the gap before it is filled, by
+        other AcceptRequests or by its peers' Decided packets.
         """
         if self.highest_promised is not None and a.n < self.highest_promised:
             return None

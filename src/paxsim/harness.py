@@ -5,8 +5,8 @@ leader), the learner lives at id n (and hosts the membership watch), and
 the ClusterRun itself is the client at id n+1, whose timers deliver the
 scenario's arrivals and faults. A packet between two nodes travels through
 the simulated network. A node's packet to itself, such as the leader's own
-Prepare, Promise, AcceptRequest and Accepted, is an in-node hand-off: it
-runs later in the same tick, with no loss or delay draw and no record.
+Prepare, Promise and AcceptRequest, is an in-node hand-off: it runs later
+in the same tick, with no loss or delay draw and no record.
 
 A ClusterRun runs once. At the end of run() it unlinks its node graph, so
 that dropping it and its RunResult frees the whole run by reference counting.
@@ -45,22 +45,30 @@ class Replica:
     """A replica node: an acceptor, and a proposer that proposes only while the node leads.
 
     Leadership is read from the membership view alone: the client hands
-    requests to its leader's proposer, and its epoch is the fence.
+    requests to its leader's proposer, and its epoch is the fence. Every
+    Accepted the acceptor makes, from an AcceptRequest or a Decided, goes to
+    the learner only.
 
-    An AcceptRequest for a slot past the acceptor's cursor reveals a gap: the
-    replica sends CatchUp(next_slot) to n - majority(n) peers, which include
-    one that executed any slot a majority accepted. The peers are a window of
-    the ring of the other replicas (from id + 1 on) that moves with the
-    revealing slot, so the asks that follow cover every peer. A peer answers
-    with a Decided packet per slot it has executed from that slot on; the
-    Accepted a Decided produces goes to the learner only.
+    The leader sends each request to phase 2 as soon as it has it, so
+    AcceptRequests can arrive out of slot order. One for a slot past the
+    acceptor's cursor is held in ahead, and executed once the slots before
+    it have been, from an AcceptRequest or a Decided; the epoch fence and
+    the promise are checked again then. It also reveals a gap: net.jitter
+    ticks later, the longest an AcceptRequest sent earlier can trail one
+    sent later, the replica sends CatchUp(next_slot) if the gap is still
+    open (at once with no jitter). It asks n - majority(n) peers, which
+    include one that executed any slot a majority accepted. The peers are a
+    window of the ring of the other replicas (from id + 1 on) that moves
+    with the revealing slot, so the asks that follow cover every peer. A
+    peer answers with a Decided packet per slot it has executed from that
+    slot on.
 
     A Query from the learner names a slot whose report from this replica it
-    lacks. An executed slot's cached Accepted is sent again, to the learner
-    only. A slot at or past the cursor is a gap, which the Query reveals as
-    an AcceptRequest would: the replica sends CatchUp. The learner queries
-    every Q ticks until the slot's deadline, so a lost report, a lost
-    CatchUp or a gap that no later AcceptRequest reveals is retried.
+    lacks. An executed slot's cached Accepted is sent again. A slot at or
+    past the cursor is a gap, which the Query reveals at once: the replica
+    sends CatchUp. The learner queries every Q ticks until the slot's
+    deadline, so a lost report, a lost AcceptRequest or CatchUp, or a gap
+    that no later AcceptRequest reveals is retried.
     """
 
     def __init__(self, node_id: NodeId, scenario: Scenario, sim: Simulation,
@@ -73,6 +81,8 @@ class Replica:
         self.proposer = Proposer(node_id=node_id, view=view, bus=self.bus,
                                  timeout=scenario.timing.prepare_timeout)
         self.group_size = scenario.acceptors
+        self.gap_delay = scenario.net.jitter
+        self.ahead: dict[int, AcceptRequest] = {}  # slot -> AcceptRequest past the cursor
 
     def on_packet(self, packet: Packet, src: NodeId, now: int) -> None:
         if isinstance(packet, CatchUp):
@@ -88,12 +98,8 @@ class Replica:
         self.proposer.note(packet.n.round)  # every other kind a replica receives is numbered
         if isinstance(packet, Promise):
             self.proposer.on_promise(packet, src)
-        elif isinstance(packet, Accepted):
-            self.proposer.on_accepted(packet, src)
         elif isinstance(packet, Decided):
-            accepted = self.acceptor.on_decided(packet)
-            if accepted is not None:  # the proposer has moved past this slot
-                self.bus.send(accepted, self.learner_id)
+            self._report(self.acceptor.on_decided(packet))
         elif packet.epoch != self.view.epoch:
             return  # fenced: a deposed leader's leftover Prepare or AcceptRequest
         elif isinstance(packet, Prepare):
@@ -101,12 +107,30 @@ class Replica:
             if reply is not None:
                 self.bus.send(reply, src)
         else:  # AcceptRequest
-            accepted = self.acceptor.on_accept_request(packet)
-            if accepted is not None:
-                self.bus.send(accepted, src)
-                self.bus.send(accepted, self.learner_id)
-            elif packet.request.request_id > self.acceptor.next_slot:
-                self._catch_up(packet.request.request_id)
+            slot = packet.request.request_id
+            if slot <= self.acceptor.next_slot:
+                self._report(self.acceptor.on_accept_request(packet))
+            else:
+                self.ahead[slot] = packet
+                if self.gap_delay:
+                    self.bus.set_timer(("gap", slot), self.gap_delay)
+                else:
+                    self._catch_up(slot)
+
+    def _report(self, accepted: Accepted | None) -> None:
+        """Send an Accepted to the learner, then execute each held AcceptRequest it unblocks."""
+        if accepted is None:
+            return
+        self.bus.send(accepted, self.learner_id)
+        ahead = self.ahead
+        while ahead:
+            packet = ahead.pop(self.acceptor.next_slot, None)
+            if packet is None:
+                return
+            if packet.epoch == self.view.epoch:  # else an election came while it was held
+                accepted = self.acceptor.on_accept_request(packet)
+                if accepted is not None:
+                    self.bus.send(accepted, self.learner_id)
 
     def _catch_up(self, revealing_slot: int) -> None:
         """Ask the window of peers that revealing_slot selects for the missing slots."""
@@ -119,7 +143,10 @@ class Replica:
             self.bus.send(ask, (self.id + 1 + i % (n - 1)) % n)  # the i-th peer on the ring
 
     def on_timer(self, tag: tuple, now: int) -> None:
-        self.proposer.on_phase_timeout(tag[1])  # a replica's one timer: ("phase", flight)
+        if tag[0] == "phase":
+            self.proposer.on_phase_timeout(tag[1])
+        elif self.acceptor.next_slot < tag[1]:  # ("gap", slot): the gap is still open
+            self._catch_up(tag[1])
 
 
 class InfraNode:
@@ -212,7 +239,8 @@ class ClusterRun:
             client_id=self.client_id, membership_view=self.membership.view, bus=infra_bus,
             policy=scenario.anomaly_policy,
             instance_deadline=scenario.timing.instance_deadline,
-            on_verdict=self._shut_down_when_done)
+            on_verdict=self._shut_down_when_done,
+            round_trip=2 * (net.base_delay + net.jitter))
         self.replicas = [Replica(i, scenario, self.sim, self.learner_id, self.membership.view)
                          for i in range(n)]
         infra = InfraNode(infra_bus, self.learner, self.membership,
@@ -469,14 +497,11 @@ def replay_verdicts(records: list[Record | Delivery | LineRecord]) -> tuple[int,
                     continue
                 decided.add(rid)
                 slot_reports = reports.pop(rid, {})
-                alive = n - len(departed)
-                # As in the learner, a slot sealed once the group has emptied is never
-                # Consensus, though its Verdict logs membership 1.
-                verdict = decide(slot_reports, max(1, membership_size) if alive else 0, policy)
-                tracked = max(1, alive)
-                if membership_size != tracked:
+                alive = n - len(departed)  # 0 once the group has emptied, as the learner logs it
+                verdict = decide(slot_reports, membership_size, policy)
+                if membership_size != alive:
                     diffs.append(f"req {rid}: logged membership {membership_size} "
-                                 f"!= tracked {tracked}")
+                                 f"!= tracked {alive}")
                 if int(fields["deadline"]) == 0:  # decided early: every member reported
                     reporters = sum(0 <= s < n and s not in departed for s in slot_reports)
                     if reporters < alive:

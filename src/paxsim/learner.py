@@ -5,11 +5,13 @@ and decides once the reports cover every believed-alive member (checked again
 on each membership change) or the slot's deadline expires. A decided slot
 keeps only its verdict: its reports are dropped, and a report arriving after
 the verdict is ignored. The learner pulls a missing report rather than
-waiting for the deadline: every Q = instance_deadline // 6 ticks after a
-slot's first report, until the deadline, it sends Query(slot) to each alive
-member whose report is missing and whose heartbeat it has heard within the
-last Q ticks (a member silent that long may have crashed undetected, and a
-query to it would only be discarded). Replicas are compared on
+waiting for the deadline: every Q ticks after a slot's first report, until
+the deadline, it sends Query(slot) to each alive member whose report is
+missing and whose heartbeat it has heard within the last Q ticks (a member
+silent that long may have crashed undetected, and a query to it would only
+be discarded). Q = max(instance_deadline // 6, 2 x (base_delay + jitter)):
+at least the network's longest round trip, so that no query asks for a
+report that is still in flight. Replicas are compared on
 (output, new state) jointly, whatever round each report came under, since an
 acceptor answers every round of a slot from its result cache. Any divergence
 is an anomaly under the default strict policy; the majority policy instead
@@ -99,17 +101,18 @@ class Learner:
 
     membership_view exposes the believed-alive set; bus provides send /
     set_timer / log as for the other roles. on_verdict() is invoked once
-    per slot, after its verdict is sealed in verdicts.
+    per slot, after its verdict is sealed in verdicts. round_trip is the
+    network's longest round trip, 2 x (base_delay + jitter): Q's floor.
     """
 
     def __init__(self, client_id: NodeId, membership_view, bus, policy: str,
-                 instance_deadline: int, on_verdict):
+                 instance_deadline: int, on_verdict, round_trip: int = 0):
         self.client_id = client_id
         self.view = membership_view
         self.bus = bus
         self.policy = policy
         self.instance_deadline = instance_deadline
-        self.query_interval = instance_deadline // 6  # Q; 0 turns the pull off
+        self.query_interval = max(instance_deadline // 6, round_trip)  # Q; 0 turns the pull off
         self.on_verdict = on_verdict
         self.verdicts: dict[int, Verdict] = {}  # the one record of a decided slot
         self.reports: dict[int, dict[NodeId, Accepted]] = {}  # undecided slots: node -> first
@@ -169,7 +172,7 @@ class Learner:
             self.bus.log("AnomalyReport", req=request_id, dissenting=fields["dissenting"],
                          states=fields["states"], outputs=_counts_text(outputs))
         self.bus.log("Verdict", req=request_id, verdict=verdict.kind,
-                     membership=max(1, membership_size), deadline=1 if deadline_reached else 0,
+                     membership=membership_size, deadline=1 if deadline_reached else 0,
                      **verdict_fields(verdict))
         if isinstance(verdict, Consensus):
             self.bus.send(ClientResponse(request_id=request_id, output=verdict.output),

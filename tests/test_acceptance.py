@@ -201,14 +201,15 @@ def test_criterion_3_stale_membership_count():
 
 
 def test_criterion_4_counted_transition_semantics():
-    result = run(load_scenario(SCENARIO_DIR / "error_streak.scenario"))
+    scenario = load_scenario(SCENARIO_DIR / "error_streak.scenario")
+    result = run(scenario)
     _collect(result.records)
     states = [(entry["verdict"], entry.get("state")) for entry in result.report.verdicts]
-    # Also follow one replica's own reports across the seven slots.
+    # Also follow one replica's own reports, to the learner, across the seven slots.
     replica_trace = [(int(r.fields["req"]), r.fields["state"])
                      for r in result.records
                      if r.kind == "Accepted" and int(r.fields["from"]) == 1
-                     and int(r.fields["to"]) == 0]
+                     and int(r.fields["to"]) == scenario.acceptors]
     ok = (states == [("Consensus", "3")] * 6 + [("Consensus", "7")]
           and replica_trace == [(i, "3") for i in range(6)] + [(6, "7")])
     _report(4, "counted edge: six errors hold state 3, the seventh flips to 7", ok,

@@ -9,18 +9,18 @@ from paxsim import ClusterRun, load_scenario, majority_threshold, parse_scenario
 from paxsim.acceptor import CATCH_UP_LIMIT
 from paxsim.harness import Replica
 from paxsim.messages import (Accepted, AcceptRequest, CatchUp, ClientRequest, Decided,
-                             ProposalNumber, Query)
+                             Prepare, ProposalNumber, Query)
 from test_harness import COMPROMISE, MIXED_ROUND
 from test_proposer import duplicate_proposals, view_of
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def group(acceptors: int):
+def group(acceptors: int, jitter: int = 0):
     return parse_scenario(f"""
 name: group
 acceptors: {acceptors}
-net: {{seed: 1}}
+net: {{seed: 1, jitter: {jitter}}}
 machine: {{states: ["S0", "S1"], start: "S0",
            rules: [{{from: "S0", to: "S1", output_regex: "Error", threshold: 0}}]}}
 app_model: {{outputs: [{{request: "bad.*", output: "Error"}}], default_output: "OK"}}
@@ -35,12 +35,13 @@ class Wire:
 
     def __init__(self):
         self.sent = []
+        self.timers = []  # (owner, tag, delay)
 
     def send(self, packet, src, dst):
         self.sent.append((packet, src, dst))
 
     def set_timer(self, owner, tag, delay):
-        pass
+        self.timers.append((owner, tag, delay))
 
     def log(self, kind, **fields):
         pass
@@ -50,8 +51,8 @@ class Wire:
         return sent
 
 
-def replicas(acceptors: int):
-    wire, scenario = Wire(), group(acceptors)
+def replicas(acceptors: int, jitter: int = 0):
+    wire, scenario = Wire(), group(acceptors, jitter)
     view = view_of(range(acceptors))
     return wire, [Replica(i, scenario, wire, learner_id=acceptors, view=view)
                   for i in range(acceptors)]
@@ -120,6 +121,60 @@ def test_an_accepted_made_from_a_decided_goes_to_the_learner_only():
                                      new_state="S1"), 3, 5)]
     laggard.on_packet(decided, 4, 0)  # a second peer's copy of the same slot
     assert wire.take() == []
+
+
+def test_a_held_accept_request_runs_once_a_decided_fills_its_gap_and_reports_to_the_learner():
+    wire, nodes = replicas(5)
+    laggard = nodes[4]
+    laggard.on_packet(accept_request(2), 0, 0)  # ahead of the cursor: held
+    laggard.on_packet(accept_request(1), 0, 0)
+    assert {packet for packet, _, _ in wire.take()} == {CatchUp(from_slot=0)}
+    assert laggard.acceptor.next_slot == 0 and sorted(laggard.ahead) == [1, 2]
+    laggard.on_packet(Decided(n=ProposalNumber(0, 0), request=ClientRequest(0, "ok")), 1, 0)
+    assert [(packet.request_id, src, dst) for packet, src, dst in wire.take()] == [
+        (0, 4, 5), (1, 4, 5), (2, 4, 5)]
+    assert laggard.acceptor.next_slot == 3 and laggard.ahead == {}
+
+
+@pytest.mark.parametrize("change", ["election", "higher promise"])
+def test_a_held_accept_request_is_checked_again_when_its_turn_comes(change):
+    # An election fences it; a Prepare under a higher number makes it stale.
+    wire, nodes = replicas(5)
+    laggard = nodes[4]
+    laggard.on_packet(accept_request(1), 0, 0)
+    if change == "election":
+        laggard.view.epoch = 1
+    else:
+        laggard.on_packet(Prepare(n=ProposalNumber(9, 0), request=ClientRequest(1, "ok"),
+                                  epoch=0), 0, 0)
+    wire.take()
+    laggard.on_packet(Decided(n=ProposalNumber(0, 0), request=ClientRequest(0, "ok")), 1, 0)
+    assert [(packet.request_id, dst) for packet, _, dst in wire.take()] == [(0, 5)]
+    assert laggard.acceptor.next_slot == 1 and laggard.ahead == {}
+
+
+def test_with_jitter_a_gap_asks_after_jitter_ticks_and_only_if_still_open():
+    wire, nodes = replicas(5, jitter=3)
+    laggard = nodes[4]
+    laggard.on_packet(accept_request(1), 0, 0)
+    laggard.on_packet(accept_request(3), 0, 0)
+    assert wire.take() == []
+    assert wire.timers == [(4, ("gap", 1), 3), (4, ("gap", 3), 3)]
+    laggard.on_packet(accept_request(0), 0, 0)  # trailed slot 1's: that gap closes
+    assert [packet.request_id for packet, _, _ in wire.take()] == [0, 1]
+    laggard.on_timer(("gap", 1), 3)
+    assert wire.take() == []
+    laggard.on_timer(("gap", 3), 3)  # slot 2 is still missing
+    sent = wire.take()
+    assert {packet for packet, _, _ in sent} == {CatchUp(from_slot=2)}
+    assert len(sent) == 5 - majority_threshold(5)
+
+
+def test_without_jitter_a_gap_asks_at_once():
+    wire, nodes = replicas(5)
+    nodes[4].on_packet(accept_request(1), 0, 0)
+    assert {packet for packet, _, _ in wire.take()} == {CatchUp(from_slot=0)}
+    assert wire.timers == []
 
 
 def test_a_query_for_an_executed_slot_resends_its_cached_report_to_the_learner_only():
@@ -212,13 +267,13 @@ def test_no_propose_follows_a_slots_verdict_in_mixed_round():
         elif record.kind in ("Propose", "Repropose", "AcceptRequest"):
             assert int(record.fields["req"]) not in sealed, record
     assert sealed == {0, 1, 2}
-    # One phase 1 per epoch: node 0's for slot 0, node 1's for the retried slot 1;
-    # slot 2 goes straight to phase 2 under node 1's number.
+    # One phase 1 per epoch: node 0's for slot 0, with slot 1 (submitted meanwhile) sent
+    # to phase 2 right after it, before node 0 crashes; node 1's for the retried slot 2.
     proposals = [(r.fields["epoch"], r.fields["req"], str(r.fields["n"])) for r in records
                  if r.kind in ("Propose", "Repropose")]
-    assert proposals == [(0, 0, "0.0"), (1, 1, "1.1")]
+    assert proposals == [(0, 0, "0.0"), (1, 2, "1.1")]
     accepts = {(r.fields["req"], r.fields["n"]) for r in records if r.kind == "AcceptRequest"}
-    assert accepts == {("0", "0.0"), ("1", "1.1"), ("2", "1.1")}
+    assert accepts == {("0", "0.0"), ("1", "0.0"), ("2", "1.1")}
 
 
 def liveness_scenario(seed: int, loss_rate: float) -> str:

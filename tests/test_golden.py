@@ -33,94 +33,94 @@ INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
           "CRASHED_LEADER": CRASHED_LEADER}
 
 GOLDEN = {
-    ("baseline", 0): "63ba8bee512451ae230c6459c43b1ea5f252ba3f3db7fb58b931c13ba938a3b2",
-    ("baseline", 1): "c675268b028318b45fe2876e5e3257047875509af57b425bc4c57bd677ce006d",
-    ("baseline", 2): "cbf3088f64d7d1bc7076d60ac9460c3fc1d267789bfaf96e6da56d098d29c66f",
-    ("baseline", 3): "814489e3bac117ec67d36d71b688e57c663d31fe9031ab64f14c84a85a40b3aa",
-    ("baseline", 4): "595d28c6fb6af54d6322fd7d5e32ee4aea2b67015650c196135c5684f3f3c576",
-    ("baseline", 5): "0a0af98cc61bc9de05e534071f60fa9e4a424668a2ec00d7c3c1b946f9982481",
-    ("baseline", 6): "07f9426175953b3dfb65cde6768117425e645cd341054806ba14581d454fa861",
-    ("baseline", 7): "6db16d23eff4369636627b17c1488be2c198c12139c0fa0ed95509169e188324",
-    ("error_streak", 0): "5b2e818b65d8e8f7ce041e3a2d84faf68d5998cd5a246f6ccb7ed0f2b0208567",
-    ("error_streak", 1): "8ee427d95eeb848d83b550adcd47cb7940d6d822f391efe2b3b81a505b636614",
-    ("error_streak", 2): "3d501fc2b2afefec455c0bb37bba82e78aaa9dd67823b3a710dfc3d529d692fa",
-    ("error_streak", 3): "bb1f4c5089aaa1362d8a671c0f4c691047ac687e03c763f5afa54f41b33b0e72",
-    ("error_streak", 4): "4b0c82d2c0b8bb679400bda4d4c66110f001b80ed563cfcf4c5cfcaeb914615a",
-    ("error_streak", 5): "7ccfdd1711f6aa37746782a4de958431fa80af74f8b4f964c7a363132f9c4613",
-    ("error_streak", 6): "1b11ed8e2f017e9bb007f211c787854bbcfcd4670c90ef6cd929a2e36ce6b6e2",
-    ("error_streak", 7): "6a3fae7d69fff3c1dcd72f10068134ac273b411a60b78e956a880a74d46e4ca6",
-    ("stale_count", 0): "88723d7057b4c672e454f7dc7aa75f6d04c36b239b6bcd8cbdff8e5998f524da",
-    ("stale_count", 1): "285c63999e16cf2b028db267700eeae95e567da2344942236f69ce1c9d038c5f",
-    ("stale_count", 2): "ff6b0bec2313702527ac69d394cc5cba4b593b65137d1e45e58b3756b956e066",
-    ("stale_count", 3): "845ba2aab053d968c107bcf7e83691ff44436089c9b732c7f3b3e18f691ad20f",
-    ("stale_count", 4): "772c8045c3e16c60c1ff167490e84276c67718d1b430ddd202237db62677676e",
-    ("stale_count", 5): "436ce28a83eefe85deb8c7e6dd15d2d784a4b21294c00f2ab3c91f7c09e14de3",
-    ("stale_count", 6): "f9803c2cd5a30efc811e69d5c9005ae1469b3fee2f8210ffa1a53a418567fec5",
-    ("stale_count", 7): "4915968f0a5881291f9c9ee288cf1f1c091df5a1a3e259cb1f3e96b4d224ef8d",
-    ("COMPROMISE", None): "d7527f6d84293652fc006ab838cd68a1cfe54fd89e25896eb2861454521442d4",
-    ("MIXED_ROUND", None): "78456b65946c00364acec980011174240aab2c74a28eda29493ab97ad8546db3",
-    ("LOSSY_MAJORITY", None): "2da7ca56b19a5991cc3a97f50eb2b82a192f198e19c05eaee04a61315f654bc1",
-    ("lossy_pull", None): "fdf2dca1e425e3128f742bfe18f59d17494957ee5f545612d6d845e37f8a2513",
+    ("baseline", 0): "ff8e5b830ee346bd54ca194957f03f705c5b697c9c789c83075199f1d796e2c6",
+    ("baseline", 1): "769adda686e6efd957b7cfeb9cc5e7a3834df63b04d759b165a74add418136c3",
+    ("baseline", 2): "9ffc04223d7c3b092486b69e1a5fdc5f5c0ca4d9fad2c6146c64b8a9e7c6b354",
+    ("baseline", 3): "bfa52b838ce21211cc8f58838a25284eb1d0a8dd7f739b501aa0c2e250c3082c",
+    ("baseline", 4): "d536669dd53d9200f9fdf90ad70997d52ae0e314bbe692b8b8b0311232196715",
+    ("baseline", 5): "420982db34faeaa9127e3998d1e6502fff1fe6094679044568cbd48c483b092f",
+    ("baseline", 6): "9f59c944afb0127485f894966e58e074102498a49064b1d69064f1556d912233",
+    ("baseline", 7): "db7849415765fdfbe814fd5b65be2be0244729f9aec4cee1f4d09ce67a20299b",
+    ("error_streak", 0): "2108170224677e5acd547e8ce3517403ac728be7baf74683e44a26b9995d9aaa",
+    ("error_streak", 1): "6f5ec5c25009ddfa33ff3bc8430dba0ad999874cebfbb443859ed7472198a0e2",
+    ("error_streak", 2): "0c4511b1bebd06616c2616505a30dd40c1601dde5355d959c9f00817af8f74e3",
+    ("error_streak", 3): "a12b78c513f4ce3d14be4005f6c14fd3f9ca07763fcf2d46bdcaaef75d8edc2e",
+    ("error_streak", 4): "36c62f038f75883175b09c278735bbe28af37e5c0c12921a2831c8bfbf80ab37",
+    ("error_streak", 5): "0fcaf1ebbd8494d0fdebf754b615691614bbb0cb3d8b2bceb8090b82cb55fdea",
+    ("error_streak", 6): "95229562d8caaee6490e65385cc5b9174dae37c240b8f2328776fc1a5eca2d38",
+    ("error_streak", 7): "cd9a42f62500c5764acb242a533c8b868aa159ab2e90955478c6b75520a3fdeb",
+    ("stale_count", 0): "211a755ba0dc744bdfb7a580ebf6cea77c532c5eeeceabd12402edf88ad05733",
+    ("stale_count", 1): "ebcc06944ed9213348e887449c02cca6d92715f18c1f94fbf14372c6dcf09dd9",
+    ("stale_count", 2): "79444f37b225f1bd1031d79d0125df8324bed42cad3320b6c59b5bd4a6d96bcd",
+    ("stale_count", 3): "682f272544968d2e6fe50e749b89b4d7fb4607b128f9128dd5df035b09bfd862",
+    ("stale_count", 4): "f93e5bc6bf2d043c5e6f8593b8eebd203417b0358a93df955e7e99b0dad0a088",
+    ("stale_count", 5): "1bcd722b4b999542978830b283d123b33638ddf2273377925b5c53804dc71509",
+    ("stale_count", 6): "f2a48ad8e547e8e00013671c6c519fda925836c3a86722ba0defc51a8ac23b54",
+    ("stale_count", 7): "f1a0c1af03766b975cedc7648b59ea206c52f648359dab048b3cca1752d40b04",
+    ("COMPROMISE", None): "6877f756b2fdb1c05094e5cf0a520d4169570a6ef39ba6211d4a9ba016800716",
+    ("MIXED_ROUND", None): "af396013c42d8614bddd66c992f2ea63a6af1a9acf47ac98821d1a0ce3cb8b01",
+    ("LOSSY_MAJORITY", None): "961fe8d69025e527c3f79146a80b23807a4d0382ffaa32285b962695991fea58",
+    ("lossy_pull", None): "2f3e2740ef6b9256a522446513a035dacb1b8986b68fb570565c821b2d264d0e",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
 GOLDEN_REPORTS = {
-    ("baseline", 0): ("44d67daf15b5e9a39b58d0d891e7f22b1e056d2061889885d08169aaf2a0c0db",
-                       "097af3a25e112dddbf6772177dacea1ba8d7575179154ddc01620b57be2540f3"),
+    ("baseline", 0): ("719c8751fa61faeebcf249d20002c26dce76d7157be5613fe5bdde898990f8f1",
+                       "2e5f5a37e38e991905de16b1cf799c74c8f27a78aef5d908442a5db98c7d63da"),
     ("baseline", 1): ("568cdf9ce7d4fd3e8376f66b7cd33e2a4d9f48e613437499bc7a8e95f6e36563",
                        "39a2561fd88b8e4be236306dfc1294405dbe5b0ad792518dbfed0b1a720db6ac"),
-    ("baseline", 2): ("98bef862f2fd1def4ceb59a0874bc8e36ca562f8cc3bc4ee9aed8d8d7e4a8533",
-                       "d81a2bc031be3efba226fcc9d4ffa2a1b66d0687fdc9357c51666923ebab991a"),
-    ("baseline", 3): ("0605612c4401d6239ffccd15b89781f23148840e6ab95158b480c94d04bdef83",
-                       "8d5490ac6caa907638db18e5997460efeb4bf44c39b5e6b64dbf5b402c626fe9"),
+    ("baseline", 2): ("968110c5c8dd62793fb3d6bcee54a8bc94d3bfad47aed9a2ab58e963ce2b9631",
+                       "8e2b8a509d8e88cb2755a4337803793d1ba2b9772260f609b385fc0af9152fe2"),
+    ("baseline", 3): ("1813c26bfbb5d93154f7ed413a9ac112784c2d63708407915b25589ca699b676",
+                       "0d0f1c54e93c249e288efe9f873e6cd1baeb70eceaebb6e702805ba19e1e5587"),
     ("baseline", 4): ("982e2819b8b9fad759f7c50fac6168b8e5c588d1c918167f0c610cb9947fafc1",
                        "cfafaa3e8a77e4e2307d63a76a708600fcb9efd101d27253d12e21fe3668e0c6"),
-    ("baseline", 5): ("21b535186bb4a3efc77ec25423275be34c5f555ebf3d3db998f5fb25e385ad89",
-                       "0fafdf67bfa5a8eb280e9bab65c8299c5cee842ae510a64562d8ffe24c3d220f"),
-    ("baseline", 6): ("3bd09878d19b3b4533511257963aa2ac078e4ffd99be4c288efca5321d065ee3",
-                       "04a6a56c84ea893f3a7e574bd10a994032314be7deb95bace9661299854f3891"),
+    ("baseline", 5): ("2c21445d42341224619c3f9035c33c04209ec98089e3160a6c102e6314f3ab20",
+                       "3d07b09c44e09ab12f6bbb523516ef0b551c1dcb1d7829ea30c2e7be092f511b"),
+    ("baseline", 6): ("b1d002f6b9548e9940581de2ad4d75b9b71c018dceee6c2982a597f012595d50",
+                       "96eb5d388a484132147f4705fe983997a28c93d83ca2d4c04e37336e9f030904"),
     ("baseline", 7): ("b57d93f65d58a52257d38c81465ae03ca658195ff823db0d05d06cc0998cf1ed",
                        "5f24e36373ea06391ac694dfd2ab8600073e442112665f86f26ba142fc38740a"),
     ("error_streak", 0): ("cc573d8c94c92cb0e8bb1b14ece165b225c74440e56241f3c4e999ca4f286d58",
                            "698fd82bf992205edf9d6ef73c02a51d3da61ce9b45c9b95cea34bd9fc23a734"),
     ("error_streak", 1): ("66583ef15e466b6170e11ecefa1101f9713ffae9a2186476f6ac4e75a72f40c8",
                            "adb9efbcb89eba24dc2b2e66d4f7fddbe17dc25ab1547e4779908bd2e5ea0592"),
-    ("error_streak", 2): ("b304e66e0ebc9ab4ac558787c01f195de5cdb948a9dd7d2dbd44f4b2f5302b87",
-                           "f70b9a8e24d5b976aeffeeecc2e8e37d822a1f2e706152c3e1053bcdc98b8c21"),
-    ("error_streak", 3): ("22e4d5e46ee32758165614c68c8ce03d3bfcc9b2e0cffba2c03542b934f46ca0",
-                           "7d640a39c6f9f71224379c338e374242868c6a7bd4dff33d4ca00ef62c14eaa5"),
+    ("error_streak", 2): ("a166c03ec4ed444cac23597d67a57a8855ee0f6f1e285d21e91ed86e65fd6165",
+                           "d8d306b9147110a7cdda01cfbde8dbff82f4d7dbc2f28b0d6335b4345e593108"),
+    ("error_streak", 3): ("58efa8ab3e3c4649da42d6bbf0c87c0f98bc629cf178682360090523e7bc0c7c",
+                           "e329907287eac9bd00cb4711b5fda7b784a972c7149716bc8c89f97123002b8d"),
     ("error_streak", 4): ("cc999f47173d1f779beedc9b6a58a3c957903b6e41f3f70b1896c4c824290b59",
                            "2f53341c97755bcde938f4a8d64067ecc62636296ea2d140c2080dc9423890f6"),
-    ("error_streak", 5): ("92f1a16c695437076be1ccb0b4d2486d5f622f847cc6d46048e243cd82ce10dc",
-                           "cddaa38ecdc31b58efaaee4e7f5ff892575f6d031b7cd6d2ce3836a641267540"),
-    ("error_streak", 6): ("ca24bd169da30b047fc8ab23bff5d8bee5d821f3d35c59ca25eb8cb3a1040a78",
-                           "0daa1e5bd28640f3bdc6a9b3c76c8223b092795b8cdc0766245e3d16f166e084"),
-    ("error_streak", 7): ("d96e840793f2358eb1ed77645c1ff62e509928d2e39d6e043caf98fcf72622fc",
-                           "f63b151424dcbab99c048dbdade6ae619943aca7aed5630cd66377a643550e05"),
-    ("stale_count", 0): ("38f8e8ad06d21cc2368941d057c3f6c51527dd004d28f1e5ca0b7a16e16e3c2b",
-                          "7ab162eb74324bf76fe55a3c8a5767a93790435d884e256fb5e4e9ddb0ad5400"),
+    ("error_streak", 5): ("c5f17385619ce3c5362860a4d9aec7f9da1d7d009b4501e575f19cf4dfb6ba71",
+                           "4e19967ef3d1503e4244f1494517d674d49883b6c4fb8d3ffa17b556c3f3d41a"),
+    ("error_streak", 6): ("420d556279521d88f99a63cee74b45405f22ad5297bf42fac300bab7a688eb2c",
+                           "2da6eca9a177562ecb251ca35cd0f2d9cbb61afcbfbf3939127c0567d22dd8b6"),
+    ("error_streak", 7): ("6e4984383d5381a57c411d2c75b6369a047b11a61b8fe2c1221c35b4274176ab",
+                           "7f6506c3a46be72fe93faa7f23eed1565d308ec631932393488f410238204ea6"),
+    ("stale_count", 0): ("c4047e71cd5b087c4ab615f216b461c331017cc8baa8f59a118693a6d50ceee5",
+                          "40fd2efd1b6335058292f81bfb6c22e1ee66c0fedfb2474c79a9a94964a60950"),
     ("stale_count", 1): ("2625a103b0ea2c993dd1e21f7aa8c7e5bc88c56a370ccf6d4c1343fe428d529c",
                           "c22401063252d99d5cda3e7e561681f56016f00c5e84c49489bc7f8457bd75bf"),
-    ("stale_count", 2): ("8d0ab2b195a61ef896ae67e251ec08dbf5fb21dbf67fc005f5b0fc236c306de4",
-                          "3927e5f1d22f3306042e22b857844c3135707e2760fd76debb9c93efc0c560a6"),
-    ("stale_count", 3): ("933745fef1a83c59e124dc2e1f96ba181bd44357cd0b2130bbb4e4c55bd3ddad",
-                          "1fbe3ce900c0ffce68453b203165ddf1f470b136d811b6ba68126c710221d490"),
-    ("stale_count", 4): ("5333c7e3f29758755b450076f7bd4280d9f9eb1998521b163be4b7e75ce83d20",
-                          "e15800d3c2b24c18c0bf88482459f25e27831394ccdf43019d46ab406de7bee8"),
-    ("stale_count", 5): ("852f0296bd65cf03d7d56e6f7f1b25d21a8feed01eaa8b3be2f20f7502534f9a",
-                          "37308e7d5c75ebd59d2871dcc280ae05f51cca34c03c8f3b24312cdf6de05469"),
-    ("stale_count", 6): ("b988537d13997aeb1779563e9f65283e953f1172f30cc05137d82c81a8e7610e",
-                          "bdb27f6f0e97d7ccb7258a1bc0d9120db750ab6ad06958c72f9e1b55bb612aa9"),
+    ("stale_count", 2): ("05f70f8db677cbbc789396190734f4229cf51ed4dd64dad7aa202771971a5c1a",
+                          "ca08a91cb5b3220158129d41e7bdf3ef12f70cf3707105db66de2112a832fa67"),
+    ("stale_count", 3): ("7ebd631b1995a2fd32983e72792ca0532876c226ff0c4614ff9c165825a5f4c6",
+                          "4083cff6de665ea26d72308fa45ca3d32a9f2d571c9117202f4165d84444be2d"),
+    ("stale_count", 4): ("a93be203d97d7f2a93f0cd7bb26693e258099251de2388bf2f7a04ffdf9396c0",
+                          "72685df65cd1f1d9fbb42d91c95c25119dea78ecfacce2484dcaed868781612b"),
+    ("stale_count", 5): ("1a5a9165f990b1c46eae0f8d5389019565b07b2f5ced957e2455923ccc80d1ea",
+                          "7c89197b0b118b90f2fe8bfcba5ff6269587714ef39ab1d31655d42c300c68e6"),
+    ("stale_count", 6): ("823c3896a997bb1df2496a442aaaff6de21cdef92bef1fc90c401b618ae85792",
+                          "ab37f78de8db74e770bf93e416f94773aab1b0f17d299023b8953354825208f9"),
     ("stale_count", 7): ("d6de7e831fa70278c0a2e8bb2b0accaae3645b6335e7511e76e331d686a1e7b9",
                           "7069fd94233250d891084d94b96f4155384bec60a0487b748141f31ef0319874"),
-    ("COMPROMISE", None): ("2cb9ec6fb21912f91442364d2dcc94143b67ecea0e24a4c3b7240c9472dddb32",
-                            "e083cee1c8689925c349c41d5c7d98b481c7758933b7cc010f9ef69581feec8a"),
-    ("MIXED_ROUND", None): ("1e4cbe326f854ec2e3a022ea76326538990892549ec406424d2238252e2bbcff",
-                             "d2c212ff6b5ccb85f4f36596cfc484511dba8b96c65791cedeaf8b047c2ab3d2"),
-    ("LOSSY_MAJORITY", None): ("4d0c62897cba28d07cf0aaeb1d7923426a76a60e566ae63a441b58515b1a93cd",
-                                "9c448ef4bd89b6c46103b9d6c87c1cf10f49f3d89cca8bd68e275be84a77662c"),
-    ("lossy_pull", None): ("bd14ba3d3eef3afd82ab20b5951be630d06ccf2830690707c38597a416d968bd",
-                            "fce1000d1296aa25540e8f7beb77e6f4ac4e6c27f6c4d050f40bce3518ba2879"),
+    ("COMPROMISE", None): ("14017b8549bb0ffbfd2cc4d252836193764d3c3ec7a917bce5f152b63dd7d17e",
+                            "e91c16153c91827d7cf463e38d22e59a1f6f3953d575860204f29a70d24a6f69"),
+    ("MIXED_ROUND", None): ("feeb73e94518302f868c38542d80abf10cedf3c81fbbcc8a28750941b41a9c02",
+                             "441538c87845518fa4fba842df132888088e1d88f5aef83a62b2f8a7e86ebb0c"),
+    ("LOSSY_MAJORITY", None): ("96abf75d774f8335e4c96e8e97d3b4643d82adba006e0e8fb20b34786dc083d1",
+                                "4e41197042dfa69cad3b0cbefde9ddebe727c6083e1192a325de462b6603862a"),
+    ("lossy_pull", None): ("4aebfeaaee640a096bf280d18399da9a27cc77ddddb87a928ba2997fe1deaa6d",
+                            "1fc59cbe84460b94131645cad759ec5d1064e9a88c7e054d067c099f470eea84"),
 }
 
 
@@ -210,7 +210,7 @@ def test_a_cluster_runs_once_and_leaves_its_result_whole():
 
 
 def test_a_halted_run_replays_clean(tmp_path):
-    # The learner logs membership 1 for the emptied group, as replay now tracks it.
+    # The learner logs membership 0 for the emptied group, as replay tracks it.
     records = golden_run("ALL_CRASH", None).records
     assert replay_verdicts(records) == (1, [])
     path = tmp_path / "all_crash.log"
@@ -241,6 +241,19 @@ def test_no_node_sends_itself_a_packet_over_the_network(name, seed):
               if "from" in r.fields and "to" in r.fields]
     assert routed
     assert [f for f in routed if int(f["from"]) == int(f["to"])] == []
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_every_accepted_goes_to_the_learner(name, seed):
+    # Phase 2 keeps no acceptance votes: acceptors report to the learner only.
+    records = golden_run(name, seed).records
+    learner = int(records[0].fields["acceptors"])
+    accepted = [r.fields for r in records if r.kind == "Accepted"]
+    assert accepted
+    assert [f for f in accepted if int(f["to"]) != learner] == []
+    dropped = [r.fields for r in records
+               if r.kind in ("Drop", "DiscardCrashed") and r.fields["pkt"] == "Accepted"]
+    assert [f for f in dropped if int(f["to"]) != learner] == []
 
 
 def leadership_violations(records) -> list[str]:

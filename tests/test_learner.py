@@ -269,7 +269,7 @@ def test_a_slot_finalized_after_the_group_emptied_is_inconclusive():
     feed(learner, {2: ("OK", "S1", 0)})
     learner.view.alive.clear()
     learner.finalize(0)
-    assert bus.logs == [("Verdict", {"req": 0, "verdict": "Inconclusive", "membership": 1,
+    assert bus.logs == [("Verdict", {"req": 0, "verdict": "Inconclusive", "membership": 0,
                                      "deadline": 1, "received": "1", "needed": "1"})]
     assert bus.sent == []  # no ClientResponse
 
@@ -334,3 +334,16 @@ def test_no_query_timer_fires_at_or_past_the_deadline(deadline):
     assert fired == (list(range(q, deadline, q)) if q else [])  # every Q ticks, all before it
     assert len(bus.sent) == 4 * len(fired)
 
+
+
+@pytest.mark.parametrize("deadline, round_trip, q", [
+    (50, 0, 8), (50, 8, 8), (50, 26, 26),  # bench lossy's round trip is 6; stale_count's, 26
+    (5, 0, 0), (5, 4, 4), (5, 6, 6)])      # a Q at or past the deadline arms no query
+def test_q_is_at_least_the_networks_round_trip(deadline, round_trip, q):
+    bus = FakeBus()
+    learner = Learner(client_id=6, membership_view=View(range(5)), bus=bus, policy=STRICT,
+                      instance_deadline=deadline, on_verdict=lambda: None, round_trip=round_trip)
+    assert learner.query_interval == q
+    feed(learner, {0: ("OK", "S1", 0)})
+    queries = [(tag, delay) for tag, delay in bus.timers if tag[0] == "query"]
+    assert queries == ([(("query", 0, deadline - q), q)] if 0 < q < deadline else [])

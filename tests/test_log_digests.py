@@ -40,7 +40,7 @@ def test_a_failed_check_returns_1_naming_the_case(monkeypatch, capsys):
 
 def test_sends_are_counted_per_request_by_kind_with_heartbeats_apart(monkeypatch, capsys):
     # Stream is lossless, five replicas a case: one phase 1 per case, then per request
-    # four AcceptRequests and nine Accepted (four to the leader, five to the learner).
+    # four AcceptRequests and five Accepted, each replica's to the learner only.
     # The leader's messages to itself are hand-offs, not sends.
     monkeypatch.setattr(log_digests, "WORKLOADS", ("stream",))
     assert log_digests.main(["--seeds", "5", "--sends"]) == 0
@@ -54,7 +54,7 @@ def test_sends_are_counted_per_request_by_kind_with_heartbeats_apart(monkeypatch
     assert list(rate) == ["Prepare", "Promise", "AcceptRequest", "Accepted", "ClientResponse",
                           "CatchUp", "Decided", "Query"]
     assert rate["Prepare"] == rate["Promise"] == round(4 * len(cases) / requests, 3)
-    assert (rate["AcceptRequest"], rate["Accepted"]) == (4.0, 9.0)
+    assert (rate["AcceptRequest"], rate["Accepted"]) == (4.0, 5.0)
     assert rate["CatchUp"] == rate["Decided"] == rate["Query"] == 0.0
     assert sends["total"] == round(sum(rate.values()), 3)
     assert sends["heartbeats_per_request"] == round(heartbeats / requests, 3)

@@ -91,82 +91,76 @@ def reach_majority(p, n, voters=(0, 1, 2)):
         p.on_promise(promise(n), node)
 
 
-def accept(p, n, slot, voters=(0, 1, 2)):
-    for node in voters:
-        p.on_accepted(accepted(n, slot), node)
-
-
 def test_rounds_strictly_increase_across_requests():
-    # Phase 1 runs once per epoch; each new one, after a timeout or an election, takes
+    # Phase 1 runs once per epoch; each new one, after an election or a timeout, takes
     # a higher round, and a request in between goes to phase 2 under the last one.
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "a"))
     reach_majority(p, ProposalNumber(0, 0))
-    accept(p, ProposalNumber(0, 0), 0)
     p.submit(ClientRequest(1, "b"))
-    p.on_phase_timeout(p.in_flight)
     p.stand_down()
     p.submit(ClientRequest(1, "b"))
+    p.on_phase_timeout(p.in_flight)
     rounds = [pkt.n.round for pkt, _ in bus.sent if pkt.kind == "Prepare"]
     assert rounds == [0] * 5 + [1] * 5 + [2] * 5
 
 
-def test_after_a_majority_promised_the_next_request_goes_straight_to_phase_two():
+def test_once_promised_each_request_goes_straight_to_phase_two_and_waits_for_nothing():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "a"))
     reach_majority(p, ProposalNumber(0, 0))
-    accept(p, ProposalNumber(0, 0), 0)
     bus.sent.clear()
     bus.logs.clear()
     bus.timers.clear()
+    # No acceptance arrives between the two: the second is not held behind the first.
     p.submit(ClientRequest(1, "b"))
+    p.submit(ClientRequest(2, "c"))
     assert [(pkt.kind, pkt.n, pkt.request, dst) for pkt, dst in bus.sent] == [
-        ("AcceptRequest", ProposalNumber(0, 0), ClientRequest(1, "b"), dst) for dst in range(5)]
-    assert bus.logs == []  # neither Propose nor MajorityReached
-    (tag, delay), = bus.timers
-    assert tag[0] == "phase" and tag[1] is p.in_flight and delay == 10
-    accept(p, ProposalNumber(0, 0), 1)
-    assert p.in_flight is None
+        ("AcceptRequest", ProposalNumber(0, 0), ClientRequest(rid, payload), dst)
+        for rid, payload in ((1, "b"), (2, "c")) for dst in range(5)]
+    assert bus.logs == [] and bus.timers == []  # no Propose, no MajorityReached, no timer
+    assert p.in_flight is None and p.pending == []
 
 
-def test_a_late_acceptance_of_an_earlier_slot_does_not_count_for_the_next():
-    # Slots 0 and 1 share the number 0.0, so only the slot tells their acceptances apart.
-    p, _ = make_proposer()
-    p.submit(ClientRequest(0, "a"))
-    p.submit(ClientRequest(1, "b"))  # pending behind slot 0
-    reach_majority(p, ProposalNumber(0, 0))
-    accept(p, ProposalNumber(0, 0), 0)
-    assert p.in_flight.request.request_id == 1 and p.in_flight.n == ProposalNumber(0, 0)
-    accept(p, ProposalNumber(0, 0), 0, voters=(3, 4))  # slot 0's, arriving late
-    p.on_accepted(accepted(ProposalNumber(0, 0), 1), 0)
-    assert p.in_flight.votes == {0} and p.promised == ProposalNumber(0, 0)
-    accept(p, ProposalNumber(0, 0), 1, voters=(1, 2))
-    assert p.in_flight is None
-
-
-def test_a_repropose_forces_a_fresh_phase_one_under_a_higher_round():
+def test_requests_submitted_during_phase_one_follow_the_first_in_slot_order():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "a"))
-    reach_majority(p, ProposalNumber(0, 0))
-    accept(p, ProposalNumber(0, 0), 0)
     p.submit(ClientRequest(1, "b"))
+    p.submit(ClientRequest(2, "c"))
+    assert [pkt.kind for pkt, _ in bus.sent] == ["Prepare"] * 5
+    assert p.pending == [ClientRequest(1, "b"), ClientRequest(2, "c")]
     bus.sent.clear()
-    p.on_phase_timeout(p.in_flight)  # slot 1's phase 2 under 0.0 stalls
-    assert [k for k, _ in bus.logs][-1] == "Repropose"
+    reach_majority(p, ProposalNumber(0, 0))
+    assert [(pkt.kind, pkt.n, pkt.request.request_id) for pkt, _ in bus.sent] == [
+        ("AcceptRequest", ProposalNumber(0, 0), rid) for rid in (0, 1, 2) for _ in range(5)]
+    assert p.pending == [] and p.in_flight is None
+    (tag, _), = bus.timers  # phase 1's own timer, and nothing for phase 2
+    assert tag[0] == "phase"
+
+
+def test_a_phase_one_timeout_re_proposes_under_a_higher_round_and_keeps_the_pending():
+    p, bus = make_proposer()
+    p.submit(ClientRequest(0, "a"))
+    p.submit(ClientRequest(1, "b"))  # pending behind phase 1
+    bus.sent.clear()
+    p.on_phase_timeout(p.in_flight)
+    assert [k for k, _ in bus.logs] == ["Propose", "Repropose"]
     assert {(pkt.kind, pkt.n) for pkt, _ in bus.sent} == {("Prepare", ProposalNumber(1, 0))}
     assert p.promised is None and p.in_flight.n == ProposalNumber(1, 0)
-    reach_majority(p, ProposalNumber(1, 0))
-    accept(p, ProposalNumber(1, 0), 1)
+    assert p.pending == [ClientRequest(1, "b")]
+    reach_majority(p, ProposalNumber(0, 0))  # promises for the superseded number
+    assert p.promised is None
     bus.sent.clear()
+    reach_majority(p, ProposalNumber(1, 0))
     p.submit(ClientRequest(2, "c"))
-    assert {(pkt.kind, pkt.n) for pkt, _ in bus.sent} == {("AcceptRequest", ProposalNumber(1, 0))}
+    assert [(pkt.kind, pkt.n, pkt.request.request_id) for pkt, _ in bus.sent[::5]] == [
+        ("AcceptRequest", ProposalNumber(1, 0), rid) for rid in (0, 1, 2)]
 
 
 def test_stand_down_forces_a_fresh_phase_one_under_a_higher_round():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "a"))
     reach_majority(p, ProposalNumber(0, 0))
-    accept(p, ProposalNumber(0, 0), 0)
     p.stand_down()  # an election; this node is later re-elected
     bus.sent.clear()
     p.submit(ClientRequest(1, "b"))
@@ -190,7 +184,7 @@ def test_third_distinct_promise_of_five_triggers_accept_broadcast():
                          "promises": 3, "membership": 5}]
 
 
-def test_promise_for_decided_or_foreign_proposal_ignored():
+def test_promise_for_a_foreign_number_or_after_the_majority_is_ignored():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
     bus.sent.clear()
@@ -198,9 +192,10 @@ def test_promise_for_decided_or_foreign_proposal_ignored():
     assert p.in_flight.votes == set()
     for node in (1, 2, 3):
         p.on_promise(promise(ProposalNumber(0, 0)), node)
-    assert p.promised == ProposalNumber(0, 0)
-    p.on_promise(promise(ProposalNumber(0, 0)), 4)  # late: promised already
-    assert 4 not in p.in_flight.votes
+    assert p.promised == ProposalNumber(0, 0) and p.in_flight is None
+    bus.sent.clear(), bus.logs.clear()
+    p.on_promise(promise(ProposalNumber(0, 0)), 4)  # late: phase 1 is over
+    assert bus.sent == bus.logs == [] and p.in_flight is None
 
 
 def test_timeout_with_no_promises_bumps_round_by_one():
@@ -244,7 +239,6 @@ def superseded_flight():
 def test_a_replica_that_does_not_lead_stays_idle():
     replica, sim = make_replica(node_id=1)  # the view's leader is 0
     replica.on_packet(promise(ProposalNumber(0, 1)), 2, 0)
-    replica.on_packet(accepted(ProposalNumber(0, 1)), 2, 0)
     replica.on_timer(("phase", superseded_flight()), 10)  # another proposer's flight
     assert sim.records == [] and sim.pending() == 0
 
@@ -255,27 +249,22 @@ def test_stale_timer_is_ignored():
     first = p.in_flight
     p.on_phase_timeout(first)  # Repropose under 1.0
     second = p.in_flight
-    reach_majority(p, ProposalNumber(1, 0))  # phase 2 for the same request under 1.0
-    third = p.in_flight
+    reach_majority(p, ProposalNumber(1, 0))  # phase 1 ends: phase 2 has no timer
     p.on_phase_timeout(first)   # superseded by the re-proposal
-    p.on_phase_timeout(second)  # superseded by phase 2
+    p.on_phase_timeout(second)  # ended by the majority
     p.on_phase_timeout(superseded_flight())  # another proposer's
-    accept(p, ProposalNumber(1, 0), 0)
-    p.on_phase_timeout(third)   # ended: its request was accepted
-    assert [k for k, _ in bus.logs if k == "Repropose"] == ["Repropose"]
+    assert [k for k, _ in bus.logs] == ["Propose", "Repropose", "MajorityReached"]
 
 
-def test_a_first_requests_phase_one_timer_is_ignored_once_it_reached_phase_two():
-    # Phase 2 runs the same request under the same number: only identity tells
-    # the phase-1 flight from the phase-2 one.
+def test_a_first_requests_phase_one_timer_is_ignored_once_its_majority_is_reached():
     p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
     (phase_one_tag, _), = bus.timers
     reach_majority(p, ProposalNumber(0, 0))
-    assert p.in_flight.request == ClientRequest(0, "q") and p.in_flight.n == ProposalNumber(0, 0)
     p.on_phase_timeout(phase_one_tag[1])
     assert [k for k, _ in bus.logs] == ["Propose", "MajorityReached"]
-    assert p.in_flight.votes == set() and p.promised == ProposalNumber(0, 0)
+    assert p.in_flight is None and p.promised == ProposalNumber(0, 0)
+    assert len(bus.timers) == 1
 
 
 def test_membership_shrink_unblocks_pending_majority():
@@ -332,14 +321,15 @@ def test_departed_promises_discarded_before_threshold_check():
     assert [(f["promises"], f["membership"]) for f in majority] == [(2, 3)]
 
 
-def test_promises_never_count_as_acceptances():
-    p, _ = make_proposer()
+def test_an_acceptance_changes_nothing():
+    # Acceptors report to the learner only; on_accepted stays for the bench's tracer.
+    p, bus = make_proposer()
     p.submit(ClientRequest(0, "q"))
-    for node in (0, 1, 2):
-        p.on_promise(promise(ProposalNumber(0, 0)), node)
-    for node in (3, 4):
+    p.on_promise(promise(ProposalNumber(0, 0)), 1)
+    for node in (1, 2, 3, 4):
         p.on_accepted(accepted(ProposalNumber(0, 0)), node)
-    assert p.in_flight.votes == {3, 4}  # 2 of 5 acceptances is not a majority
+    assert p.in_flight.votes == {1} and p.promised is None
+    assert len(bus.sent) == 5 and [k for k, _ in bus.logs] == ["Propose"]
 
 
 def test_exactly_one_accept_broadcast_per_round():
