@@ -1,11 +1,11 @@
 """Deterministic simulator for a Paxos-replicated state machine cluster.
 
 Replicas execute client requests behind single-decree Paxos rounds, step a
-shared regex/threshold state machine on every execution, and report result
-triples to a learner that declares consensus or flags an anomaly whenever
-the replicas diverge. Crash and compromise faults, heartbeat failure
-detection and leader election are all driven by a seeded discrete-event
-loop, so identical inputs give byte-identical event logs.
+shared regex/threshold state machine on every execution, and report each
+result (output, new state) to a learner that declares consensus or flags an
+anomaly whenever the replicas diverge. Crash and compromise faults,
+heartbeat failure detection and leader election are all driven by a seeded
+discrete-event loop, so identical inputs give byte-identical event logs.
 """
 
 from .harness import ClusterRun, Report, RunResult, replay_verdicts, run

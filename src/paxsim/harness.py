@@ -47,7 +47,8 @@ class Replica:
     Leadership is read from the membership view alone: the client hands
     requests to its leader's proposer, and its epoch is the fence. Every
     Accepted the acceptor makes, from an AcceptRequest or a Decided, goes to
-    the learner only.
+    the learner only. CatchUp, Query and Decided carry no number; every other
+    packet a replica receives is numbered, and its round is noted.
 
     The leader sends each request to phase 2 as soon as it has it, so
     AcceptRequests can arrive out of slot order. One for a slot past the
@@ -60,15 +61,15 @@ class Replica:
     include one that executed any slot a majority accepted. The peers are a
     window of the ring of the other replicas (from id + 1 on) that moves
     with the revealing slot, so the asks that follow cover every peer. A
-    peer answers with a Decided packet per slot it has executed from that
-    slot on.
+    peer answers with a Decided packet, the slot's request alone, per slot
+    it has executed from that slot on.
 
     A Query from the learner names a slot whose report from this replica it
-    lacks. An executed slot's cached Accepted is sent again. A slot at or
-    past the cursor is a gap, which the Query reveals at once: the replica
-    sends CatchUp. The learner queries every Q ticks until the slot's
-    deadline, so a lost report, a lost AcceptRequest or CatchUp, or a gap
-    that no later AcceptRequest reveals is retried.
+    lacks. An executed slot's cached Accepted, the same object, is sent
+    again. A slot at or past the cursor is a gap, which the Query reveals at
+    once: the replica sends CatchUp. The learner queries every Q ticks until
+    the slot's deadline, so a lost report, a lost AcceptRequest or CatchUp,
+    or a gap that no later AcceptRequest reveals is retried.
     """
 
     def __init__(self, node_id: NodeId, scenario: Scenario, sim: Simulation,
@@ -95,11 +96,12 @@ class Replica:
             else:  # a gap that no AcceptRequest may reveal, such as the run's last slots
                 self._catch_up(packet.slot)
             return
+        if isinstance(packet, Decided):  # a decision, which carries no number
+            self._report(self.acceptor.on_decided(packet))
+            return
         self.proposer.note(packet.n.round)  # every other kind a replica receives is numbered
         if isinstance(packet, Promise):
             self.proposer.on_promise(packet, src)
-        elif isinstance(packet, Decided):
-            self._report(self.acceptor.on_decided(packet))
         elif packet.epoch != self.view.epoch:
             return  # fenced: a deposed leader's leftover Prepare or AcceptRequest
         elif isinstance(packet, Prepare):

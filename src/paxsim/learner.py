@@ -1,6 +1,6 @@
 """Learner-side verdict logic: consensus detection by replica comparison.
 
-The learner keeps each replica's first result triple for an undecided slot,
+The learner keeps each replica's first report for an undecided slot,
 and decides once the reports cover every believed-alive member (checked again
 on each membership change) or the slot's deadline expires. A decided slot
 keeps only its verdict: its reports are dropped, and a report arriving after
@@ -11,9 +11,9 @@ missing and whose heartbeat it has heard within the last Q ticks (a member
 silent that long may have crashed undetected, and a query to it would only
 be discarded). Q = max(instance_deadline // 6, 2 x (base_delay + jitter)):
 at least the network's longest round trip, so that no query asks for a
-report that is still in flight. Replicas are compared on
-(output, new state) jointly, whatever round each report came under, since an
-acceptor answers every round of a slot from its result cache. Any divergence
+report that is still in flight. Replicas are compared on (output, new
+state) jointly. A report names no round: an acceptor answers every retry of
+a slot with the report it cached when it executed the slot. Any divergence
 is an anomaly under the default strict policy; the majority policy instead
 sides with the largest agreeing group when that group is a majority. Under
 either policy a divergent slot first logs an AnomalyReport: the strict

@@ -51,10 +51,9 @@ class ClientRequest:
 
 @dataclass(frozen=True, slots=True)
 class Prepare:
-    """Phase-1 proposal, stamped with the leadership epoch it was issued in."""
+    """Phase-1 proposal of n alone, stamped with the leadership epoch it was issued in."""
 
     n: ProposalNumber
-    request: ClientRequest
     epoch: int
 
     kind = "Prepare"
@@ -80,13 +79,12 @@ class AcceptRequest:
 
 @dataclass(frozen=True, slots=True)
 class Accepted:
-    """The execution result a replica reports: proposal number, output, new state.
+    """The execution result a replica reports: output and new state, under no number.
 
-    request_id identifies the slot the result belongs to; it is not part of
-    the reported result triple. The reporting replica is the delivery's src.
+    request_id identifies the slot the result belongs to, whose request the
+    client fixed. The reporting replica is the delivery's src.
     """
 
-    n: ProposalNumber
     request_id: int
     output: str
     new_state: str
@@ -120,9 +118,8 @@ class CatchUp:
 
 @dataclass(frozen=True, slots=True)
 class Decided:
-    """One slot a peer has executed: the number it was accepted under, and its request."""
+    """One slot a peer has executed: its request alone, as a decision carries no ballot."""
 
-    n: ProposalNumber
     request: ClientRequest
 
     kind = "Decided"
@@ -173,11 +170,13 @@ def packet_text(packet: Packet) -> str:
     """A packet's log text, excluding transport addressing, with one format per packet kind."""
     cls = type(packet)
     if cls is Accepted:
-        return (f"n={packet.n} req={packet.request_id} output={_quote_text(packet.output)} "
+        return (f"req={packet.request_id} output={_quote_text(packet.output)} "
                 f"state={_quote_text(packet.new_state)}")
-    if cls is AcceptRequest or cls is Prepare:
+    if cls is AcceptRequest:
         return (f"epoch={packet.epoch} n={packet.n} req={packet.request.request_id} "
                 f"payload={_quote_text(packet.request.payload)}")
+    if cls is Prepare:
+        return f"epoch={packet.epoch} n={packet.n}"
     if cls is Promise:
         return f"n={packet.n}"
     if cls is Heartbeat:
@@ -187,8 +186,7 @@ def packet_text(packet: Packet) -> str:
     if cls is CatchUp:
         return f"from_slot={packet.from_slot}"
     if cls is Decided:
-        return (f"n={packet.n} req={packet.request.request_id} "
-                f"payload={_quote_text(packet.request.payload)}")
+        return f"req={packet.request.request_id} payload={_quote_text(packet.request.payload)}"
     if cls is Query:
         return f"slot={packet.slot}"
     raise TypeError(f"not a packet: {packet!r}")
@@ -196,24 +194,24 @@ def packet_text(packet: Packet) -> str:
 
 def packet_from_fields(kind: str, fields: dict[str, str]) -> Packet:
     """Rebuild a packet value from parsed log fields. Inverse of packet_text."""
-    if kind in ("Prepare", "AcceptRequest"):
-        cls = Prepare if kind == "Prepare" else AcceptRequest
-        return cls(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),
-                   request=ClientRequest(int(fields["req"]), fields["payload"]))
-    if kind == "Promise":  # an older log's last= field is ignored
+    if kind == "AcceptRequest":
+        return AcceptRequest(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]),
+                             request=ClientRequest(int(fields["req"]), fields["payload"]))
+    if kind == "Prepare":  # an older log's req= and payload= are ignored
+        return Prepare(n=ProposalNumber.parse(fields["n"]), epoch=int(fields["epoch"]))
+    if kind == "Promise":  # an older log's last= is ignored
         return Promise(n=ProposalNumber.parse(fields["n"]))
-    if kind == "Accepted":
-        return Accepted(n=ProposalNumber.parse(fields["n"]), request_id=int(fields["req"]),
-                        output=fields["output"], new_state=fields["state"])
+    if kind == "Accepted":  # an older log's n= is ignored
+        return Accepted(request_id=int(fields["req"]), output=fields["output"],
+                        new_state=fields["state"])
     if kind == "Heartbeat":
         return Heartbeat(seq=int(fields["hb_seq"]))
     if kind == "ClientResponse":
         return ClientResponse(request_id=int(fields["req"]), output=fields["output"])
     if kind == "CatchUp":
         return CatchUp(from_slot=int(fields["from_slot"]))
-    if kind == "Decided":
-        return Decided(n=ProposalNumber.parse(fields["n"]),
-                       request=ClientRequest(int(fields["req"]), fields["payload"]))
+    if kind == "Decided":  # an older log's n= is ignored
+        return Decided(request=ClientRequest(int(fields["req"]), fields["payload"]))
     if kind == "Query":
         return Query(slot=int(fields["slot"]))
     raise ValueError(f"unknown packet kind: {kind}")

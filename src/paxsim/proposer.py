@@ -2,25 +2,25 @@
 
 Each replica holds one proposer for the whole run; only the membership
 view's leader is handed requests. The proposer runs phase 1 once per epoch:
-for the epoch's first request it takes a new number, broadcasts Prepare
-(carrying that request) to every member of the view's alive set (itself
-included, as an in-node hand-off that never touches the network), and once
-a majority of that set has promised it keeps the number as the epoch's
-promised one. A request submitted meanwhile waits in pending. Phase 2 is
-one AcceptRequest broadcast under the promised number, with no vote count
-and no timer: the first request goes out as the majority is reached, the
-pending ones right after it in the order they were submitted (slot order),
-and every later one as soon as it is submitted, with no request waiting for
-the slot before it. Acceptors report each acceptance to the learner only; a
-slot is its request's index, so the proposer has no value to learn from an
-acceptance, and nothing acts on a slot's outcome but the learner. A phase 1
-that times out without reaching majority opens again under a strictly
-higher number, and an election drops the promised number with everything
-else. The in-flight proposal is the phase-1 one, so it is set exactly while
-phase 1 runs. A phase timeout holds the in-flight proposal it guards and
-re-proposes only while that one is current. The client submits each request
-once per election. Rounds only grow past the highest the node has proposed
-or seen, so none is ever reused.
+for the epoch's first request it takes a new number, broadcasts Prepare (the
+number and epoch alone; InFlight keeps the request) to every member of the
+view's alive set (itself included, as an in-node hand-off that never touches
+the network), and once a majority of that set has promised it keeps the
+number as the epoch's promised one. A request submitted meanwhile waits in
+pending. Phase 2 is one AcceptRequest broadcast under the promised number,
+with no vote count and no timer: the first request goes out as the majority
+is reached, the pending ones right after it in the order they were submitted
+(slot order), and every later one as soon as it is submitted, with no
+request waiting for the slot before it. Acceptors report each acceptance to
+the learner only; a slot is its request's index, so the proposer has no
+value to learn from an acceptance, and nothing acts on a slot's outcome but
+the learner. A phase 1 that times out without reaching majority opens again
+under a strictly higher number, and an election drops the promised number
+with everything else. The in-flight proposal is the phase-1 one, so it is
+set exactly while phase 1 runs. A phase timeout holds the in-flight proposal
+it guards and re-proposes only while that one is current. The client submits
+each request once per election. Rounds only grow past the highest the node
+has proposed or seen, so none is ever reused.
 
 All outward effects go through a bus object supplied by the host node,
 with the surface: send(packet, dst), set_timer(tag, delay),
@@ -146,7 +146,7 @@ class Proposer:
         self.in_flight = InFlight(request=request, n=n)
         self.bus.log(kind, **{"from": self.id, "req": request.request_id,
                               "n": n, "epoch": self.view.epoch})
-        self._broadcast(Prepare(n=n, request=request, epoch=self.view.epoch))
+        self._broadcast(Prepare(n=n, epoch=self.view.epoch))
         self.bus.set_timer(("phase", self.in_flight), self.timeout)
 
     def _accept(self, request: ClientRequest) -> None:

@@ -14,7 +14,7 @@ from paxsim import ClientRequest, load_scenario, parse_scenario, run
 from paxsim.eventlog import dump_records
 from paxsim.learner import Anomaly, Consensus, Inconclusive, decide
 from paxsim.logcheck import check_proposal_numbers
-from paxsim.messages import Accepted, ProposalNumber
+from paxsim.messages import Accepted
 from paxsim.proposer import majority_threshold
 from paxsim.scenario import CompromiseFault, CrashFault, Scenario, TimingConfig
 from paxsim.simnet import NetConfig
@@ -313,8 +313,7 @@ def test_criterion_8_learner_oracle_equivalence():
                 if pair is None:
                     continue
                 pairs[node] = pair
-                reports[node] = Accepted(n=ProposalNumber(0, 0), request_id=0,
-                                         output=pair[0], new_state=pair[1])
+                reports[node] = Accepted(request_id=0, output=pair[0], new_state=pair[1])
             got = decide(reports, membership_size=n_nodes)
             want = _brute_force_verdict(pairs, n_nodes)
             checked += 1

@@ -3,7 +3,8 @@
 import random
 
 from paxsim.acceptor import Acceptor
-from paxsim.messages import AcceptRequest, ClientRequest, Decided, Prepare, Promise, ProposalNumber
+from paxsim.messages import (Accepted, AcceptRequest, ClientRequest, Decided, Prepare, Promise,
+                             ProposalNumber)
 from paxsim.statemachine import compile_app_model, compile_machine
 
 MACHINE = compile_machine({
@@ -21,8 +22,8 @@ def make_acceptor():
     return Acceptor(definition=MACHINE, model=MODEL)
 
 
-def prepare(n, payload="GET /health", rid=0):
-    return Prepare(n=n, request=ClientRequest(rid, payload), epoch=0)
+def prepare(n):
+    return Prepare(n=n, epoch=0)
 
 
 def accept(n, payload="GET /health", rid=0):
@@ -61,9 +62,8 @@ def test_refusal_is_silent():
 
 def test_honest_execution_emits_result_triple():
     a = make_acceptor()
-    n = ProposalNumber(0, 0)
-    out = a.on_accept_request(accept(n))
-    assert (out.n, out.output, out.new_state) == (n, "OK", "S0")
+    out = a.on_accept_request(accept(ProposalNumber(0, 0)))
+    assert out == Accepted(request_id=0, output="OK", new_state="S0")
 
 
 def test_stale_accept_request_dropped_silently():
@@ -123,7 +123,7 @@ def test_identical_streams_give_identical_outputs():
     outs_a = [a.on_accept_request(pkt) for pkt in stream]
     outs_b = [b.on_accept_request(pkt) for pkt in stream]
     for x, y in zip(outs_a, outs_b):
-        assert (x.n, x.request_id, x.output, x.new_state) == (y.n, y.request_id, y.output, y.new_state)
+        assert (x.request_id, x.output, x.new_state) == (y.request_id, y.output, y.new_state)
     assert a.machine == b.machine
 
 
@@ -134,11 +134,10 @@ def test_slots_execute_in_order_exactly_once():
     first = a.on_accept_request(accept(ProposalNumber(1, 0), payload="boom", rid=0))
     assert first.output == "Error" and first.new_state == "S1"
     machine_after = a.machine
-    # Retry of slot 0 under a higher number: served from cache, no re-execution.
+    # Retry of slot 0 under a higher number: the cached report itself, no re-execution.
     retry = a.on_accept_request(accept(ProposalNumber(7, 2), payload="boom", rid=0))
-    assert (retry.output, retry.new_state) == (first.output, first.new_state)
-    assert retry.n == ProposalNumber(7, 2)
-    assert a.machine == machine_after
+    assert retry is first
+    assert a.machine == machine_after and a.next_slot == 1 and list(a.executed) == [0]
     # Slot 1 now executes.
     second = a.on_accept_request(accept(ProposalNumber(8, 2), rid=1))
     assert second is not None and second.request_id == 1
@@ -149,13 +148,12 @@ def test_on_decided_executes_only_the_next_slot():
     a.highest_promised = ProposalNumber(9, 1)
 
     def decided(rid, payload="GET /health"):
-        return Decided(n=ProposalNumber(rid, 0), request=ClientRequest(rid, payload))
+        return Decided(request=ClientRequest(rid, payload))
 
     assert a.on_decided(decided(1)) is None  # ahead of the cursor: not buffered
     assert a.next_slot == 0 and a.executed == {}
     out = a.on_decided(decided(0, payload="boom"))
-    assert (out.n, out.request_id, out.output, out.new_state) == (
-        ProposalNumber(0, 0), 0, "Error", "S1")
+    assert out == Accepted(request_id=0, output="Error", new_state="S1")
     assert a.next_slot == 1
     # A Decided moves no promise.
     assert a.highest_promised == ProposalNumber(9, 1)
@@ -164,13 +162,13 @@ def test_on_decided_executes_only_the_next_slot():
     assert a.machine == machine and a.next_slot == 1
     # The slot is cached as an AcceptRequest would have left it.
     retry = a.on_accept_request(accept(ProposalNumber(10, 2), payload="boom", rid=0))
-    assert (retry.output, retry.new_state) == ("Error", "S1")
+    assert retry is out and a.report_of(0) is out
     assert a.decided_from(0) == [decided(0, payload="boom")]
 
 
 def test_a_compromised_replica_lies_about_a_decided_slot_too():
     shady = make_acceptor()
     shady.compromise({"GET /health": "Error"})
-    decided = Decided(n=ProposalNumber(0, 0), request=ClientRequest(0, "GET /health"))
+    decided = Decided(request=ClientRequest(0, "GET /health"))
     out = shady.on_decided(decided)
     assert (out.output, out.new_state) == ("Error", "S1")

@@ -104,7 +104,7 @@ def test_a_peer_answers_from_its_executed_prefix_with_the_cap():
     slots = [packet.request.request_id for packet, _, _ in sent]
     assert slots == list(range(3, 3 + CATCH_UP_LIMIT))
     assert all(type(packet) is Decided and (src, dst) == (1, 2) for packet, src, dst in sent)
-    assert sent[0][0] == Decided(n=ProposalNumber(3, 0), request=ClientRequest(3, "ok"))
+    assert sent[0][0] == Decided(request=ClientRequest(3, "ok"))
     peer.on_packet(CatchUp(from_slot=total - 2), 0, 0)
     assert [(packet.request.request_id, dst) for packet, _, dst in wire.take()] == [
         (total - 2, 0), (total - 1, 0)]
@@ -115,12 +115,12 @@ def test_a_peer_answers_from_its_executed_prefix_with_the_cap():
 def test_an_accepted_made_from_a_decided_goes_to_the_learner_only():
     wire, nodes = replicas(5)
     laggard = nodes[3]
-    decided = Decided(n=ProposalNumber(4, 1), request=ClientRequest(0, "bad"))
+    decided = Decided(request=ClientRequest(0, "bad"))
     laggard.on_packet(decided, 2, 0)
-    assert wire.take() == [(Accepted(n=ProposalNumber(4, 1), request_id=0, output="Error",
-                                     new_state="S1"), 3, 5)]
+    assert wire.take() == [(Accepted(request_id=0, output="Error", new_state="S1"), 3, 5)]
     laggard.on_packet(decided, 4, 0)  # a second peer's copy of the same slot
     assert wire.take() == []
+    assert laggard.proposer.highest_round == -1  # a Decided carries no round to note
 
 
 def test_a_held_accept_request_runs_once_a_decided_fills_its_gap_and_reports_to_the_learner():
@@ -130,7 +130,7 @@ def test_a_held_accept_request_runs_once_a_decided_fills_its_gap_and_reports_to_
     laggard.on_packet(accept_request(1), 0, 0)
     assert {packet for packet, _, _ in wire.take()} == {CatchUp(from_slot=0)}
     assert laggard.acceptor.next_slot == 0 and sorted(laggard.ahead) == [1, 2]
-    laggard.on_packet(Decided(n=ProposalNumber(0, 0), request=ClientRequest(0, "ok")), 1, 0)
+    laggard.on_packet(Decided(request=ClientRequest(0, "ok")), 1, 0)
     assert [(packet.request_id, src, dst) for packet, src, dst in wire.take()] == [
         (0, 4, 5), (1, 4, 5), (2, 4, 5)]
     assert laggard.acceptor.next_slot == 3 and laggard.ahead == {}
@@ -145,10 +145,9 @@ def test_a_held_accept_request_is_checked_again_when_its_turn_comes(change):
     if change == "election":
         laggard.view.epoch = 1
     else:
-        laggard.on_packet(Prepare(n=ProposalNumber(9, 0), request=ClientRequest(1, "ok"),
-                                  epoch=0), 0, 0)
+        laggard.on_packet(Prepare(n=ProposalNumber(9, 0), epoch=0), 0, 0)
     wire.take()
-    laggard.on_packet(Decided(n=ProposalNumber(0, 0), request=ClientRequest(0, "ok")), 1, 0)
+    laggard.on_packet(Decided(request=ClientRequest(0, "ok")), 1, 0)
     assert [(packet.request_id, dst) for packet, _, dst in wire.take()] == [(0, 5)]
     assert laggard.acceptor.next_slot == 1 and laggard.ahead == {}
 
@@ -185,7 +184,7 @@ def test_a_query_for_an_executed_slot_resends_its_cached_report_to_the_learner_o
     liar.on_packet(accept_request(1, "bad"), 0, 0)
     first = [(packet, dst) for packet, _, dst in wire.take() if dst == 5]
     assert [packet.output for packet, _ in first] == ["OK", "Lie"]
-    # A retry of slot 1 under a higher number is answered from the cache under that number.
+    # A retry of slot 1 under a higher number is answered with the cached report.
     liar.on_packet(AcceptRequest(n=ProposalNumber(7, 0), request=ClientRequest(1, "bad"),
                                  epoch=0), 0, 0)
     wire.take()

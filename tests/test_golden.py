@@ -33,34 +33,34 @@ INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
           "CRASHED_LEADER": CRASHED_LEADER}
 
 GOLDEN = {
-    ("baseline", 0): "ff8e5b830ee346bd54ca194957f03f705c5b697c9c789c83075199f1d796e2c6",
-    ("baseline", 1): "769adda686e6efd957b7cfeb9cc5e7a3834df63b04d759b165a74add418136c3",
-    ("baseline", 2): "9ffc04223d7c3b092486b69e1a5fdc5f5c0ca4d9fad2c6146c64b8a9e7c6b354",
-    ("baseline", 3): "bfa52b838ce21211cc8f58838a25284eb1d0a8dd7f739b501aa0c2e250c3082c",
-    ("baseline", 4): "d536669dd53d9200f9fdf90ad70997d52ae0e314bbe692b8b8b0311232196715",
-    ("baseline", 5): "420982db34faeaa9127e3998d1e6502fff1fe6094679044568cbd48c483b092f",
-    ("baseline", 6): "9f59c944afb0127485f894966e58e074102498a49064b1d69064f1556d912233",
-    ("baseline", 7): "db7849415765fdfbe814fd5b65be2be0244729f9aec4cee1f4d09ce67a20299b",
-    ("error_streak", 0): "2108170224677e5acd547e8ce3517403ac728be7baf74683e44a26b9995d9aaa",
-    ("error_streak", 1): "6f5ec5c25009ddfa33ff3bc8430dba0ad999874cebfbb443859ed7472198a0e2",
-    ("error_streak", 2): "0c4511b1bebd06616c2616505a30dd40c1601dde5355d959c9f00817af8f74e3",
-    ("error_streak", 3): "a12b78c513f4ce3d14be4005f6c14fd3f9ca07763fcf2d46bdcaaef75d8edc2e",
-    ("error_streak", 4): "36c62f038f75883175b09c278735bbe28af37e5c0c12921a2831c8bfbf80ab37",
-    ("error_streak", 5): "0fcaf1ebbd8494d0fdebf754b615691614bbb0cb3d8b2bceb8090b82cb55fdea",
-    ("error_streak", 6): "95229562d8caaee6490e65385cc5b9174dae37c240b8f2328776fc1a5eca2d38",
-    ("error_streak", 7): "cd9a42f62500c5764acb242a533c8b868aa159ab2e90955478c6b75520a3fdeb",
-    ("stale_count", 0): "211a755ba0dc744bdfb7a580ebf6cea77c532c5eeeceabd12402edf88ad05733",
-    ("stale_count", 1): "ebcc06944ed9213348e887449c02cca6d92715f18c1f94fbf14372c6dcf09dd9",
-    ("stale_count", 2): "79444f37b225f1bd1031d79d0125df8324bed42cad3320b6c59b5bd4a6d96bcd",
-    ("stale_count", 3): "682f272544968d2e6fe50e749b89b4d7fb4607b128f9128dd5df035b09bfd862",
-    ("stale_count", 4): "f93e5bc6bf2d043c5e6f8593b8eebd203417b0358a93df955e7e99b0dad0a088",
-    ("stale_count", 5): "1bcd722b4b999542978830b283d123b33638ddf2273377925b5c53804dc71509",
-    ("stale_count", 6): "f2a48ad8e547e8e00013671c6c519fda925836c3a86722ba0defc51a8ac23b54",
-    ("stale_count", 7): "f1a0c1af03766b975cedc7648b59ea206c52f648359dab048b3cca1752d40b04",
-    ("COMPROMISE", None): "6877f756b2fdb1c05094e5cf0a520d4169570a6ef39ba6211d4a9ba016800716",
-    ("MIXED_ROUND", None): "af396013c42d8614bddd66c992f2ea63a6af1a9acf47ac98821d1a0ce3cb8b01",
-    ("LOSSY_MAJORITY", None): "961fe8d69025e527c3f79146a80b23807a4d0382ffaa32285b962695991fea58",
-    ("lossy_pull", None): "2f3e2740ef6b9256a522446513a035dacb1b8986b68fb570565c821b2d264d0e",
+    ("baseline", 0): "206b651bca63f0325ce00a9fd62358608e0973bea029acb1cffb920e34c5e1b8",
+    ("baseline", 1): "3f3142f121d76913a5aa10afc3e94550cad3e5ee66b2ae1322c1e5a0b5e4f1aa",
+    ("baseline", 2): "426e37e6ad5b170470ef73c4479a2cbd5698395970298e37bef931945c49c308",
+    ("baseline", 3): "b11c6c8d3cf84da78ce1249b3319e763f94523ddb322ee593e675e803b281c91",
+    ("baseline", 4): "0cbc5f5520356fed719d661fcac043ac568a69aaacfe695191b236272e9d78e8",
+    ("baseline", 5): "31f9fdb650c9a668e2346159351df793edf6c0f85060b08e32f2f22b0d0a9c59",
+    ("baseline", 6): "e48cf9b009328066e37105dd571f0fddf364dd671c59265ac0c6e6e93e99413e",
+    ("baseline", 7): "d14d02a39c6c1f7551fd2070c0e46f95e1296ad2aa97a6910c637735e7756d82",
+    ("error_streak", 0): "bac9475e0353d186f05889d72d8d11a69aaefb624805779056a36561384c48b0",
+    ("error_streak", 1): "91b9ec53fe82e1fa6087cf57480cdd2210df104187f9e9406e3ea414ebfb01f3",
+    ("error_streak", 2): "f8b92ab8b3cccf8321f8145f18cb6fe5f432eba8c93f27c8e234ac9095cecc28",
+    ("error_streak", 3): "311a89a70b2c6efbedc9c6659195cd81c6be481fb23b48e7a736eada499b3ad2",
+    ("error_streak", 4): "a3f3676ed82f5e7a1554a08d767b764085e526abb84115ec9ecc18b8b7e21bfa",
+    ("error_streak", 5): "878c12ad61ccc02cf9418840377f0d875f6d7aa7ccb59d5a11a1f8aeaa78443e",
+    ("error_streak", 6): "015af0af111151b3c0fbb09aaae88a6f145e487866859790d09e83a1d353a565",
+    ("error_streak", 7): "7032ef37f488b2df1adde0b04342009c559f08c1a968b08828abda0d854cf86d",
+    ("stale_count", 0): "e309f823e3767ef6c0180789e1e442140d38c15020261b3fcc9e552498137bbb",
+    ("stale_count", 1): "40967b65d708ed75dc2ccda1b0d35d7e5ddd0af2e458457ea9ca20b98adc4d00",
+    ("stale_count", 2): "1b528bb0022600613cdd04dc206fe10e50a21d9f159bc8a171783dfda4e36435",
+    ("stale_count", 3): "f86f58fd8810b7322f63d52ca531ef167f90590671f4ae6dbebc9e91d4e10fbb",
+    ("stale_count", 4): "f99eb219ec20256ffb0435a27f3cfdf2d47e6970b43fd8b7caf938b27b49366c",
+    ("stale_count", 5): "84c59ca6401b993a1f739bdf97a99a7a5c7baac08d8f7035c2614e5c7a3aa9fa",
+    ("stale_count", 6): "ba39a459ad4fc1e2a30aa4d2be6c542ae60b06dbd3ada3fcf387c4a4d41bf723",
+    ("stale_count", 7): "0a07f830ff97208d3a86863b5fb5ce9035e2d8153dbaa2fa40ec5e806c72034f",
+    ("COMPROMISE", None): "63543b2aba149dce394b9c3ee5c9a239ea4841df719a30ac0c77acfe859b2738",
+    ("MIXED_ROUND", None): "232fb05d9d534fd3c05a9d0510ebeeb2021ec96a613044a425605e4e5777f45b",
+    ("LOSSY_MAJORITY", None): "1271670b94419658b05693789a6517aa4eb957a01590d63da6e3d2272fdbb5bf",
+    ("lossy_pull", None): "ec9cfc4d6cd8db453f31a94c3b9c418bcc5ff1c2df9c2ca83e6b7fb73edde9c8",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
@@ -254,6 +254,24 @@ def test_every_accepted_goes_to_the_learner(name, seed):
     dropped = [r.fields for r in records
                if r.kind in ("Drop", "DiscardCrashed") and r.fields["pkt"] == "Accepted"]
     assert [f for f in dropped if int(f["to"]) != learner] == []
+
+
+@pytest.mark.parametrize("name, seed", INVARIANT_RUNS)
+def test_a_replica_reports_one_triple_per_slot(name, seed):
+    # An acceptor answers a retried slot and a Query with the report it cached when it
+    # executed the slot, so no retry forks a replica: every Accepted delivery from one
+    # replica for one slot carries the same output and state. (A Drop or DiscardCrashed
+    # record names only the packet's kind, so it has no output or state to compare.)
+    first, forks = {}, []
+    for record in golden_run(name, seed).records:
+        if record.kind == "Accepted":
+            fields = record.fields
+            report = first.setdefault((fields["from"], fields["req"]),
+                                      (fields["output"], fields["state"]))
+            if report != (fields["output"], fields["state"]):
+                forks.append(f"t={record.time} seq={record.seq}: {fields} after {report}")
+    assert first
+    assert forks == []
 
 
 def leadership_violations(records) -> list[str]:

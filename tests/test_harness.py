@@ -16,7 +16,7 @@ from paxsim.eventlog import (Delivery, LineRecord, Record, dump_records, format_
                              parse_record, read_log, write_log)
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
-from paxsim.messages import Accepted, Heartbeat, ProposalNumber
+from paxsim.messages import Accepted, Heartbeat
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -53,24 +53,24 @@ def test_baseline_verdicts_and_counts():
 
 
 def test_baseline_packet_accounting():
-    # Lossless five-node run: one phase 1 (4 Prepare, 4 Promise) for the
-    # epoch's first request, then per request 4 AcceptRequest under its
+    # Lossless five-node run: one phase 1 (a Propose, 4 Prepare, 4 Promise) for
+    # the epoch's first request, then per request 4 AcceptRequest under its
     # number and 5 Accepted deliveries, each replica's to the learner only.
     # The leader's messages to itself are in-node hand-offs, never delivered.
     result = baseline_result()
     per_request = {0: Counter(), 1: Counter(), 2: Counter()}
     numbers = Counter()
     for record in result.records:
-        if record.kind in ("Prepare", "AcceptRequest", "Accepted"):
+        if record.kind in ("Propose", "AcceptRequest", "Accepted"):
             per_request[int(record.fields["req"])][record.kind] += 1
-        if record.kind in ("Prepare", "Promise", "AcceptRequest", "Accepted"):
+        if record.kind in ("Prepare", "Promise", "AcceptRequest"):
             numbers[record.kind, record.fields["n"]] += 1
     for rid, counts in per_request.items():
-        assert counts["Prepare"] == (4 if rid == 0 else 0), (rid, counts)
+        assert counts["Propose"] == (1 if rid == 0 else 0), (rid, counts)
         assert counts["AcceptRequest"] == 4
         assert counts["Accepted"] == 5
     assert numbers == {("Prepare", "0.0"): 4, ("Promise", "0.0"): 4,
-                       ("AcceptRequest", "0.0"): 12, ("Accepted", "0.0"): 15}
+                       ("AcceptRequest", "0.0"): 12}
     responses = [int(r.fields["req"]) for r in result.records if r.kind == "ClientResponse"]
     assert sorted(responses) == [0, 1, 2]  # exactly one response per consensus
 
@@ -458,7 +458,7 @@ def test_report_counts_agree_with_log():
 def test_the_infra_node_credits_each_packet_to_its_delivery_src():
     cluster = ClusterRun(parse_scenario(COMPROMISE))
     infra = cluster.sim.nodes[cluster.learner_id]
-    report = Accepted(n=ProposalNumber(0, 0), request_id=0, output="OK", new_state="S0")
+    report = Accepted(request_id=0, output="OK", new_state="S0")
     infra.on_packet(report, 3, 4)
     infra.on_packet(report, 1, 4)
     assert cluster.learner.reports[0] == {3: report, 1: report}
@@ -906,7 +906,7 @@ def test_cli_replay_names_a_bad_quoted_value_in_a_record_replay_never_reads(tmp_
     log_path = tmp_path / "bad.log"
     write_log(baseline_result().records, log_path)
     lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    at = next(i for i, line in enumerate(lines) if "kind=Prepare" in line)
+    at = next(i for i, line in enumerate(lines) if "kind=AcceptRequest" in line)
     lines[at] = re.sub(r'payload="[^"]*"', r'payload="GET \\q"', lines[at])
     log_path.write_text("".join(lines), encoding="utf-8")
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_INVALID
@@ -954,10 +954,10 @@ def test_cli_replay_rejects_a_record_lacking_a_field(tmp_path, capsys):
 
 
 def test_cli_replay_names_a_record_with_a_malformed_field(tmp_path, capsys):
-    record, err = replay_error_after_edit(tmp_path, capsys, r"(kind=Accepted from=\d+ to=5) n=\S+",
-                                          r"\1 n=x.y")
+    record, err = replay_error_after_edit(tmp_path, capsys,
+                                          r"(kind=Accepted from=\d+ to=5) req=\d+", r"\1 req=x")
     assert err == (f"invalid log: time={record.time} seq={record.seq} kind=Accepted: "
-                   "expected a proposal number round.proposer, got 'x.y'\n")
+                   "invalid literal for int() with base 10: 'x'\n")
 
 
 @pytest.mark.parametrize("pattern, replacement, problem", [
@@ -998,6 +998,33 @@ time=7 seq=8 kind=Verdict req=0 verdict=Consensus membership=3 deadline=0 output
 def test_cli_replays_an_older_log_whose_promise_carries_last_clean(tmp_path, capsys):
     log_path = tmp_path / "older.log"
     log_path.write_text(LAST_SERVED_LOG, encoding="utf-8")
+    assert check_proposal_numbers(read_log(log_path)) == []
+    assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "1 verdicts checked, all reproduced\n"
+
+
+# An older log: a Prepare then named its request, and each Accepted and Decided its number.
+NUMBERED_PACKETS_LOG = """\
+time=0 seq=0 kind=Init acceptors=3 leader=0 epoch=0 policy=strict seed=1
+time=1 seq=1 kind=ClientArrival req=0 to=0 payload="a b"
+time=1 seq=2 kind=Propose from=0 req=0 n=0.0 epoch=0
+time=2 seq=3 kind=Prepare from=0 to=1 epoch=0 n=0.0 req=0 payload="a b"
+time=3 seq=4 kind=Promise from=1 to=0 n=0.0
+time=3 seq=5 kind=MajorityReached from=0 req=0 n=0.0 promises=2 membership=3
+time=3 seq=6 kind=Accepted from=0 to=3 n=0.0 req=0 output=OK state=S
+time=4 seq=7 kind=AcceptRequest from=0 to=1 epoch=0 n=0.0 req=0 payload="a b"
+time=5 seq=8 kind=Accepted from=1 to=3 n=0.0 req=0 output=OK state=S
+time=5 seq=9 kind=CatchUp from=2 to=1 from_slot=0
+time=6 seq=10 kind=Decided from=1 to=2 n=0.0 req=0 payload="a b"
+time=7 seq=11 kind=Accepted from=2 to=3 n=0.0 req=0 output=OK state=S
+time=7 seq=12 kind=Verdict req=0 verdict=Consensus membership=3 deadline=0 output=OK state=S
+"""
+
+
+def test_cli_replays_an_older_log_with_numbered_reports_and_requests_in_prepares_clean(
+        tmp_path, capsys):
+    log_path = tmp_path / "older.log"
+    log_path.write_text(NUMBERED_PACKETS_LOG, encoding="utf-8")
     assert check_proposal_numbers(read_log(log_path)) == []
     assert cli.main(["replay", "--log", str(log_path)]) == cli.EXIT_OK
     assert capsys.readouterr().out == "1 verdicts checked, all reproduced\n"

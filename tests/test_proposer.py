@@ -63,8 +63,8 @@ def promise(n):
     return Promise(n=n)
 
 
-def accepted(n, slot=0):
-    return Accepted(n=n, request_id=slot, output="o", new_state="s")
+def accepted(slot=0):
+    return Accepted(request_id=slot, output="o", new_state="s")
 
 
 @pytest.mark.parametrize("size,expected", [(6, 4), (5, 3), (1, 1), (2, 2), (9, 5)])
@@ -212,8 +212,7 @@ def test_repropose_exceeds_every_observed_round():
     replica, sim = make_replica()
     replica.proposer.submit(ClientRequest(0, "q"))
     # A peer's Prepare is numbered, and the replica notes its round.
-    replica.on_packet(Prepare(n=ProposalNumber(7, 1), request=ClientRequest(0, "q"), epoch=0),
-                      1, 0)
+    replica.on_packet(Prepare(n=ProposalNumber(7, 1), epoch=0), 1, 0)
     replica.on_timer(("phase", replica.proposer.in_flight), 10)
     assert proposed_rounds(sim) == [0, 8]
 
@@ -327,7 +326,7 @@ def test_an_acceptance_changes_nothing():
     p.submit(ClientRequest(0, "q"))
     p.on_promise(promise(ProposalNumber(0, 0)), 1)
     for node in (1, 2, 3, 4):
-        p.on_accepted(accepted(ProposalNumber(0, 0)), node)
+        p.on_accepted(accepted(), node)
     assert p.in_flight.votes == {1} and p.promised is None
     assert len(bus.sent) == 5 and [k for k, _ in bus.logs] == ["Propose"]
 
