@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .acceptor import Acceptor
 from .eventlog import Delivery, LineRecord, Record, record_error
@@ -404,11 +404,13 @@ class ClusterRun:
 
 def _report_fields(verdict) -> dict:
     """The kind-specific fields of a report entry, as JSON-ready values."""
+    if isinstance(verdict, Consensus):
+        return {"output": verdict.output, "state": verdict.state}
     if isinstance(verdict, Anomaly):
         return {"agreeing": sorted(verdict.agreeing),
                 "dissenting": sorted(verdict.dissenting),
                 "states_seen": dict(verdict.states_seen)}
-    return asdict(verdict)
+    return {"received": verdict.received, "needed": verdict.needed}
 
 
 class NodeBus:

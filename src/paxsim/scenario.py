@@ -14,6 +14,28 @@ A scenario is a YAML document with these sections::
     requests: [{at, payload}]   # arrival times nondecreasing; ids by position
     faults:   [{at, target, kind: crash} |
                {at, target, kind: compromise, override: {payload: output}}]
+
+Loading. The loader (libyaml, or PyYAML's pure-Python composer where PyYAML
+was built without it) composes the text into a node graph, and ``_build``
+turns the graph into values in one pass: a ``str`` scalar becomes its text,
+a null, bool, int or float scalar goes to the safe constructor's own
+function for its tag, and a ``seq`` or ``map`` node becomes one list or
+dict, shared by every alias of the node and filled from a stack (so a
+recursive alias gives the self-containing value PyYAML gives). Any other
+node hands the whole document back to PyYAML's constructor
+(``construct_document``), so that its values and error texts stay PyYAML's:
+a scalar of another tag (a timestamp, ``!!binary``, an unknown tag such as
+``!foo``), a collection of another tag (``!!set``, ``!!omap``, ``!!seq`` on
+a mapping), a ``<<`` merge key, and a key that is a collection, which
+PyYAML refuses as unhashable.
+
+parse_scenario loads with the cyclic collector paused (collector_paused), as
+the event loop and read_log run. The loader and the builder form no cycle
+(the builder is module-level functions, not a closure that would refer to
+itself), and the node graph is freed before the collector resumes, so
+reference counting frees all that the load drops and the young generation
+is nearly empty again on resume. The only cycle a document can hold is a
+recursive alias's, which PyYAML builds too; the collector finds it later.
 """
 
 from __future__ import annotations
@@ -21,7 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
+from .eventlog import collector_paused
 from .messages import NodeId
 from .simnet import NetConfig
 from .statemachine import AppModel, MachineError, StateMachineDef, compile_app_model, compile_machine
@@ -30,6 +54,11 @@ from .statemachine import AppModel, MachineError, StateMachineDef, compile_app_m
 # libyaml's scanner and parser when PyYAML was built with them, under the
 # same safe constructor and resolver as yaml.SafeLoader; about 8x faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_STR = "tag:yaml.org,2002:str"
+_CONSTRUCTED = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("null", "bool", "int", "float"))
+_COLLECTIONS = {(SequenceNode, "tag:yaml.org,2002:seq"): list,
+                (MappingNode, "tag:yaml.org,2002:map"): dict}
 
 
 class ScenarioError(ValueError):
@@ -143,10 +172,64 @@ def _error_line(text: str, exc: Exception) -> int | None:
     return None
 
 
+class _OutsideTheSubset(Exception):
+    """A node that _build does not take: PyYAML's constructor builds the document."""
+
+
+def _load(text: str):
+    """The document in text, equal to what yaml.load(text, Loader=_LOADER) returns."""
+    loader = _LOADER(text)
+    try:
+        root = loader.get_single_node()
+        try:
+            return None if root is None else _build(loader, root)
+        except _OutsideTheSubset:
+            pass
+        return loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
+def _build(loader, root):
+    """The document under root, each collection made once and then filled from a stack."""
+    built, unfilled = {}, []  # id(node) -> its list or dict; (list or dict, node) to fill
+    document = _value(loader, root, built, unfilled)
+    while unfilled:
+        value, node = unfilled.pop()
+        if value.__class__ is list:
+            value.extend([_value(loader, item, built, unfilled) for item in node.value])
+            continue
+        for key_node, value_node in node.value:
+            if key_node.__class__ is not ScalarNode:
+                raise _OutsideTheSubset  # PyYAML refuses it: an unhashable key
+            key = _value(loader, key_node, built, unfilled)
+            value[key] = _value(loader, value_node, built, unfilled)
+    return document
+
+
+def _value(loader, node, built, unfilled):
+    """A scalar node's value, or a collection node's list or dict, queued to be filled if new."""
+    if node.__class__ is ScalarNode:
+        if node.tag == _STR:
+            return node.value
+        if node.tag in _CONSTRUCTED:
+            return loader.yaml_constructors[node.tag](loader, node)
+        raise _OutsideTheSubset
+    value = built.get(id(node))
+    if value is None:
+        make = _COLLECTIONS.get((node.__class__, node.tag))
+        if make is None:
+            raise _OutsideTheSubset
+        value = built[id(node)] = make()
+        unfilled.append((value, node))
+    return value
+
+
 def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
     """Parse and validate scenario YAML text."""
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        with collector_paused():  # _load's node graph is freed before the collector resumes
+            doc = _load(text)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes to UTF-8 first
         line = _error_line(text, exc)
         where = f"line {line}" if line is not None else "unknown location"

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from paxsim import ClusterRun, cli, load_scenario, parse_scenario, run
+from paxsim.acceptor import Acceptor
 from paxsim.eventlog import Delivery, LineRecord, dump_records, read_log, write_log
 from paxsim.harness import replay_verdicts
 from paxsim.logcheck import check_proposal_numbers
@@ -28,9 +29,17 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # Every replica crashes in one tick: the group empties and the run halts.
 ALL_CRASH = (SCENARIO_DIR / "all_crash.scenario").read_text(encoding="utf-8")
 
+# error_streak's counting machine at 10% loss, its leader crashing at t=20: the
+# new leader's AcceptRequests and the learner's Queries reach replicas that have
+# executed their slot. Executing it again would move a replica's error count, and
+# so the state it reports for slot 6, the seventh error.
+LOSSY_STREAK = (SCENARIO_DIR / "error_streak.scenario").read_text(encoding="utf-8").replace(
+    "seed: 42", "seed: 2").replace("loss_rate: 0.0", "loss_rate: 0.1").replace(
+    "faults: []", "faults: [{at: 20, target: 0, kind: crash}]")
+
 INLINE = {"COMPROMISE": COMPROMISE, "MIXED_ROUND": MIXED_ROUND,
           "LOSSY_MAJORITY": LOSSY_MAJORITY, "ALL_CRASH": ALL_CRASH,
-          "CRASHED_LEADER": CRASHED_LEADER}
+          "CRASHED_LEADER": CRASHED_LEADER, "LOSSY_STREAK": LOSSY_STREAK}
 
 GOLDEN = {
     ("baseline", 0): "206b651bca63f0325ce00a9fd62358608e0973bea029acb1cffb920e34c5e1b8",
@@ -61,6 +70,7 @@ GOLDEN = {
     ("MIXED_ROUND", None): "232fb05d9d534fd3c05a9d0510ebeeb2021ec96a613044a425605e4e5777f45b",
     ("LOSSY_MAJORITY", None): "1271670b94419658b05693789a6517aa4eb957a01590d63da6e3d2272fdbb5bf",
     ("lossy_pull", None): "ec9cfc4d6cd8db453f31a94c3b9c418bcc5ff1c2df9c2ca83e6b7fb73edde9c8",
+    ("LOSSY_STREAK", None): "5a3b915a4076a1a1f99e3839ca7966082def8c00fd3b1c18a21b4907884e3af1",
 }
 
 # sha256 of (Report.to_json(), Report.to_text()) for the same runs.
@@ -121,6 +131,8 @@ GOLDEN_REPORTS = {
                                 "4e41197042dfa69cad3b0cbefde9ddebe727c6083e1192a325de462b6603862a"),
     ("lossy_pull", None): ("4aebfeaaee640a096bf280d18399da9a27cc77ddddb87a928ba2997fe1deaa6d",
                             "1fc59cbe84460b94131645cad759ec5d1064e9a88c7e054d067c099f470eea84"),
+    ("LOSSY_STREAK", None): ("3d5a0a05629156e4904dd8ffbbc6c818d828176cf6c014b96822173bcc273a88",
+                              "bf943f05f767ea9f96f528705a9fa9704a3fb80d76bfae6f10eb438d7c48e374"),
 }
 
 
@@ -166,6 +178,26 @@ def test_report_matches_its_golden_digests(name, seed):
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
                     for text in (report.to_json(), report.to_text()))
     assert digests == GOLDEN_REPORTS[name, seed]
+
+
+def test_a_golden_run_sends_an_executed_slot_to_its_replica_again(monkeypatch):
+    # So the digests above cover the acceptor's cached reports: LOSSY_STREAK re-sends
+    # executed slots as AcceptRequests and asks for their reports with Queries.
+    again = Counter()
+    accept, report_of = Acceptor.on_accept_request, Acceptor.report_of
+
+    def on_accept_request(acceptor, request):
+        again["AcceptRequest"] += request.request.request_id < acceptor.next_slot
+        return accept(acceptor, request)
+
+    def counted_report_of(acceptor, slot):
+        again["Query"] += 1
+        return report_of(acceptor, slot)
+
+    monkeypatch.setattr(Acceptor, "on_accept_request", on_accept_request)
+    monkeypatch.setattr(Acceptor, "report_of", counted_report_of)
+    golden_run("LOSSY_STREAK", None)
+    assert again["AcceptRequest"] >= 1 and again["Query"] >= 1
 
 
 def test_golden_runs_cover_every_verdict_and_fault_record():

@@ -1,7 +1,10 @@
 """Scenario parsing and validation."""
 
+import gc
+import json
 import os
 import re
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +13,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from paxsim import cli, scenario as scenario_module
-from paxsim.scenario import ParseError, ValidationError, load_scenario, parse_scenario
+from paxsim.scenario import ParseError, ScenarioError, ValidationError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -343,3 +346,114 @@ def test_parse_uses_libyaml_when_pyyaml_has_it():
                            side_effect=expected.__init__) as init:
         parse_scenario(MINIMAL)
     init.assert_called_once()
+
+
+def _outcome(text):
+    """parse_scenario's Scenario, or the kind and text of the ScenarioError it raises."""
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _load_outcome(load, text):
+    """The document's repr, or the kind and text of the error that loading it raises."""
+    try:
+        return repr(load(text))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+SHARED_OVERRIDE = MINIMAL + """faults:
+  - {at: 5, target: 1, kind: compromise, override: &tampered {a: b}}
+  - {at: 9, target: 2, kind: compromise, override: *tampered}
+"""
+
+# Each document holds a node outside the subset that scenario._build takes,
+# so PyYAML's own constructor builds it.
+HANDED_BACK = {
+    "merge-key": MINIMAL + "faults: [&crash {at: 5, target: 1, kind: crash}, {<<: *crash, at: 9}]\n",
+    "set": MINIMAL.replace("requests: []", "requests: !!set {a}"),
+    "omap": MINIMAL.replace("requests: []", "requests: !!omap [{at: 1}]"),
+    "binary": MINIMAL + "name: !!binary aGVsbG8=\n",
+    "timestamp": MINIMAL + "name: 2001-12-14\n",
+    "recursive-alias": MINIMAL.replace("requests: []", "requests: &a [*a]"),
+    "unhashable-key": MINIMAL + "net: {[seed]: 1}\n",
+    "unknown-tag": MINIMAL + "name: !foo bar\n",
+    "seq-tag-on-a-mapping": MINIMAL.replace("requests: []", "requests: !!seq {a: 1}"),
+}
+EDGE_DOCUMENTS = {"shared-anchor": SHARED_OVERRIDE, **HANDED_BACK}
+LOADERS = [scenario_module._LOADER, yaml.SafeLoader]
+LOADER_IDS = ["default-loader", "pure-loader"]
+
+
+@pytest.mark.parametrize("text", EDGE_DOCUMENTS.values(), ids=EDGE_DOCUMENTS.keys())
+def test_parse_matches_the_pure_loader_on_documents_at_the_edge_of_the_direct_build(text):
+    def first_line(outcome):
+        # libyaml's marks name a line and column; the pure reader's also quote the line.
+        return (outcome[0], outcome[1].splitlines()[0]) if isinstance(outcome, tuple) else outcome
+
+    expected = first_line(_outcome(text))
+    with mock.patch.object(scenario_module, "_LOADER", yaml.SafeLoader):
+        assert first_line(_outcome(text)) == expected
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+@pytest.mark.parametrize("text", EDGE_DOCUMENTS.values(), ids=EDGE_DOCUMENTS.keys())
+def test_a_document_loads_as_pyyaml_builds_it(loader, text):
+    with mock.patch.object(scenario_module, "_LOADER", loader):
+        assert _load_outcome(scenario_module._load, text) == \
+            _load_outcome(partial(yaml.load, Loader=loader), text)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+def test_an_alias_is_its_anchors_value(loader):
+    with mock.patch.object(scenario_module, "_LOADER", loader):
+        faults = scenario_module._load(SHARED_OVERRIDE)["faults"]
+        looped = scenario_module._load(HANDED_BACK["recursive-alias"])["requests"]
+    assert faults[0]["override"] is faults[1]["override"] == {"a": "b"}
+    assert looped[0] is looped
+
+
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(yaml_values, st.booleans())
+def test_a_dumped_value_loads_as_pyyaml_builds_it(value, flow_style):
+    text = yaml.safe_dump(value, default_flow_style=flow_style)
+    for loader in LOADERS:
+        with mock.patch.object(scenario_module, "_LOADER", loader):
+            assert _load_outcome(scenario_module._load, text) == \
+                _load_outcome(partial(yaml.load, Loader=loader), text)
+
+
+# A sweep-sized compromise table: 200 override entries.
+TABLE = ", ".join(f"{json.dumps(f'PUT/{i}')}: {json.dumps('Failure')}" for i in range(200))
+LOADED = {**{path.stem: path.read_text(encoding="utf-8")
+             for path in sorted(SCENARIO_DIR.glob("*.scenario"))},
+          "compromise-table": MINIMAL + f"faults: [{{at: 0, target: 1, kind: compromise, "
+                                        f"override: {{{TABLE}}}}}]\n",
+          **HANDED_BACK}
+
+
+@pytest.mark.parametrize("name", LOADED)
+def test_parsing_leaves_no_cyclic_garbage(name):
+    # parse_scenario loads with the cyclic collector paused; this is what makes that safe.
+    # A recursive alias is a cycle in libyaml's node graph and in the document alike, and
+    # yaml.load leaves the same garbage behind.
+    text = LOADED[name]
+    gc.disable()
+    try:
+        gc.collect()
+        _outcome(text)
+        left_by_parse = gc.collect()
+        _load_outcome(partial(yaml.load, Loader=scenario_module._LOADER), text)
+        left_by_pyyaml = gc.collect()
+    finally:
+        gc.enable()
+    assert left_by_parse == left_by_pyyaml
+    assert (left_by_parse == 0) is (name != "recursive-alias")
