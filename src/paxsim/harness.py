@@ -252,7 +252,7 @@ class ClusterRun:
         self.sim.nodes[self.client_id] = self
         self.requests = [ClientRequest(request_id=i, payload=payload)
                          for i, (_, payload) in enumerate(scenario.requests)]
-        self.seen: dict[int, ClientRequest] = {}
+        self.arrived = 0  # requests[:arrived] have arrived: their timers pop in id order
         # A fault past the horizon never fires: neither schedule it nor wait for it.
         self.faults = [f for f in scenario.faults if f.at <= scenario.timing.horizon]
         self.faults_applied = 0
@@ -307,17 +307,18 @@ class ClusterRun:
         # leader, synchronously and in slot order, so nothing arriving later
         # this tick can jump the queue ahead of an older unfinished slot.
         self.learner.on_membership_change()
-        for rid in sorted(self.seen):
-            if not isinstance(self.learner.verdicts.get(rid), Consensus):
-                self._on_arrival(self.seen[rid], redispatch=True)
+        for request in self.requests[:self.arrived]:
+            if not isinstance(self.learner.verdicts.get(request.request_id), Consensus):
+                self._on_arrival(request, redispatch=True)
 
     def _on_arrival(self, request: ClientRequest, redispatch: bool = False) -> None:
         leader = self.membership.view.leader
         fields = {"req": request.request_id, "to": leader, "payload": request.payload}
         if redispatch:
             fields["redispatch"] = 1
+        else:
+            self.arrived += 1
         self.sim.log("ClientArrival", **fields)
-        self.seen[request.request_id] = request
         if isinstance(self.learner.verdicts.get(request.request_id), Consensus):
             return
         if leader in self.sim.crashed:

@@ -15,6 +15,9 @@ A scenario is a YAML document with these sections::
     faults:   [{at, target, kind: crash} |
                {at, target, kind: compromise, override: {payload: output}}]
 
+Each mapping takes only the keys shown (an override table takes any payload);
+any other key is refused as ``<where>.<key>: unknown key``.
+
 Loading. The loader (libyaml, or PyYAML's pure-Python composer where PyYAML
 was built without it) composes the text into a node graph, and ``_build``
 turns the graph into values in one pass: a ``str`` scalar becomes its text,
@@ -48,7 +51,8 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from .eventlog import collector_paused
 from .messages import NodeId
 from .simnet import NetConfig
-from .statemachine import AppModel, MachineError, StateMachineDef, compile_app_model, compile_machine
+from .statemachine import (AppModel, FieldError, MachineError, StateMachineDef, check_int, check_list,
+                           check_mapping, check_text, compile_app_model, compile_machine)
 
 
 # libyaml's scanner and parser when PyYAML was built with them, under the
@@ -122,40 +126,9 @@ _TOP_KEYS = {"name", "acceptors", "anomaly_policy", "net", "timing",
              "machine", "app_model", "requests", "faults"}
 _NET_KEYS = {f.name for f in fields(NetConfig)}
 _TIMING_KEYS = {f.name for f in fields(TimingConfig)}
-
-
-def _require_int(value, field_name, minimum=None, maximum=None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(field_name, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(field_name, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(field_name, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _require_mapping(value, field_name) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValidationError(field_name, f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _require_list(value, field_name) -> list:
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ValidationError(field_name, f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _require_text(value, field_name) -> str:
-    """A text field's value; null, a mapping and a list are not text, whatever str() makes of them."""
-    if value is None or isinstance(value, (dict, list)):
-        got = "null" if value is None else type(value).__name__
-        raise ValidationError(field_name, f"expected text, got {got}")
-    return str(value)
+_REQUEST_KEYS = {"at", "payload"}
+_FAULT_KEYS = {"at", "target", "kind", "override"}
+_CRASH_KEYS = _FAULT_KEYS - {"override"}
 
 
 def _error_line(text: str, exc: Exception) -> int | None:
@@ -239,89 +212,81 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError(f"{name_hint}: top level must be a mapping")
 
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ValidationError(str(key), "unknown scenario key")
+    try:
+        return _scenario(doc, name_hint)
+    except FieldError as exc:
+        raise ValidationError(exc.field_name, exc.detail) from exc
 
-    acceptors = _require_int(doc.get("acceptors"), "acceptors", minimum=1)
+
+def _scenario(doc: dict, name_hint: str) -> Scenario:
+    """The scenario doc describes; a field that breaks a rule raises FieldError."""
+    check_mapping(doc, "", _TOP_KEYS)
+    acceptors = check_int(doc.get("acceptors"), "acceptors", minimum=1)
 
     policy = doc.get("anomaly_policy", "strict")
     if policy not in ("strict", "majority"):
-        raise ValidationError("anomaly_policy", f"expected strict or majority, got {policy!r}")
+        raise FieldError("anomaly_policy", f"expected strict or majority, got {policy!r}")
 
-    net_doc = _require_mapping(doc.get("net"), "net")
-    for key in net_doc:
-        if key not in _NET_KEYS:
-            raise ValidationError(f"net.{key}", "unknown key")
-    seed = _require_int(net_doc.get("seed", 0), "net.seed", minimum=0, maximum=MAX_SEED)
-    base_delay = _require_int(net_doc.get("base_delay", 1), "net.base_delay", minimum=0)
-    jitter = _require_int(net_doc.get("jitter", 0), "net.jitter", minimum=0)
+    net_doc = check_mapping(doc.get("net"), "net", _NET_KEYS)
+    seed = check_int(net_doc.get("seed", 0), "net.seed", minimum=0, maximum=MAX_SEED)
+    base_delay = check_int(net_doc.get("base_delay", 1), "net.base_delay", minimum=0)
+    jitter = check_int(net_doc.get("jitter", 0), "net.jitter", minimum=0)
     loss_rate = net_doc.get("loss_rate", 0.0)
     if not isinstance(loss_rate, (int, float)) or isinstance(loss_rate, bool) \
             or not 0.0 <= float(loss_rate) <= 1.0:
-        raise ValidationError("net.loss_rate", f"expected a probability in [0, 1], got {loss_rate!r}")
+        raise FieldError("net.loss_rate", f"expected a probability in [0, 1], got {loss_rate!r}")
     net = NetConfig(seed=seed, base_delay=base_delay, jitter=jitter, loss_rate=float(loss_rate))
 
-    timing_doc = _require_mapping(doc.get("timing"), "timing")
-    for key in timing_doc:
-        if key not in _TIMING_KEYS:
-            raise ValidationError(f"timing.{key}", "unknown key")
+    timing_doc = check_mapping(doc.get("timing"), "timing", _TIMING_KEYS)
     timing = TimingConfig(**{
-        f.name: _require_int(timing_doc.get(f.name, f.default), f"timing.{f.name}", minimum=1)
+        f.name: check_int(timing_doc.get(f.name, f.default), f"timing.{f.name}", minimum=1)
         for f in fields(TimingConfig)})
 
     try:
-        machine = compile_machine(_require_mapping(doc.get("machine"), "machine"))
+        machine = compile_machine(doc.get("machine"))
     except MachineError as exc:
-        raise ValidationError("machine", str(exc)) from exc
+        raise FieldError("machine", str(exc)) from exc
     try:
-        app_model = compile_app_model(_require_mapping(doc.get("app_model"), "app_model"))
+        app_model = compile_app_model(doc.get("app_model"))
     except MachineError as exc:
-        raise ValidationError("app_model", str(exc)) from exc
+        raise FieldError("app_model", str(exc)) from exc
 
     requests = []
     previous_at = 0
-    for idx, raw in enumerate(_require_list(doc.get("requests"), "requests")):
-        entry = _require_mapping(raw, f"requests[{idx}]")
-        at = _require_int(entry.get("at"), f"requests[{idx}].at", minimum=0)
+    for idx, raw in enumerate(check_list(doc.get("requests"), "requests")):
+        entry = check_mapping(raw, f"requests[{idx}]", _REQUEST_KEYS)
+        at = check_int(entry.get("at"), f"requests[{idx}].at", minimum=0)
         if at < previous_at:
-            raise ValidationError(f"requests[{idx}].at", "arrival times must be nondecreasing")
+            raise FieldError(f"requests[{idx}].at", "arrival times must be nondecreasing")
         previous_at = at
         if "payload" not in entry:
-            raise ValidationError(f"requests[{idx}].payload", "missing payload")
-        requests.append((at, _require_text(entry["payload"], f"requests[{idx}].payload")))
+            raise FieldError(f"requests[{idx}].payload", "missing payload")
+        requests.append((at, check_text(entry["payload"], f"requests[{idx}].payload")))
 
     faults = []
-    for idx, raw in enumerate(_require_list(doc.get("faults"), "faults")):
-        entry = _require_mapping(raw, f"faults[{idx}]")
-        at = _require_int(entry.get("at"), f"faults[{idx}].at", minimum=0)
-        target = _require_int(entry.get("target"), f"faults[{idx}].target",
-                              minimum=0, maximum=acceptors - 1)
+    for idx, raw in enumerate(check_list(doc.get("faults"), "faults")):
+        entry = check_mapping(raw, f"faults[{idx}]", _FAULT_KEYS)
+        at = check_int(entry.get("at"), f"faults[{idx}].at", minimum=0)
+        target = check_int(entry.get("target"), f"faults[{idx}].target",
+                           minimum=0, maximum=acceptors - 1)
         kind = entry.get("kind")
         if kind == "crash":
+            check_mapping(entry, f"faults[{idx}]", _CRASH_KEYS)
             faults.append(CrashFault(at=at, target=target))
         elif kind == "compromise":
             where = f"faults[{idx}].override"
-            override = _require_mapping(entry.get("override"), where)
+            override = check_mapping(entry.get("override"), where, None)
             if not override:
-                raise ValidationError(where, "compromise requires an override table")
-            override = {_require_text(k, where): _require_text(v, f"{where}.{k}")
+                raise FieldError(where, "compromise requires an override table")
+            override = {check_text(k, where): check_text(v, f"{where}.{k}")
                         for k, v in override.items()}
             faults.append(CompromiseFault(at=at, target=target, override=override))
         else:
-            raise ValidationError(f"faults[{idx}].kind", f"expected crash or compromise, got {kind!r}")
+            raise FieldError(f"faults[{idx}].kind", f"expected crash or compromise, got {kind!r}")
 
-    return Scenario(
-        name=_require_text(doc.get("name", name_hint), "name"),
-        acceptors=acceptors,
-        machine=machine,
-        app_model=app_model,
-        requests=tuple(requests),
-        faults=tuple(faults),
-        net=net,
-        timing=timing,
-        anomaly_policy=policy,
-    )
+    return Scenario(name=check_text(doc.get("name", name_hint), "name"), acceptors=acceptors,
+                    machine=machine, app_model=app_model, requests=tuple(requests),
+                    faults=tuple(faults), net=net, timing=timing, anomaly_policy=policy)
 
 
 def load_scenario(path) -> Scenario:

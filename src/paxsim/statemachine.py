@@ -19,6 +19,14 @@ class MachineError(ValueError):
     """Base class for state machine definition problems."""
 
 
+class FieldError(MachineError):
+    """A field missing, of the wrong kind or unknown; field_name is its path in the section."""
+
+    def __init__(self, field_name: str, detail: str):
+        super().__init__(f"{field_name}: {detail}" if field_name else detail)
+        self.field_name, self.detail = field_name, detail
+
+
 class UnknownState(MachineError):
     pass
 
@@ -37,6 +45,11 @@ class StarNotSelfLoop(MachineError):
 
 # Threshold value meaning "self-describe forever, never escalate".
 STAR = None
+
+_MACHINE_KEYS = {"states", "start", "rules"}
+_RULE_KEYS = {"from", "to", "output_regex", "input_regex", "threshold"}
+_APP_KEYS = {"outputs", "default_output"}
+_OUTPUT_KEYS = {"request", "output"}
 
 
 @dataclass(frozen=True)
@@ -87,27 +100,42 @@ def _compile_pattern(text: str, where: str) -> re.Pattern:
         raise BadRegex(f"{where}: cannot compile regex {text!r}: {exc}") from exc
 
 
-def _list(section: dict, key: str) -> list | tuple:
-    value = section.get(key)
+def check_int(value, where: str, minimum=None, maximum=None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FieldError(where, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise FieldError(where, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise FieldError(where, f"must be <= {maximum}, got {value}")
+    return value
+
+
+def check_mapping(value, where: str, keys) -> dict:
+    """A mapping's value, {} for null; a key outside keys is unknown (keys None allows any)."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise FieldError(where, f"expected a mapping, got {type(value).__name__}")
+    if keys is not None and not value.keys() <= keys:
+        key = next(key for key in value if key not in keys)
+        raise FieldError(f"{where}.{key}" if where else str(key), "unknown key")
+    return value
+
+
+def check_list(value, where: str) -> list | tuple:
     if value is None:
         return ()
     if not isinstance(value, (list, tuple)):
-        raise MachineError(f"{key}: expected a list, got {type(value).__name__}")
+        raise FieldError(where, f"expected a list, got {type(value).__name__}")
     return value
 
 
-def _text(value, where: str) -> str:
+def check_text(value, where: str) -> str:
     """A text field's value; null, a mapping and a list are not text, whatever str() makes of them."""
     if value is None or isinstance(value, (dict, list)):
         got = "null" if value is None else type(value).__name__
-        raise MachineError(f"{where}: expected text, got {got}")
+        raise FieldError(where, f"expected text, got {got}")
     return str(value)
-
-
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise MachineError(f"{where}: expected a mapping, got {type(value).__name__}")
-    return value
 
 
 def compile_machine(section: dict) -> StateMachineDef:
@@ -115,9 +143,11 @@ def compile_machine(section: dict) -> StateMachineDef:
 
     Expected keys: states (list of names), start (name), rules (list of
     mappings with from/to/output_regex, optional input_regex, threshold as a
-    non-negative integer or "*").
+    non-negative integer or "*"). No other key is taken, there or in a rule.
     """
-    states = tuple(_text(s, f"states[{i}]") for i, s in enumerate(_list(section, "states")))
+    section = check_mapping(section, "", _MACHINE_KEYS)
+    states = tuple(check_text(s, f"states[{i}]")
+                   for i, s in enumerate(check_list(section.get("states"), "states")))
     if not states:
         raise NoStartState("machine declares no states")
     declared = set(states)
@@ -127,11 +157,11 @@ def compile_machine(section: dict) -> StateMachineDef:
     start = str(start)
 
     rules = []
-    for idx, raw in enumerate(_list(section, "rules")):
+    for idx, raw in enumerate(check_list(section.get("rules"), "rules")):
         where = f"rules[{idx}]"
-        raw = _mapping(raw, where)
-        source = _text(raw.get("from"), f"{where}.from")
-        target = _text(raw.get("to"), f"{where}.to")
+        raw = check_mapping(raw, where, _RULE_KEYS)
+        source = check_text(raw.get("from"), f"{where}.from")
+        target = check_text(raw.get("to"), f"{where}.to")
         if source not in declared:
             raise UnknownState(f"{where}.from: {source!r} is not a declared state")
         if target not in declared:
@@ -140,13 +170,13 @@ def compile_machine(section: dict) -> StateMachineDef:
         if threshold == "*":
             threshold = STAR
         elif not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 0:
-            raise MachineError(f"{where}.threshold: expected non-negative integer or '*', got {threshold!r}")
+            raise FieldError(f"{where}.threshold", f"expected non-negative integer or '*', got {threshold!r}")
         if threshold is STAR and target != source:
             raise StarNotSelfLoop(f"{where}: '*' threshold requires to == from, got {source!r} -> {target!r}")
-        output_regex = _text(raw.get("output_regex", ""), f"{where}.output_regex")
+        output_regex = check_text(raw.get("output_regex", ""), f"{where}.output_regex")
         input_regex = raw.get("input_regex")
         if input_regex is not None:
-            input_regex = _text(input_regex, f"{where}.input_regex")
+            input_regex = check_text(input_regex, f"{where}.input_regex")
         rules.append(TransitionRule(
             source=source,
             target=target,
@@ -186,19 +216,20 @@ def apply(definition: StateMachineDef, rs: RuntimeState, input_text: str, output
 
 
 def compile_app_model(section: dict) -> AppModel:
-    """Build the application table: list of {request, output} plus default_output."""
+    """Build the application table: list of {request, output} plus default_output, no other key."""
+    section = check_mapping(section, "", _APP_KEYS)
     entries = []
-    for idx, raw in enumerate(_list(section, "outputs")):
-        raw = _mapping(raw, f"outputs[{idx}]")
+    for idx, raw in enumerate(check_list(section.get("outputs"), "outputs")):
+        raw = check_mapping(raw, f"outputs[{idx}]", _OUTPUT_KEYS)
         for key in ("request", "output"):
             if key not in raw:
-                raise MachineError(f"outputs[{idx}].{key}: missing")
-        pattern, output = (_text(raw[key], f"outputs[{idx}].{key}")
+                raise FieldError(f"outputs[{idx}].{key}", "missing")
+        pattern, output = (check_text(raw[key], f"outputs[{idx}].{key}")
                            for key in ("request", "output"))
         entries.append((_compile_pattern(pattern, f"outputs[{idx}].request"), output))
     return AppModel(
         entries=tuple(entries),
-        default_output=_text(section.get("default_output", ""), "default_output"),
+        default_output=check_text(section.get("default_output", ""), "default_output"),
     )
 
 

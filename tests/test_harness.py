@@ -557,6 +557,27 @@ def test_an_arrival_at_a_crashed_leader_waits_for_the_election():
     assert accepts == {("1", "1", seen[3][2]["n"])}
 
 
+def test_an_election_retries_only_requests_that_have_arrived():
+    # Node 1, leader after the first election, crashes too; the fifth request arrives after both.
+    text = CRASHED_LEADER.replace(
+        '  - {at: 41, payload: "PUT /x"}\n',
+        '  - {at: 41, payload: "PUT /x"}\n  - {at: 120, payload: "GET /health"}\n').replace(
+        "faults: [{at: 40, target: 0, kind: crash}]",
+        "faults: [{at: 40, target: 0, kind: crash}, {at: 70, target: 1, kind: crash}]")
+    records = run(parse_scenario(text)).records
+    assert sum(r.kind == "Election" for r in records) == 2
+    arrived = []
+    for r in records:
+        if r.kind == "ClientArrival":
+            req = int(r.fields["req"])
+            if "redispatch" in r.fields:
+                assert req < len(arrived), f"request {req} retried at t={r.time} before it arrived"
+            else:
+                arrived.append(r.time)
+                assert req == len(arrived) - 1
+    assert arrived == [1, 12, 24, 41, 120]
+
+
 def test_a_fault_past_the_horizon_never_fires():
     text = (SCENARIO_DIR / "baseline.scenario").read_text(encoding="utf-8")
     late = text.replace("faults: []", "faults: [{at: 100000, target: 3, kind: crash}]")

@@ -135,6 +135,26 @@ def test_a_scenario_that_breaks_a_rule_is_invalid(tmp_path, capsys, old, new, fi
     assert_invalid(tmp_path, capsys, MINIMAL.replace(old, new), field_name, detail)
 
 
+@pytest.mark.parametrize("old, new, field_name, detail", [
+    ("requests: []", "requests: [{at: 0, payload: a, pyload: b}]", "requests[0].pyload",
+     "unknown key"),
+    ("requests: []", "faults: [{at: 5, target: 1, kind: crash, targte: 2}]", "faults[0].targte",
+     "unknown key"),
+    ("requests: []", "faults: [{at: 5, target: 1, kind: crash, override: {a: b}}]",
+     "faults[0].override", "unknown key"),
+    ("rules: []", 'rules: [], stats: ["T"]', "machine", "stats: unknown key"),
+    ("rules: []", 'rules: [{from: "S", to: "S", output_regex: x, thresold: 5}]', "machine",
+     "rules[0].thresold: unknown key"),
+    ('default_output: "OK"', 'default_output: "OK", default: Error', "app_model",
+     "default: unknown key"),
+    ("outputs: []", "outputs: [{request: a, output: OK, ouptut: Error}]", "app_model",
+     "outputs[0].ouptut: unknown key"),
+], ids=["request", "fault", "crash-with-override", "machine", "rule", "app-model", "output"])
+def test_a_key_the_section_does_not_take_is_invalid(tmp_path, capsys, old, new, field_name, detail):
+    assert old in MINIMAL
+    assert_invalid(tmp_path, capsys, MINIMAL.replace(old, new), field_name, detail)
+
+
 @pytest.mark.parametrize("text, detail", [
     ("", "empty document"),
     ("- acceptors: 3\n", "top level must be a mapping"),
@@ -332,6 +352,36 @@ def test_parse_matches_the_pure_loader_on_dumped_documents(doc, allow_unicode):
         text = yaml.safe_dump(doc, default_flow_style=flow_style, allow_unicode=allow_unicode,
                               sort_keys=False)
         assert parse_scenario(text) == _parse_with_the_pure_loader(text)
+
+
+def _keyed_mappings(doc):
+    """Each mapping of a scenario_docs document that takes only its own keys, with the prefix
+    that names a key of it in a ValidationError."""
+    yield doc, ""
+    yield doc["net"], "net."
+    yield doc["timing"], "timing."
+    for section, entries in (("machine", "rules"), ("app_model", "outputs")):
+        yield doc[section], f"{section}: "
+        for idx, entry in enumerate(doc[section][entries]):
+            yield entry, f"{section}: {entries}[{idx}]."
+    for section in ("requests", "faults"):
+        for idx, entry in enumerate(doc[section]):
+            yield entry, f"{section}[{idx}]."
+
+
+# Every key a scenario takes is lower case, so these are unknown wherever they go.
+unknown_keys = st.from_regex(r"[A-Z][A-Za-z0-9_]{0,7}", fullmatch=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenario_docs(), st.data())
+def test_an_unknown_key_in_any_mapping_is_named_by_its_path(doc, data):
+    mapping, prefix = data.draw(st.sampled_from(list(_keyed_mappings(doc))))
+    key = data.draw(unknown_keys)
+    mapping[key] = 0
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(yaml.safe_dump(doc, sort_keys=False))
+    assert str(err.value) == f"{prefix}{key}: unknown key"
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scenario")), ids=lambda p: p.stem)

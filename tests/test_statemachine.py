@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from paxsim.messages import ClientRequest
 from paxsim.statemachine import (
     BadRegex,
+    MachineError,
     NoStartState,
     StarNotSelfLoop,
     UnknownState,
@@ -61,6 +62,23 @@ def test_compile_rejects_star_that_moves():
            "rules": [{"from": "A", "to": "B", "output_regex": "x", "threshold": "*"}]}
     with pytest.raises(StarNotSelfLoop):
         compile_machine(bad)
+
+
+def test_compile_rejects_an_unknown_rule_or_output_key():
+    misspelt = {"states": ["S", "T"], "start": "S",
+                "rules": [{"from": "S", "to": "T", "output_regex": "x", "thresold": 5}]}
+    with pytest.raises(MachineError, match=r"^rules\[0\]\.thresold: unknown key$"):
+        compile_machine(misspelt)
+    with pytest.raises(MachineError, match=r"^outputs\[0\]\.ouptut: unknown key$"):
+        compile_app_model({"outputs": [{"request": "a", "output": "OK", "ouptut": "Error"}]})
+
+
+def test_compile_takes_tuples_from_a_python_caller():
+    machine = compile_machine({"states": ("S", "T"), "start": "S",
+                               "rules": ({"from": "S", "to": "T", "output_regex": "x"},)})
+    assert (machine.states, machine.rules[0].target) == (("S", "T"), "T")
+    model = compile_app_model({"outputs": ({"request": "a", "output": "OK"},)})
+    assert execute(model, ClientRequest(0, "a")) == "OK"
 
 
 def test_six_errors_hold_seventh_fires():
